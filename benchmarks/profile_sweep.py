@@ -30,9 +30,11 @@ un-profiled with ``--repeat 10`` (40 simulations):
 
 The fast engine is *bit-identical* to the reference engine, which caps
 how far it can go: sequence-number consumption, float accumulation order
-and event interleaving must all be preserved, so the remaining cost is
-the DVFS reevaluation chain itself, not interpreter overhead around it
-(see DESIGN.md §"Engine backends").
+and event interleaving must all be preserved.  That pins what the DVFS
+reevaluation chain computes, not how the event queue stores it: re-arming
+ramp timers in place (``EventQueue.rearm``) removed the chain's cancelled
+heap entries in both engines with bit-identical results, and what remains
+is the re-pricing work itself (see DESIGN.md §"Engine backends").
 
 Do not trust timings taken with ``--profile``: cProfile's tracing overhead
 roughly doubles the wall time and distorts ratios.

@@ -13,11 +13,16 @@ from .base import Governor
 class PerformanceGovernor(Governor):
     """Floor at the nominal frequency, request the full turbo range."""
 
+    def on_bind(self) -> None:
+        machine = self.kernel.machine
+        self._floor_mhz = machine.nominal_mhz
+        self._request_mhz = machine.max_turbo_mhz
+
     def floor_mhz(self, cpu: int) -> int:
-        return self.kernel.machine.nominal_mhz
+        return self._floor_mhz
 
     def request_mhz(self, cpu: int) -> int:
-        return self.kernel.machine.max_turbo_mhz
+        return self._request_mhz
 
     @property
     def name(self) -> str:

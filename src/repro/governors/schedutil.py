@@ -29,9 +29,14 @@ class SchedutilGovernor(Governor):
 
     def on_bind(self) -> None:
         self._obs = self.kernel.engine.obs
+        # The machine is immutable: read its frequency range once, not
+        # through property calls on every request.
+        machine = self.kernel.machine
+        self._min_mhz = machine.min_mhz
+        self._max_mhz = machine.max_turbo_mhz
 
     def floor_mhz(self, cpu: int) -> int:
-        return self.kernel.machine.min_mhz
+        return self._min_mhz
 
     def request_mhz(self, cpu: int) -> int:
         kernel = self.kernel
@@ -46,12 +51,12 @@ class SchedutilGovernor(Governor):
         current = kernel.cpus[cpu].current
         if current is not None:
             est += max(current.util_est, current.pelt.peek(now, True))
-        for t in rq.queued_tasks():
-            est += t.util_est
+        if rq.nr_queued:
+            for t in rq.queued_tasks():
+                est += t.util_est
         util = max(util, min(PELT_MAX, est))
-        f = HEADROOM * kernel.machine.max_turbo_mhz * util / PELT_MAX
-        mhz = max(kernel.machine.min_mhz,
-                  min(kernel.machine.max_turbo_mhz, int(f)))
+        f = HEADROOM * self._max_mhz * util / PELT_MAX
+        mhz = max(self._min_mhz, min(self._max_mhz, int(f)))
         if self._obs.enabled:
             self._obs.emit(now, oev.FREQ_REQUEST, cpu=cpu, value=mhz)
         return mhz

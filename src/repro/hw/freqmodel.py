@@ -386,26 +386,28 @@ class FreqModel:
             self._reevaluate(pc)
 
     def _reevaluate(self, pc: int) -> None:
-        """Recompute the target and (re)schedule the next ramp step."""
+        """Recompute the target and re-arm (or drop) the next ramp step.
+
+        A pending step is moved with :meth:`Engine.rearm`, which consumes
+        the same sequence number as cancelling and rescheduling it but
+        leaves no tombstone in the event heap: a busy socket re-prices its
+        cores on every activity change, far more often than steps fire.
+        """
         st = self._cores[pc]
         if (st.active_threads == 0 and st.spinning_threads == 0
                 and st.step_event is None and st.mhz == self._min_mhz):
             return    # settled idle core: target == mhz == min
         now = self.engine.now
         target = self._target_mhz(pc, now)
-        if st.step_event is not None:
-            self.engine.cancel(st.step_event)
-            st.step_event = None
+        delay = None
         if target == st.mhz:
             # If turbo reluctance is still capping us, wake up when it lifts.
             if st.is_active and self.pm.turbo_latency_us > 0 \
                     and st.active_since is not None:
                 remaining = self.pm.turbo_latency_us - (now - st.active_since)
                 if remaining > 0:
-                    st.step_event = self.engine.after(
-                        remaining, EventKind.FREQ, self._step, (pc,))
-            return
-        if target > st.mhz:
+                    delay = remaining
+        elif target > st.mhz:
             delay = self.pm.ramp_interval_us
         else:
             delay = self.pm.decay_interval_us
@@ -413,8 +415,16 @@ class FreqModel:
                 held = now - st.idle_since
                 if held < self.pm.idle_hold_us:
                     delay = self.pm.idle_hold_us - held
-        st.step_event = self.engine.after(
-            delay, EventKind.FREQ, self._step, (pc,))
+        ev = st.step_event
+        if delay is None:
+            if ev is not None:
+                self.engine.cancel(ev)
+                st.step_event = None
+        elif ev is None:
+            st.step_event = self.engine.after(
+                delay, EventKind.FREQ, self._step, (pc,))
+        else:
+            st.step_event = self.engine.rearm(ev, delay)
 
     def _step(self, pc: int) -> None:
         """One ramp step: move the frequency toward the current target."""

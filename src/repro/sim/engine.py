@@ -76,6 +76,19 @@ class Engine:
     def cancel(self, ev: Event) -> None:
         self.queue.cancel(ev)
 
+    def rearm(self, ev: Event, delay: int) -> Event:
+        """Move pending ``ev`` to ``delay`` microseconds from now.
+
+        Equivalent to ``cancel(ev)`` then ``after(delay, ...)`` with the
+        same kind, callback and args, including the one sequence number
+        consumed (see :meth:`EventQueue.rearm`), but a later move leaves
+        no tombstone in the heap.  Returns the pending event, which the
+        caller must keep as its handle.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        return self.queue.rearm(ev, self.clock.now + delay)
+
     def stop(self, reason: str = "requested") -> None:
         """Ask the run loop to stop after the current event."""
         self._stopped = True

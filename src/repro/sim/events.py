@@ -31,8 +31,11 @@ class EventKind(enum.IntEnum):
 class Event:
     """A schedulable callback.
 
-    Cancellation is by flag: cancelled events stay in the heap and are
-    skipped when popped, which is O(1) and keeps the heap simple.
+    ``(time, kind, seq)`` is the event's current key.  The queue holds
+    exactly one heap entry per pending event (see :mod:`repro.sim.queue`);
+    that entry's key may lag behind the event's after a re-arm, never lead
+    it.  Cancellation is by flag: cancelled events stay in the heap and
+    are skipped when popped, which is O(1) and keeps the heap simple.
     """
 
     __slots__ = ("time", "kind", "seq", "callback", "args", "cancelled")
@@ -53,7 +56,12 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
+        """Mark the event as cancelled; it will be skipped when popped.
+
+        This leaves the owning queue's live count unchanged, so ``len()``
+        and ``bool()`` of the queue over-count afterwards: cancel through
+        :meth:`EventQueue.cancel` (or ``Engine.cancel``) instead.
+        """
         self.cancelled = True
 
     @property

@@ -30,8 +30,10 @@ Where the speed comes from:
 
 The bit-identity rules this file obeys (see DESIGN.md):
 
-* every ``after()``/``cancel()`` of the reference is preserved — each
-  schedule consumes a sequence number that decides same-time ties;
+* every ``after()``/``cancel()``/``rearm()`` of the reference is
+  preserved — each schedule or re-arm consumes a sequence number that
+  decides same-time ties — and the inlined pop re-keys re-armed heap
+  entries exactly as :meth:`EventQueue.pop` does;
 * obs events and metric increments happen at the same points, in the
   same order;
 * ``min``/``max``/division stay the exact builtin operations of the
@@ -121,20 +123,24 @@ class FastEngine(Engine):
         pop = heappop
         while not self._stopped:
             if until is not None:
-                while heap and heap[0][3].cancelled:
-                    pop(heap)
-                if not heap or heap[0][0] > until:
+                nxt = queue.peek_time()
+                if nxt is None or nxt > until:
                     clock.advance_to(max(until, clock.now))
                     self.now = clock.now
                     self._stop_reason = "until"
                     break
             ev = None
             while heap:
-                e = pop(heap)[3]
-                if not e.cancelled:
-                    queue._live -= 1
-                    ev = e
-                    break
+                entry = pop(heap)
+                e = entry[3]
+                if e.cancelled:
+                    continue
+                if e.seq != entry[2]:        # re-armed later: re-key
+                    heappush(heap, (e.time, entry[1], e.seq, e))
+                    continue
+                queue._live -= 1
+                ev = e
+                break
             if ev is None:
                 self._stop_reason = "drained"
                 break
@@ -437,21 +443,15 @@ class FastFreqModel(FreqModel):
             return
         now = self.engine.now
         target = self._target_mhz(pc, now)
-        if ev is not None:
-            if not ev.cancelled:
-                ev.cancelled = True
-                self._queue._live -= 1
-            st.step_event = None
+        delay = None
         if target == st.mhz:
             if (st.active_threads > 0 or st.spinning_threads > 0) \
                     and self._turbo_latency > 0 \
                     and st.active_since is not None:
                 remaining = self._turbo_latency - (now - st.active_since)
                 if remaining > 0:
-                    st.step_event = self.engine.after(
-                        remaining, _EK_FREQ, self._step, (pc,))
-            return
-        if target > st.mhz:
+                    delay = remaining
+        elif target > st.mhz:
             delay = self._ramp_interval
         else:
             delay = self._decay_interval
@@ -459,7 +459,17 @@ class FastFreqModel(FreqModel):
                 held = now - st.idle_since
                 if held < self._idle_hold:
                     delay = self._idle_hold - held
-        st.step_event = self.engine.after(delay, _EK_FREQ, self._step, (pc,))
+        if delay is None:
+            if ev is not None:
+                if not ev.cancelled:         # inline engine.cancel
+                    ev.cancelled = True
+                    self._queue._live -= 1
+                st.step_event = None
+        elif ev is None:
+            st.step_event = self.engine.after(
+                delay, _EK_FREQ, self._step, (pc,))
+        else:
+            st.step_event = self._queue.rearm(ev, now + delay)
 
     def _step(self, pc: int) -> None:
         st = self._cores[pc]

@@ -6,6 +6,7 @@ from repro.hw.freqmodel import (FreqModel, PMParams, SPEED_SHIFT, SPEED_STEP)
 from repro.hw.topology import Topology
 from repro.hw.turbo import XEON_5218
 from repro.sim.engine import Engine
+from repro.sim.events import EventKind
 
 
 class StubGovernor:
@@ -181,3 +182,30 @@ class TestListeners:
         eng, fm, _ = make()
         fm.force_freq(3, 2222)
         assert fm.core_freq_mhz(3) == 2222
+
+
+class TestRampTimer:
+    def test_reevaluation_rearms_the_pending_step_in_place(self):
+        """Re-pricing a ramping core moves its pending step instead of
+        leaving a cancelled step in the heap per re-evaluation."""
+        eng, fm, _ = make(pm=SPEED_STEP, floor=1000, request=3900)
+        steps = []
+        fm.add_listener(lambda pc, mhz: steps.append((eng.now, pc, mhz)))
+        fm.set_thread_state(0, busy=True, spinning=False)
+        last = 10_000
+        peak = 0
+
+        def reprice():
+            nonlocal peak
+            fm.notify_request_change(0)
+            if eng.now < last:
+                eng.after(1, EventKind.CONTROL, reprice)
+            peak = max(peak, len(eng.queue._heap))
+
+        eng.at(1, EventKind.CONTROL, reprice)
+        eng.run(until=last)
+        assert peak <= 2          # the next re-pricing and the ramp step
+        assert steps == []
+        eng.run(until=last + SPEED_STEP.ramp_interval_us)
+        assert steps == [(last + SPEED_STEP.ramp_interval_us, 0,
+                          1000 + SPEED_STEP.ramp_up_step_mhz)]

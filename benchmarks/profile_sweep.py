@@ -7,34 +7,30 @@ a cProfile breakdown.  This is the harness used to drive — and to keep
 honest — the hot-path optimization work:
 
     PYTHONPATH=src python benchmarks/profile_sweep.py            # timing
-    PYTHONPATH=src python benchmarks/profile_sweep.py --engine fast
     PYTHONPATH=src python benchmarks/profile_sweep.py --profile  # + cProfile
     PYTHONPATH=src python benchmarks/profile_sweep.py --phases   # phase split
     PYTHONPATH=src python benchmarks/profile_sweep.py --json out.json
     PYTHONPATH=src python benchmarks/profile_sweep.py --phoronix # other sweep
     PYTHONPATH=src python benchmarks/profile_sweep.py --obs-check # obs guard
 
-``--json`` times *both* engines un-profiled, asserts their results are
-bit-identical, and writes a machine-readable record (wall seconds,
-events/s, fast/ref ratio, speedup vs the seed baseline) — the format the
-perf-smoke CI job gates on and that ``BENCH_trajectory.json`` entries
-are built from.  ``--min-ratio`` turns the fast/ref ratio into a hard
-failure threshold.
+``--json`` times the sweep un-profiled and writes a machine-readable
+record (wall seconds, events/s, speedup vs the seed baseline) — the
+format the perf-smoke CI job writes and that ``BENCH_trajectory.json``
+entries are built from (``repro history export-trajectory``).
 
 Reference numbers on the CI container (1 cpu, Python 3.11), measured
 un-profiled with ``--repeat 10`` (40 simulations):
 
 * seed engine (PR 0):          ~3.23 s
 * ref after PR-1 hot-path work: ~1.87 s  (~1.7x vs seed)
-* fast engine (PR 6):           ~1.4 s   (~2.3x vs seed, ~1.3x vs ref)
 
-The fast engine is *bit-identical* to the reference engine, which caps
-how far it can go: sequence-number consumption, float accumulation order
-and event interleaving must all be preserved.  That pins what the DVFS
-reevaluation chain computes, not how the event queue stores it: re-arming
-ramp timers in place (``EventQueue.rearm``) removed the chain's cancelled
-heap entries in both engines with bit-identical results, and what remains
-is the re-pricing work itself (see DESIGN.md §"Engine backends").
+Speedups must keep runs *bit-identical* (``tests/data/golden_digests.json``):
+sequence-number consumption, float accumulation order and event
+interleaving are all preserved.  That pins what the DVFS reevaluation
+chain computes, not how the event queue stores it: re-arming ramp timers
+in place (``EventQueue.rearm``) removed the chain's cancelled heap
+entries with bit-identical results, and what remains is the re-pricing
+work itself (see DESIGN.md §4 "One engine: hot paths").
 
 Do not trust timings taken with ``--profile``: cProfile's tracing overhead
 roughly doubles the wall time and distorts ratios.
@@ -73,22 +69,21 @@ SEED_BASELINE_S = 3.23
 SEED_BASELINE_REPEAT = 10
 
 
-def run_sweep(sweep, collect_events=False, engine="ref"):
+def run_sweep(sweep, collect_events=False):
     results = []
     for workload, machine, scheduler, governor, seed, scale in sweep:
         wl = make_workload(workload, scale=scale)
         results.append(run_experiment(wl, get_machine(machine), scheduler,
                                       governor, seed=seed,
-                                      collect_events=collect_events,
-                                      engine=engine))
+                                      collect_events=collect_events))
     return results
 
 
-def time_sweep(sweep, repeat, engine):
+def time_sweep(sweep, repeat):
     """Un-profiled wall time of ``repeat`` sweep passes, plus results."""
     t0 = time.perf_counter()
     for _ in range(repeat):
-        results = run_sweep(sweep, engine=engine)
+        results = run_sweep(sweep)
     return time.perf_counter() - t0, results
 
 
@@ -96,28 +91,9 @@ def time_sweep(sweep, repeat, engine):
 # Per-phase attribution
 # ---------------------------------------------------------------------------
 
-#: fastengine.py fuses kernel, policy and DVFS code into one module, so
-#: its functions are attributed by name rather than by path.
-_FAST_POLICY_FNS = ("_load_avg", "_find_idlest", "_wake_affine", "_search",
-                    "select_cpu", "_usable_idle", "_maybe_move", "_idle",
-                    "_demote")
-_FAST_FREQ_FNS = ("_target_mhz", "_reevaluate", "_sched_request",
-                  "set_thread_state", "_step", "set_thermal_cap",
-                  "force_freq", "_compute_power")
-_FAST_LOOP_FNS = ("run", "after", "schedule", "cancel")
-
-
-def _phase_of(filename: str, funcname: str) -> str:
-    """Map one profiled function to a coarse engine phase."""
+def _phase_of(filename: str) -> str:
+    """Map one profiled function's file to a coarse engine phase."""
     path = filename.replace("\\", "/")
-    if "/sim/fastengine" in path:
-        if any(funcname.startswith(p) for p in _FAST_POLICY_FNS):
-            return "policy-dispatch"
-        if any(funcname.startswith(p) for p in _FAST_FREQ_FNS):
-            return "freq-energy"
-        if funcname in _FAST_LOOP_FNS:
-            return "event-loop"
-        return "kernel"
     if "/sim/" in path:
         return "event-loop"
     if "/sched/" in path or "/core/" in path:
@@ -133,7 +109,7 @@ def _phase_of(filename: str, funcname: str) -> str:
     return "other"
 
 
-def phase_breakdown(sweep, repeat, engine):
+def phase_breakdown(sweep, repeat):
     """One cProfile pass, aggregated into coarse phases by tottime.
 
     The phases answer "where does the time go" at the granularity that
@@ -144,15 +120,15 @@ def phase_breakdown(sweep, repeat, engine):
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(repeat):
-        run_sweep(sweep, engine=engine)
+        run_sweep(sweep)
     profiler.disable()
     stats = pstats.Stats(profiler)
     phases: dict = {}
     total = 0.0
-    for (filename, _lineno, funcname), row in stats.stats.items():
+    for (filename, _lineno, _funcname), row in stats.stats.items():
         tottime = row[2]
         total += tottime
-        phase = _phase_of(filename, funcname)
+        phase = _phase_of(filename)
         phases[phase] = phases.get(phase, 0.0) + tottime
     ordered = dict(sorted(phases.items(), key=lambda kv: -kv[1]))
     return {"total_profiled_s": round(total, 3),
@@ -170,7 +146,7 @@ def print_phases(breakdown) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Dual-engine benchmark record (--json)
+# Benchmark record (--json)
 # ---------------------------------------------------------------------------
 
 def _git_sha() -> str:
@@ -182,61 +158,35 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _parity(ref_results, fast_results):
-    """Bit-identity of the deterministic result surface."""
-    mismatches = []
-    for a, b in zip(ref_results, fast_results):
-        if (a.makespan_us != b.makespan_us
-                or a.energy_joules != b.energy_joules
-                or a.events_processed != b.events_processed
-                or a.n_tasks != b.n_tasks
-                or a.metrics != b.metrics):
-            mismatches.append(f"{a.workload} [{a.label}]")
-    return mismatches
-
-
 def benchmark_record(sweep, sweep_name, repeat, with_phases=False):
-    """Time both engines, check parity, and build the JSON record."""
-    ref_wall, ref_results = time_sweep(sweep, repeat, "ref")
-    fast_wall, fast_results = time_sweep(sweep, repeat, "fast")
-    mismatches = _parity(ref_results, fast_results)
+    """Time the sweep and build the JSON record.
 
-    n_sims = len(sweep) * repeat
-    events = sum(r.events_processed for r in ref_results) * repeat
+    ``engines`` maps the engine label to its numbers — the key the
+    ``BENCH_trajectory.json`` entries carry.
+    """
+    wall, results = time_sweep(sweep, repeat)
+    events = sum(r.events_processed for r in results) * repeat
     record = {
         "workload": sweep_name,
         "git_sha": _git_sha(),
-        "n_simulations": n_sims,
+        "n_simulations": len(sweep) * repeat,
         "repeat": repeat,
-        "engines": {
-            "ref": {"wall_s": round(ref_wall, 3),
-                    "events_per_sec": round(events / ref_wall, 0)},
-            "fast": {"wall_s": round(fast_wall, 3),
-                     "events_per_sec": round(events / fast_wall, 0)},
-        },
-        "ratio_fast_over_ref": round(ref_wall / fast_wall, 3),
-        "parity_ok": not mismatches,
-        "parity_mismatches": mismatches,
+        "engines": {"ref": {"wall_s": round(wall, 3),
+                            "events_per_sec": round(events / wall, 0)}},
     }
     if sweep is CONFIGURE_SWEEP:
         # The seed baseline exists only for the configure sweep; scale it
         # to this run's repeat count before comparing.
         seed_wall = SEED_BASELINE_S * repeat / SEED_BASELINE_REPEAT
         record["seed_baseline_s"] = round(seed_wall, 3)
-        record["speedup_vs_seed"] = {
-            "ref": round(seed_wall / ref_wall, 2),
-            "fast": round(seed_wall / fast_wall, 2),
-        }
+        record["speedup_vs_seed"] = {"ref": round(seed_wall / wall, 2)}
     if with_phases:
-        record["phases"] = {
-            "ref": phase_breakdown(sweep, max(1, repeat // 2), "ref"),
-            "fast": phase_breakdown(sweep, max(1, repeat // 2), "fast"),
-        }
+        record["phases"] = {"ref": phase_breakdown(sweep,
+                                                   max(1, repeat // 2))}
     return record
 
 
-def obs_check(sweep, repeat: int, threshold_pct: float,
-              engine: str = "ref") -> int:
+def obs_check(sweep, repeat: int, threshold_pct: float) -> int:
     """Guard the event log's overhead contract.
 
     Runs the sweep with the log disabled (no sinks — the production
@@ -249,7 +199,7 @@ def obs_check(sweep, repeat: int, threshold_pct: float,
         best, results = None, None
         for _ in range(repeat):
             t0 = time.perf_counter()
-            res = run_sweep(sweep, collect_events=collect, engine=engine)
+            res = run_sweep(sweep, collect_events=collect)
             wall = time.perf_counter() - t0
             if best is None or wall < best:
                 best, results = wall, res
@@ -277,8 +227,6 @@ def obs_check(sweep, repeat: int, threshold_pct: float,
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--engine", default="ref", choices=["ref", "fast"],
-                    help="simulation backend to time/profile (default: ref)")
     ap.add_argument("--profile", action="store_true",
                     help="print a cProfile breakdown (top 25 by cumulative)")
     ap.add_argument("--phases", action="store_true",
@@ -289,11 +237,8 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=1,
                     help="repeat the sweep N times (steadier timing)")
     ap.add_argument("--json", default=None, metavar="PATH",
-                    help="time BOTH engines un-profiled, verify parity, "
-                         "and write the benchmark record here")
-    ap.add_argument("--min-ratio", type=float, default=0.0,
-                    help="with --json: fail unless fast/ref wall-clock "
-                         "ratio reaches this value (default: report only)")
+                    help="time the sweep un-profiled and write the "
+                         "benchmark record here")
     ap.add_argument("--obs-check", action="store_true",
                     help="measure event-log on/off overhead and fail if "
                          "attaching sinks costs more than the budget")
@@ -306,8 +251,7 @@ def main() -> int:
                   else "configure-llvm_ninja x STANDARD_COMBOS on 5218_2s")
     if args.obs_check:
         return obs_check(sweep, repeat=max(3, args.repeat),
-                         threshold_pct=args.obs_threshold,
-                         engine=args.engine)
+                         threshold_pct=args.obs_threshold)
 
     if args.json:
         record = benchmark_record(sweep, sweep_name, args.repeat,
@@ -315,33 +259,19 @@ def main() -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
-        eng = record["engines"]
-        print(f"ref:  {eng['ref']['wall_s']:.3f}s   "
-              f"fast: {eng['fast']['wall_s']:.3f}s   "
-              f"ratio: {record['ratio_fast_over_ref']:.2f}x   "
-              f"parity: {'OK' if record['parity_ok'] else 'BROKEN'}")
+        ref = record["engines"]["ref"]
+        print(f"ref: {ref['wall_s']:.3f}s   "
+              f"{ref['events_per_sec']:,.0f} events/s")
         if "speedup_vs_seed" in record:
-            sp = record["speedup_vs_seed"]
             print(f"vs seed baseline ({record['seed_baseline_s']}s): "
-                  f"ref {sp['ref']:.2f}x, fast {sp['fast']:.2f}x")
+                  f"{record['speedup_vs_seed']['ref']:.2f}x")
         if args.phases:
-            for engine in ("ref", "fast"):
-                print(f"[{engine}]")
-                print_phases(record["phases"][engine])
+            print_phases(record["phases"]["ref"])
         print(f"record: {args.json}")
-        if not record["parity_ok"]:
-            print("FAIL: engines disagree on "
-                  + ", ".join(record["parity_mismatches"]))
-            return 1
-        if args.min_ratio and record["ratio_fast_over_ref"] < args.min_ratio:
-            print(f"FAIL: fast/ref ratio "
-                  f"{record['ratio_fast_over_ref']:.2f}x below the "
-                  f"--min-ratio {args.min_ratio:.2f}x floor")
-            return 1
         return 0
 
     if args.phases:
-        breakdown = phase_breakdown(sweep, args.repeat, args.engine)
+        breakdown = phase_breakdown(sweep, args.repeat)
         print_phases(breakdown)
         return 0
 
@@ -351,13 +281,13 @@ def main() -> int:
     if profiler:
         profiler.enable()
     for _ in range(args.repeat):
-        results = run_sweep(sweep, engine=args.engine)
+        results = run_sweep(sweep)
     if profiler:
         profiler.disable()
     wall = time.perf_counter() - t0
 
     events = sum(r.events_processed for r in results) * args.repeat
-    print(f"sweep[{args.engine}]: {len(sweep) * args.repeat} simulations "
+    print(f"sweep: {len(sweep) * args.repeat} simulations "
           f"in {wall:.3f}s — {events:,} events, {events / wall:,.0f} "
           f"events/s")
     for r in results:

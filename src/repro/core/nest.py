@@ -231,13 +231,13 @@ class NestPolicy(SelectionPolicy):
             return None, 0
         p = self.params
         kernel = self.kernel
-        topo = kernel.topology
         now = kernel.engine.now
         stale_cutoff_us = int(p.p_remove_ticks * TICK_US)
 
-        start_die = topo.die_of(start)
-        same_die = [c for c in self.primary if topo.die_of(c) == start_die]
-        other = [c for c in self.primary if topo.die_of(c) != start_die]
+        die_of = kernel.die_of
+        start_die = die_of[start]
+        same_die = [c for c in self.primary if die_of[c] == start_die]
+        other = [c for c in self.primary if die_of[c] != start_die]
         candidates = list(_rotate(tuple(same_die), start)) + sorted(other)
 
         prefer = []
@@ -265,11 +265,11 @@ class NestPolicy(SelectionPolicy):
         Returns (chosen cpu or None, candidates examined)."""
         if not self.reserve:
             return None, 0
-        topo = self.kernel.topology
+        die_of = self.kernel.die_of
         home = self.home_cpu if self.home_cpu is not None else start
-        start_die = topo.die_of(start)
-        same_die = [c for c in self.reserve if topo.die_of(c) == start_die]
-        other = [c for c in self.reserve if topo.die_of(c) != start_die]
+        start_die = die_of[start]
+        same_die = [c for c in self.reserve if die_of[c] == start_die]
+        other = [c for c in self.reserve if die_of[c] != start_die]
         examined = 0
         for cpu in list(_rotate(tuple(same_die), home)) \
                 + list(_rotate(tuple(other), home)):

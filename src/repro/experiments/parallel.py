@@ -81,10 +81,6 @@ class RunSpec:
     kernel_config: Optional[KernelConfig] = None
     record_trace: bool = False
     faults: Optional[FaultConfig] = None
-    # Simulation backend ("ref" or "fast").  Deliberately absent from
-    # spec_key: the engines are bit-identical, so cached results are
-    # interchangeable between them.
-    engine: str = "ref"
 
     @property
     def label(self) -> str:
@@ -118,7 +114,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
             max_us=spec.max_us,
             kernel_config=spec.kernel_config,
             faults=spec.faults,
-            engine=spec.engine,
             telemetry=telemetry,
         )
     except BaseException as exc:
@@ -641,7 +636,6 @@ class SweepExecutor:
                 "outcome": outcome,
                 "cached": i not in missset,
                 "completed": res is not None,
-                "engine": spec.engine,
                 "seed": spec.seed,
                 "spec_key": spec_key(spec),
                 "attempts": state.attempts.get(i, 0)

@@ -11,7 +11,7 @@ long-idle core restarts from a low request (and a low actual frequency).
 
 from __future__ import annotations
 
-from ..kernel.pelt import PELT_MAX
+from ..kernel.pelt import PELT_MAX, decay_factor
 from ..obs import events as oev
 from ..obs.log import EventLog
 from .base import Governor
@@ -42,8 +42,17 @@ class SchedutilGovernor(Governor):
         kernel = self.kernel
         now = kernel.engine.now
         rq = kernel.rqs[cpu]
-        # Running average of cpu activity...
-        util = rq.util(now)
+        # Running average of cpu activity (the runqueue's busy PELT
+        # signal decayed to now)...
+        busy = rq.busy_avg
+        util = busy.value
+        delta = now - busy.last_update_us
+        if delta > 0:
+            if rq.currently_busy:
+                y = decay_factor(delta)
+                util = util * y + PELT_MAX * (1.0 - y)
+            elif util != 0.0:
+                util = util * decay_factor(delta)
         # ...bumped immediately by the utilisation estimates of the tasks
         # now attached to the cpu (the kernel's util_est): a wakeup of a
         # known-busy task raises the request without waiting for PELT.
@@ -52,11 +61,20 @@ class SchedutilGovernor(Governor):
         if current is not None:
             est += max(current.util_est, current.pelt.peek(now, True))
         if rq.nr_queued:
-            for t in rq.queued_tasks():
-                est += t.util_est
-        util = max(util, min(PELT_MAX, est))
-        f = HEADROOM * self._max_mhz * util / PELT_MAX
-        mhz = max(self._min_mhz, min(self._max_mhz, int(f)))
+            queued = rq._queued
+            for item in rq._heap:
+                task = item[2]
+                if task.tid in queued:
+                    est += task.util_est
+        if est > PELT_MAX:
+            est = PELT_MAX
+        if est > util:
+            util = est
+        mhz = int(HEADROOM * self._max_mhz * util / PELT_MAX)
+        if mhz > self._max_mhz:
+            mhz = self._max_mhz
+        if mhz < self._min_mhz:
+            mhz = self._min_mhz
         if self._obs.enabled:
             self._obs.emit(now, oev.FREQ_REQUEST, cpu=cpu, value=mhz)
         return mhz

@@ -90,24 +90,33 @@ class EnergyMeter:
         return power
 
     def _compute_power(self) -> float:
+        # Attribute chains hoisted to locals; the additions keep their
+        # order, so the float total is unchanged.
         p = self.params
+        uncore = p.uncore_watts
+        static = p.core_static_watts
+        idle = p.core_idle_watts
+        c_dyn = p.c_dyn
+        v0 = p.v0
+        v_slope = p.v_slope
+        active = self._core_active
+        mhz = self._core_mhz
         topo = self.topology
-        total = 0.0
         cps = topo.cores_per_socket
+        total = 0.0
         for socket in range(topo.n_sockets):
-            total += p.uncore_watts
-            base = socket * cps
+            total += uncore
+            cores = range(socket * cps, (socket + 1) * cps)
             vmax_mhz = 0
-            for pc in range(base, base + cps):
-                if self._core_active[pc]:
-                    vmax_mhz = max(vmax_mhz, self._core_mhz[pc])
-            v = p.v0 + p.v_slope * (vmax_mhz / 1000.0)
-            for pc in range(base, base + cps):
-                if self._core_active[pc]:
-                    f_ghz = self._core_mhz[pc] / 1000.0
-                    total += p.core_static_watts + p.c_dyn * f_ghz * v * v
+            for pc in cores:
+                if active[pc] and mhz[pc] > vmax_mhz:
+                    vmax_mhz = mhz[pc]
+            v = v0 + v_slope * (vmax_mhz / 1000.0)
+            for pc in cores:
+                if active[pc]:
+                    total += static + c_dyn * (mhz[pc] / 1000.0) * v * v
                 else:
-                    total += p.core_idle_watts
+                    total += idle
         return total
 
     def advance(self, now: int) -> None:

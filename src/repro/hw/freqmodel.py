@@ -148,10 +148,6 @@ class _CoreState:
         self.step_event: Optional[Event] = None
         self.prev_active_since: Optional[int] = None  # for gap forgiveness
 
-    @property
-    def is_active(self) -> bool:
-        return self.active_threads > 0 or self.spinning_threads > 0
-
 
 class FreqModel:
     """Tracks and evolves per-physical-core frequencies."""
@@ -165,10 +161,23 @@ class FreqModel:
         governor: GovernorProtocol,
     ) -> None:
         self.engine = engine
+        self._queue = engine.queue
         self.topology = topology
         self.turbo = turbo
         self.pm = pm
         self.governor = governor
+        # The PM personality is immutable: bind its fields once rather
+        # than reading them through ``self.pm`` on every re-pricing.
+        self._ramp_up_step = pm.ramp_up_step_mhz
+        self._ramp_interval = pm.ramp_interval_us
+        self._decay_step = pm.decay_step_mhz
+        self._decay_interval = pm.decay_interval_us
+        self._idle_hold = pm.idle_hold_us
+        self._turbo_latency = pm.turbo_latency_us
+        self._gap_forgiveness = pm.gap_forgiveness_us
+        self._instant_pstate = pm.instant_pstate
+        self._autonomous_boost = pm.autonomous_boost
+        self._cores_per_socket = topology.cores_per_socket
         self._listeners: List[FreqListener] = []
         self._cores = [_CoreState(turbo.min_mhz)
                        for _ in range(topology.n_physical_cores)]
@@ -213,9 +222,6 @@ class FreqModel:
     def active_physical_cores(self, socket: int) -> int:
         return self._socket_active[socket]
 
-    def core_is_active(self, physical_core: int) -> bool:
-        return self._cores[physical_core].is_active
-
     def idle_duration(self, cpu: int, now: int) -> Optional[int]:
         """How long the physical core of ``cpu`` has been fully idle."""
         st = self._cores[self._pc_of[cpu]]
@@ -225,17 +231,20 @@ class FreqModel:
 
     # ---- state transitions ----------------------------------------------
 
-    def set_thread_state(self, cpu: int, busy: bool, spinning: bool) -> None:
+    def set_thread_state(self, cpu: int, busy: bool, spinning: bool) -> bool:
         """Report the activity of one hardware thread.
 
         ``busy`` means a task is running; ``spinning`` means the idle loop is
         spinning to keep the core warm.  At most one of them may be True.
+        Returns whether the thread's physical core is now active (running
+        or spinning on any of its threads), which the kernel mirrors into
+        the energy meter.
         """
         if busy and spinning:
             raise ValueError("a thread cannot be busy and spinning")
         pc = self._pc_of[cpu]
         st = self._cores[pc]
-        was_active = st.is_active
+        was_active = st.active_threads > 0 or st.spinning_threads > 0
 
         # The caller gives absolute state, so subtract the previous
         # contribution of this thread before adding the new one.
@@ -252,12 +261,13 @@ class FreqModel:
         prev[cpu] = (busy, spinning)
 
         now = self.engine.now
-        if st.is_active and not was_active:
+        active = st.active_threads > 0 or st.spinning_threads > 0
+        if active and not was_active:
             # Gap forgiveness: a brief idle interruption does not reset the
             # hardware's sustained-activity observation.
             if (st.idle_since is not None
                     and st.prev_active_since is not None
-                    and now - st.idle_since <= self.pm.gap_forgiveness_us):
+                    and now - st.idle_since <= self._gap_forgiveness):
                 st.active_since = st.prev_active_since
             else:
                 st.active_since = now
@@ -268,7 +278,7 @@ class FreqModel:
             # floor P-state (the performance governor's guarantee).  Speed
             # Shift hardware programs the full computed P-state on the
             # wakeup path, so there is no slow climb out of idle at all.
-            if self.pm.instant_pstate:
+            if self._instant_pstate:
                 jump = self._target_mhz(pc, now)
             else:
                 jump = max(self.governor.floor_mhz(t)
@@ -281,7 +291,7 @@ class FreqModel:
                 for fn in self._listeners:
                     fn(pc, jump)
             self._reevaluate_socket(socket)
-        elif was_active and not st.is_active:
+        elif was_active and not active:
             st.prev_active_since = st.active_since
             st.active_since = None
             st.idle_since = now
@@ -290,6 +300,7 @@ class FreqModel:
             self._reevaluate_socket(socket)
         else:
             self._reevaluate(pc)
+        return active
 
     def thread_state(self, cpu: int) -> tuple[bool, bool]:
         """(busy, spinning) state last reported for hardware thread ``cpu``."""
@@ -330,8 +341,8 @@ class FreqModel:
         ceiling = self._ceiling_by_active[
             self._socket_active[self._socket_of_pc[pc]]]
         sustained = (st.active_since is not None
-                     and now - st.active_since >= self.pm.turbo_latency_us)
-        if sustained and self.pm.autonomous_boost:
+                     and now - st.active_since >= self._turbo_latency)
+        if sustained and self._autonomous_boost:
             # HWP autonomous boost: the hardware drives a continuously-
             # active core to its full turbo budget, whatever the governor
             # hints.
@@ -374,7 +385,7 @@ class FreqModel:
         sweep from O(cores) target computations into O(non-settled cores),
         the "batched re-pricing" fast path.
         """
-        cps = self.topology.cores_per_socket
+        cps = self._cores_per_socket
         base = socket * cps
         cores = self._cores
         min_mhz = self._min_mhz
@@ -388,34 +399,36 @@ class FreqModel:
     def _reevaluate(self, pc: int) -> None:
         """Recompute the target and re-arm (or drop) the next ramp step.
 
-        A pending step is moved with :meth:`Engine.rearm`, which consumes
-        the same sequence number as cancelling and rescheduling it but
-        leaves no tombstone in the event heap: a busy socket re-prices its
-        cores on every activity change, far more often than steps fire.
+        A pending step is moved with :meth:`EventQueue.rearm`, which
+        consumes the same sequence number as cancelling and rescheduling
+        it but leaves no tombstone in the event heap: a busy socket
+        re-prices its cores on every activity change, far more often than
+        steps fire.
         """
         st = self._cores[pc]
+        ev = st.step_event
         if (st.active_threads == 0 and st.spinning_threads == 0
-                and st.step_event is None and st.mhz == self._min_mhz):
+                and ev is None and st.mhz == self._min_mhz):
             return    # settled idle core: target == mhz == min
         now = self.engine.now
         target = self._target_mhz(pc, now)
         delay = None
         if target == st.mhz:
             # If turbo reluctance is still capping us, wake up when it lifts.
-            if st.is_active and self.pm.turbo_latency_us > 0 \
+            if (st.active_threads > 0 or st.spinning_threads > 0) \
+                    and self._turbo_latency > 0 \
                     and st.active_since is not None:
-                remaining = self.pm.turbo_latency_us - (now - st.active_since)
+                remaining = self._turbo_latency - (now - st.active_since)
                 if remaining > 0:
                     delay = remaining
         elif target > st.mhz:
-            delay = self.pm.ramp_interval_us
+            delay = self._ramp_interval
         else:
-            delay = self.pm.decay_interval_us
+            delay = self._decay_interval
             if st.idle_since is not None:
                 held = now - st.idle_since
-                if held < self.pm.idle_hold_us:
-                    delay = self.pm.idle_hold_us - held
-        ev = st.step_event
+                if held < self._idle_hold:
+                    delay = self._idle_hold - held
         if delay is None:
             if ev is not None:
                 self.engine.cancel(ev)
@@ -424,7 +437,7 @@ class FreqModel:
             st.step_event = self.engine.after(
                 delay, EventKind.FREQ, self._step, (pc,))
         else:
-            st.step_event = self.engine.rearm(ev, delay)
+            st.step_event = self._queue.rearm(ev, now + delay)
 
     def _step(self, pc: int) -> None:
         """One ramp step: move the frequency toward the current target."""
@@ -433,9 +446,9 @@ class FreqModel:
         now = self.engine.now
         target = self._target_mhz(pc, now)
         if target > st.mhz:
-            new = min(st.mhz + self.pm.ramp_up_step_mhz, target)
+            new = min(st.mhz + self._ramp_up_step, target)
         elif target < st.mhz:
-            new = max(st.mhz - self.pm.decay_step_mhz, target)
+            new = max(st.mhz - self._decay_step, target)
         else:
             new = st.mhz
         if new != st.mhz:

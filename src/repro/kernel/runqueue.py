@@ -112,9 +112,6 @@ class RunQueue:
         self.nr_queued -= 1
         return task
 
-    def queued_tasks(self) -> List[Task]:
-        return [t for _, _, t in self._heap if t.tid in self._queued]
-
     # ---- placement signals ------------------------------------------------
 
     def load_avg(self, now: int) -> float:
@@ -140,17 +137,3 @@ class RunQueue:
             if delta > 0:
                 bv = bv * decay_factor(delta)
         return v + bv
-
-    def util(self, now: int) -> float:
-        """Utilisation signal used by schedutil (0..1024)."""
-        busy = self.busy_avg
-        v = busy.value
-        delta = now - busy.last_update_us
-        if delta <= 0:
-            return v
-        if self.currently_busy:
-            y = decay_factor(delta)
-            return v * y + PELT_MAX * (1.0 - y)
-        if v == 0.0:
-            return 0.0
-        return v * decay_factor(delta)

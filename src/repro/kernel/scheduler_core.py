@@ -28,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from ..governors.base import Governor
 from ..hw.energy import EnergyMeter
 from ..hw.freqmodel import FreqModel
 from ..hw.machines import Machine
 from ..obs import events as oev
 from ..obs.metrics import MetricsRegistry
+from ..sched.base import SelectionPolicy
 from ..sim.clock import TICK_US
 from ..sim.engine import Engine, SimulationError
 from ..sim.events import EventKind
@@ -106,8 +108,8 @@ class Kernel:
         self,
         engine: Engine,
         machine: Machine,
-        policy: "Any",                 # sched.base.SelectionPolicy
-        governor: "Any",               # governors.base.Governor
+        policy: SelectionPolicy,
+        governor: Governor,
         config: Optional[KernelConfig] = None,
         tracer: Optional[Tracer] = None,
         energy: Optional[EnergyMeter] = None,
@@ -120,7 +122,7 @@ class Kernel:
         self.governor = governor
 
         n = self.topology.n_cpus
-        self.rqs: List[RunQueue] = [self._make_runqueue(cpu, engine.now)
+        self.rqs: List[RunQueue] = [RunQueue(cpu, engine.now)
                                     for cpu in range(n)]
         self.cpus: List[_CpuState] = [_CpuState() for _ in range(n)]
         self.domains = DomainHierarchy(self.topology)
@@ -130,6 +132,7 @@ class Kernel:
         self.pc_of = tuple(self.topology.physical_core_of(c) for c in range(n))
         self.smt_siblings_of = tuple(self.topology.smt_siblings(c)
                                      for c in range(n))
+        self.die_of = tuple(self.topology.die_of(c) for c in range(n))
 
         self.tracer = tracer or Tracer(n)
         self.energy = energy or EnergyMeter(self.topology)
@@ -140,7 +143,8 @@ class Kernel:
         self._h_wakeup_latency = self.metrics.histogram(
             "wakeup_latency_us",
             (1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000))
-        self.freq = self._make_freqmodel(engine, machine, governor)
+        self.freq = FreqModel(engine, self.topology, machine.turbo,
+                              machine.pm, governor)
         self.freq.add_listener(self._on_core_freq_change)
 
         self.tasks: Dict[int, Task] = {}
@@ -170,19 +174,19 @@ class Kernel:
 
         governor.bind(self)
         policy.bind(self)
+        # Hooks whose body is the base-class no-op are not called at all;
+        # skipping an empty call cannot change a run.
+        cls = type(governor)
+        self._gov_on_tick = cls.on_tick is not Governor.on_tick
+        self._gov_on_activity = (cls.on_activity_change
+                                 is not Governor.on_activity_change)
+        cls = type(policy)
+        self._pol_on_tick = cls.on_tick is not SelectionPolicy.on_tick
+        self._pol_on_enqueue = cls.on_enqueue is not SelectionPolicy.on_enqueue
+        self._pol_on_exit_idle = (cls.on_exit_idle
+                                  is not SelectionPolicy.on_exit_idle)
 
         self._balancer_started = False
-
-    # ---- construction hooks (the fast engine substitutes SoA-backed
-    # variants; see repro.sim.fastengine) --------------------------------
-
-    def _make_runqueue(self, cpu: int, now: int) -> RunQueue:
-        return RunQueue(cpu, now)
-
-    def _make_freqmodel(self, engine: Engine, machine: Machine,
-                        governor: "Any") -> FreqModel:
-        return FreqModel(engine, self.topology, machine.turbo,
-                         machine.pm, governor)
 
     # ------------------------------------------------------------------
     # Public API
@@ -338,12 +342,8 @@ class Kernel:
         return True
 
     # ------------------------------------------------------------------
-    # Real-time primary/backup re-execution (fault-tolerant scheduling)
-    #
-    # These helpers are shared verbatim with the fast engine: they only
-    # call methods that are themselves mirrored (``_exit_task``,
-    # ``_place_wakeup``, ``_runnable_delta``), so both engines take the
-    # identical event-and-metric path.  See DESIGN.md §10.
+    # Real-time primary/backup re-execution (fault-tolerant scheduling;
+    # see DESIGN.md §10)
     # ------------------------------------------------------------------
 
     def _apply_rt_spec(self, task: Task, rt: RtSpec) -> None:
@@ -560,7 +560,8 @@ class Kernel:
             self._account_current(cpu)   # freshen min_vruntime for the clamp
         rq = self.rqs[cpu]
         rq.push(task)
-        self.policy.on_enqueue(task, cpu)
+        if self._pol_on_enqueue:
+            self.policy.on_enqueue(task, cpu)
         if cs.current is None:
             self._schedule(cpu)
         else:
@@ -730,7 +731,8 @@ class Kernel:
                 return
             if outcome == "exited":
                 self._schedule(cpu, after_block=False)
-                self.policy.on_exit_idle(cpu)
+                if self._pol_on_exit_idle:
+                    self.policy.on_exit_idle(cpu)
                 return
             raise SimulationError(f"unknown outcome {outcome}")
 
@@ -773,7 +775,7 @@ class Kernel:
                 return "blocked"
 
             if isinstance(action, WaitChildren):
-                if task.live_children:
+                if task.has_live_children:
                     self._block(task, BlockReason.CHILDREN)
                     return "blocked"
                 continue
@@ -867,7 +869,7 @@ class Kernel:
         parent = task.parent
         if parent is not None and parent.state is TaskState.BLOCKED:
             if (parent.block_reason is BlockReason.CHILDREN
-                    and not parent.live_children):
+                    and not parent.has_live_children):
                 self._place_wakeup(parent, cpu if cpu is not None else 0)
         waiter = task.waited_by
         if waiter is not None and waiter.state is TaskState.BLOCKED \
@@ -979,10 +981,10 @@ class Kernel:
         rq = self.rqs[cpu]
         rq.busy_avg.update(now, rq.currently_busy)
         rq.currently_busy = busy
-        self.freq.set_thread_state(cpu, busy, spinning)
-        pc = self.pc_of[cpu]
-        self.energy.set_core_active(pc, self.freq.core_is_active(pc), now)
-        self.governor.on_activity_change(cpu)
+        active = self.freq.set_thread_state(cpu, busy, spinning)
+        self.energy.set_core_active(self.pc_of[cpu], active, now)
+        if self._gov_on_activity:
+            self.governor.on_activity_change(cpu)
         self.freq.notify_request_change(cpu)
         # The paper's spin stops as soon as the hyperthread gets a task,
         # and the sibling's execution rate changes with this thread's state.
@@ -1033,9 +1035,11 @@ class Kernel:
         if curr is None:
             return
         self._account_current(cpu)
-        self.governor.on_tick(cpu)
+        if self._gov_on_tick:
+            self.governor.on_tick(cpu)
         self.freq.notify_request_change(cpu)
-        self.policy.on_tick(cpu, self.freq.freq_mhz(cpu))
+        if self._pol_on_tick:
+            self.policy.on_tick(cpu, self.freq.freq_mhz(cpu))
 
         rq = self.rqs[cpu]
         if rq.nr_queued > 0:
@@ -1084,17 +1088,17 @@ class Kernel:
     def _newidle_pull(self, cpu: int) -> Optional[Task]:
         """Newly-idle balance: steal a queued task from the busiest rq on
         the same die (CFS's newidle balance rarely crosses the LLC)."""
-        die = self.domains.die_span(cpu)
+        rqs = self.rqs
         best, best_n = None, 0
-        for other in die:
+        for other in self.domains.die_span(cpu):
             if other == cpu:
                 continue
-            n = self.rqs[other].nr_queued
+            n = rqs[other].nr_queued
             if n > best_n:
                 best, best_n = other, n
-        if best is None or best_n < 1:
+        if best is None:
             return None
-        task = self.rqs[best].steal_one()
+        task = rqs[best].steal_one()
         if task is None:
             return None
         task.n_migrations += 1
@@ -1147,7 +1151,8 @@ class Kernel:
         if cs.current is not None:
             self._account_current(dst)
         self.rqs[dst].push(task)
-        self.policy.on_enqueue(task, dst)
+        if self._pol_on_enqueue:
+            self.policy.on_enqueue(task, dst)
         if cs.current is None:
             self._schedule(dst)
         else:

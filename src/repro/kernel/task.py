@@ -137,8 +137,12 @@ class Task:
         return self.state is not TaskState.EXITED
 
     @property
-    def live_children(self) -> List["Task"]:
-        return [c for c in self.children if c.alive]
+    def has_live_children(self) -> bool:
+        """Whether any child has not exited (stops at the first one)."""
+        for child in self.children:
+            if child.state is not TaskState.EXITED:
+                return True
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task({self.tid}:{self.name} {self.state.value} cpu={self.cpu})"

@@ -6,8 +6,9 @@ every sweep that came before".  A :class:`HistoryStore` is a single
 sqlite file (usually ``<cache>/history.sqlite``) that
 :meth:`~repro.obs.telemetry.hub.TelemetryHub.close_sweep` appends to:
 one row per sweep (stats, git sha, wall time, hardening counters) and
-one row per run (spec key, engine, outcome, wall time, makespan,
-energy, peak RSS, scalar metrics).
+one row per run (spec key, outcome, wall time, makespan, energy, peak
+RSS, scalar metrics).  The runs table's ``engine`` column predates the
+single simulation engine; new rows leave it NULL.
 
 On top of the store sit the regression gates:
 
@@ -219,13 +220,13 @@ class HistoryStore:
                  json.dumps(stats, sort_keys=True)))
             sweep_id = cur.lastrowid
             self._con.executemany(
-                """INSERT INTO runs (sweep_id, label, spec_key, engine, seed,
+                """INSERT INTO runs (sweep_id, label, spec_key, seed,
                        outcome, cached, completed, attempts, sim_wall_s,
                        events, makespan_us, energy_j, rss_peak_kb,
                        metrics_json, error)
-                   VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)""",
+                   VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)""",
                 [(sweep_id, r.get("label", "?"), r.get("spec_key"),
-                  r.get("engine"), r.get("seed"), r.get("outcome", "?"),
+                  r.get("seed"), r.get("outcome", "?"),
                   int(bool(r.get("cached", False))),
                   int(bool(r.get("completed", False))),
                   int(r.get("attempts", 0)), r.get("sim_wall_s"),
@@ -391,10 +392,10 @@ def trajectory_entries(record: Dict[str, Any], pr: int,
                        host: str = "dev-container") -> List[Dict[str, Any]]:
     """``BENCH_trajectory.json`` entries from a ``--json`` benchmark record.
 
-    One entry per engine timed by ``profile_sweep.py --json`` — the same
-    schema the hand-written PR-1/PR-6 entries follow, now generated from
-    the measurement itself (satellite of PR-7): ``repro history
-    export-trajectory --record perf.json --pr N --append
+    One entry per key of the record's ``engines`` map (``profile_sweep.py
+    --json`` writes one, ``ref``) — the same schema the hand-written
+    PR-1/PR-6 entries follow, generated from the measurement itself:
+    ``repro history export-trajectory --record perf.json --pr N --append
     BENCH_trajectory.json``.
     """
     entries = []
@@ -409,8 +410,6 @@ def trajectory_entries(record: Dict[str, Any], pr: int,
             "speedup_vs_seed": speedups.get(engine),
             "host": host,
         }
-        if engine == "fast" and "ratio_fast_over_ref" in record:
-            entry["ratio_fast_over_ref"] = record["ratio_fast_over_ref"]
         entries.append(entry)
     return entries
 

@@ -22,7 +22,7 @@ never examined (Nest's fallback extends this, §3.4).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..kernel.task import Task
 from .base import SelectionPolicy
@@ -57,16 +57,20 @@ class CfsPolicy(SelectionPolicy):
         kernel = self.kernel
         cpu = parent_cpu
         stack = kernel.domains.domains_of(cpu)
+        # The walk reads a cpu's load once per domain level and changes
+        # nothing, so loads are memoised (cpu -> load) for this placement.
+        loads: Dict[int, float] = {}
         # Walk from the highest domain down to the lowest.
         for level in range(len(stack) - 1, -1, -1):
             dom = stack[level]
-            group = self._find_idlest_group(dom.groups, cpu)
-            cpu = self._find_idlest_cpu(group, from_cpu=parent_cpu)
+            group = self._find_idlest_group(dom.groups, cpu, loads)
+            cpu = self._find_idlest_cpu(group, parent_cpu, loads)
             stack = kernel.domains.domains_of(cpu)
         return cpu
 
     def _find_idlest_group(self, groups: Sequence[Tuple[int, ...]],
-                           current_cpu: int) -> Tuple[int, ...]:
+                           current_cpu: int,
+                           loads: Dict[int, float]) -> Tuple[int, ...]:
         """Linux v5.9 semantics: the local group (the one containing the
         forking cpu) wins unless another group has strictly more idle cpus;
         among the others, more idle cpus then less quantized load."""
@@ -100,7 +104,10 @@ class CfsPolicy(SelectionPolicy):
                     running += q
                 else:
                     running += q + 1
-                load += rq.load_avg(now)
+                c_load = loads.get(c)
+                if c_load is None:
+                    c_load = loads[c] = rq.load_avg(now)
+                load += c_load
             if n_online == 0:
                 continue    # hotplugged-out group: not a placement target
             key = (-idle_cpus, running, _qload(load))
@@ -110,14 +117,17 @@ class CfsPolicy(SelectionPolicy):
             return best
         if best is None:
             return local
-        local_idle = sum(1 for c in local
-                         if online[c] and cpus[c].current is None
-                         and rqs[c].nr_queued == 0)
+        local_idle = 0
+        for c in local:
+            if online[c] and cpus[c].current is None \
+                    and rqs[c].nr_queued == 0:
+                local_idle += 1
         if local_idle >= -best_key[0]:
             return local
         return best
 
-    def _find_idlest_cpu(self, group: Tuple[int, ...], from_cpu: int) -> int:
+    def _find_idlest_cpu(self, group: Tuple[int, ...], from_cpu: int,
+                         loads: Dict[int, float]) -> int:
         """Least-loaded cpu of the group, scanned in numerical order modulo
         the group, starting from the forking cpu's position."""
         kernel = self.kernel
@@ -134,15 +144,17 @@ class CfsPolicy(SelectionPolicy):
             rq = rqs[c]
             q = rq.nr_queued
             busy = cpus[c].current is not None
+            load = loads.get(c)
+            if load is None:
+                load = loads[c] = rq.load_avg(now)
             if not busy and q == 0 \
                     and not (check_pending and rq.placement_pending > 0):
                 # Idle cpus compete on recent load: CFS prefers the one
                 # idle longest (smallest decayed load, quantized so that
                 # fully-decayed cores tie and scan order decides).
-                key = (0, 0, _qload(rq.load_avg(now)), rank)
+                key = (0, 0, _qload(load), rank)
             else:
-                key = (1, q + (1 if busy else 0),
-                       _qload(rq.load_avg(now)), rank)
+                key = (1, q + (1 if busy else 0), _qload(load), rank)
             if best_key is None or key < best_key:
                 best, best_key = c, key
         if best is None:
@@ -182,10 +194,9 @@ class CfsPolicy(SelectionPolicy):
             return prev
         if prev == waker:
             return prev
-        topo = kernel.topology
         now = kernel.engine.now
-        if kernel.cpu_is_idle(waker) \
-                and topo.die_of(prev) == topo.die_of(waker):
+        die_of = kernel.die_of
+        if kernel.cpu_is_idle(waker) and die_of[prev] == die_of[waker]:
             return prev if kernel.cpu_is_idle(prev) else waker
         this_load = kernel.rqs[waker].load_avg(now) + task.util_est
         prev_load = kernel.rqs[prev].load_avg(now)
@@ -219,10 +230,11 @@ class CfsPolicy(SelectionPolicy):
             # local one — this is what lets a Nest burst scatter across the
             # machine instead of doubling up on hyperthreads (the paper's
             # rodinia observation).
+            target_die = kernel.die_of[target]
             other_spans = [tuple(topo.cpus_in_socket(s))
                            for s in _rotate(tuple(range(topo.n_sockets)),
-                                            topo.die_of(target) + 1)
-                           if s != topo.die_of(target)]
+                                            target_die + 1)
+                           if s != target_die]
             cpu = self._search_idle_core(die, target, check_pending)
             if cpu is not None:
                 return cpu

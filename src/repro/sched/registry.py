@@ -9,11 +9,6 @@ Each entry is a :class:`PolicyInfo` carrying, beyond the factory itself,
 the metadata the rest of the system derives its behaviour from:
 
 * ``description`` — one line for ``repro list`` and the docs;
-* ``fast_factory`` — the bit-identical fast-engine variant, or ``None``
-  for a *declared refusal*: ``make_registered_fast_policy`` then raises
-  the standard "no fast-engine variant" error, the differential harness
-  skips parity for the policy, and the conformance suite asserts the
-  refusal is explicit rather than a crash;
 * ``invariant_groups`` — which policy-specific oracle families
   (``nest.*``, ``scxnest.*``, ``rt.*``) apply to runs of this policy;
   the oracle gates those checks through :func:`invariant_groups_of`;
@@ -50,9 +45,6 @@ class PolicyInfo:
     name: str
     factory: PolicyFactory
     description: str = ""
-    #: Fast-engine variant factory; ``None`` means the policy runs on the
-    #: reference engine only (a declared, tested refusal — not a crash).
-    fast_factory: Optional[PolicyFactory] = None
     #: Policy-specific oracle invariant families that apply to this
     #: policy's runs (generic families always apply).
     invariant_groups: FrozenSet[str] = field(default_factory=frozenset)
@@ -64,18 +56,12 @@ class PolicyInfo:
     #: the drift test forbids 0 for registered built-ins).
     fuzz_weight: int = 1
 
-    @property
-    def fast(self) -> bool:
-        """True when a bit-identical fast-engine variant exists."""
-        return self.fast_factory is not None
-
 
 _REGISTRY: Dict[str, PolicyInfo] = {}
 
 
 def register_policy(name: str, factory: PolicyFactory, *,
                     description: str = "",
-                    fast_factory: Optional[PolicyFactory] = None,
                     invariant_groups: Tuple[str, ...] = (),
                     uses_nest_params: bool = False,
                     default_params: Optional[Callable[[], Any]] = None,
@@ -90,7 +76,6 @@ def register_policy(name: str, factory: PolicyFactory, *,
     if not replace and key in _REGISTRY:
         raise ValueError(f"policy {key!r} already registered")
     info = PolicyInfo(name=key, factory=factory, description=description,
-                      fast_factory=fast_factory,
                       invariant_groups=frozenset(invariant_groups),
                       uses_nest_params=uses_nest_params,
                       default_params=default_params,
@@ -131,27 +116,6 @@ def make_registered_policy(name: str,
     return policy_info(name).factory(nest_params)
 
 
-def make_registered_fast_policy(name: str,
-                                nest_params: "Optional[NestParams]" = None
-                                ) -> "SelectionPolicy":
-    """Instantiate the fast-engine variant of a registered policy.
-
-    Policies without one refuse with a stable, tested error message —
-    the registry's *declared refusal* contract.
-    """
-    info = policy_info(name)
-    if info.fast_factory is None:
-        raise ValueError(
-            f"scheduler {info.name!r} has no fast-engine variant; run it "
-            f"on the reference engine (--engine ref)")
-    return info.fast_factory(nest_params)
-
-
-def fast_scheduler_names() -> Tuple[str, ...]:
-    """Names with a bit-identical fast-engine variant, sorted."""
-    return tuple(n for n in available_policies() if _REGISTRY[n].fast)
-
-
 def fuzz_scheduler_pool() -> Tuple[str, ...]:
     """The fuzz generator's weighted scheduler pool, derived from the
     registry: each name appears ``fuzz_weight`` times, in sorted-name
@@ -184,29 +148,14 @@ def _make_cfs(params: "Optional[NestParams]") -> "SelectionPolicy":
     return CfsPolicy()
 
 
-def _make_fast_cfs(params: "Optional[NestParams]") -> "SelectionPolicy":
-    from ..sim.fastengine import FastCfsPolicy
-    return FastCfsPolicy()
-
-
 def _make_nest(params: "Optional[NestParams]") -> "SelectionPolicy":
     from ..core.nest import NestPolicy
     return NestPolicy(params or _nest_defaults())
 
 
-def _make_fast_nest(params: "Optional[NestParams]") -> "SelectionPolicy":
-    from ..sim.fastengine import FastNestPolicy
-    return FastNestPolicy(params or _nest_defaults())
-
-
 def _make_smove(params: "Optional[NestParams]") -> "SelectionPolicy":
     from .smove import SmovePolicy
     return SmovePolicy()
-
-
-def _make_fast_smove(params: "Optional[NestParams]") -> "SelectionPolicy":
-    from ..sim.fastengine import FastSmovePolicy
-    return FastSmovePolicy()
 
 
 def _make_ftrt(params: "Optional[NestParams]") -> "SelectionPolicy":
@@ -221,30 +170,26 @@ def _make_scxnest(params: "Optional[NestParams]") -> "SelectionPolicy":
 
 register_policy(
     "cfs", _make_cfs,
-    description="stock CFS idle-sibling core selection (the baseline)",
-    fast_factory=_make_fast_cfs)
+    description="stock CFS idle-sibling core selection (the baseline)")
 register_policy(
     "nest", _make_nest,
     description="the paper's Nest policy: primary/reserve nests, "
                 "attachment, impatience, warm-core spinning (§3)",
-    fast_factory=_make_fast_nest,
     invariant_groups=("nest",),
     uses_nest_params=True, default_params=_nest_defaults,
     fuzz_weight=3)
 register_policy(
     "smove", _make_smove,
     description="S_move (§2.2): frequency-gated child-on-waker-core "
-                "placement with a migration timer",
-    fast_factory=_make_fast_smove)
+                "placement with a migration timer")
 register_policy(
     "ftrt", _make_ftrt,
     description="fault-tolerant RT: disjoint primary/backup deadline "
-                "placement (DESIGN.md §10); reference engine only",
+                "placement (DESIGN.md §10)",
     invariant_groups=("rt",))
 register_policy(
     "scxnest", _make_scxnest,
     description="Meta's scx_nest variant: global vtime dispatch queue + "
-                "Nest-style warm-core masks with timer-driven compaction; "
-                "reference engine only",
+                "Nest-style warm-core masks with timer-driven compaction",
     invariant_groups=("scxnest",),
     uses_nest_params=True, default_params=_nest_defaults)

@@ -44,7 +44,8 @@ class Clock:
 
     #: ``now`` is a plain slot attribute rather than a property: it is read
     #: on nearly every event and the descriptor call dominated profiles.
-    #: Only :meth:`advance_to` may write it.
+    #: Only :meth:`advance_to` and the engine's run loop (which inlines
+    #: it) may write it.
     __slots__ = ("now",)
 
     def __init__(self, start: int = 0) -> None:

@@ -19,7 +19,9 @@ from .rng import RngRegistry
 #: cache (experiments/cache.py) mixes this into every key, so bumping it
 #: invalidates all cached results at once.  Bump whenever a change alters
 #: what a simulation *computes* (event ordering, timing, RNG use, metrics),
-#: not for pure refactors or speedups that keep runs bit-identical.
+#: not for pure refactors or speedups that keep runs bit-identical.  The
+#: run digests in ``tests/data/golden_digests.json`` tell the two apart:
+#: a speedup leaves them unchanged; a bump regenerates them.
 ENGINE_VERSION = "1"
 
 
@@ -76,19 +78,6 @@ class Engine:
     def cancel(self, ev: Event) -> None:
         self.queue.cancel(ev)
 
-    def rearm(self, ev: Event, delay: int) -> Event:
-        """Move pending ``ev`` to ``delay`` microseconds from now.
-
-        Equivalent to ``cancel(ev)`` then ``after(delay, ...)`` with the
-        same kind, callback and args, including the one sequence number
-        consumed (see :meth:`EventQueue.rearm`), but a later move leaves
-        no tombstone in the heap.  Returns the pending event, which the
-        caller must keep as its handle.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.queue.rearm(ev, self.clock.now + delay)
-
     def stop(self, reason: str = "requested") -> None:
         """Ask the run loop to stop after the current event."""
         self._stopped = True
@@ -120,8 +109,15 @@ class Engine:
             if ev is None:
                 self._stop_reason = "drained"
                 break
-            clock.advance_to(ev.time)
-            self.now = ev.time
+            t = ev.time
+            if t != clock.now:
+                # Clock.advance_to inlined: events at one timestamp share
+                # a single clock update.
+                if t < clock.now:
+                    raise ValueError(
+                        f"clock moving backwards: {t} < {clock.now}")
+                clock.now = t
+            self.now = t
             ev.callback(*ev.args)
             processed += 1
             if processed >= max_events:

@@ -50,9 +50,9 @@ MACHINE_POOL = ("ryzen_4650g", "ryzen_4650g", "ryzen_4650g", "5218_2s")
 
 #: Weighted scheduler pool, derived from the policy registry's
 #: ``fuzz_weight`` metadata (Nest dominates: it carries most invariants;
-#: FT-RT carries the rt.* family and scx_nest the scxnest.* family, both
-#: on the reference engine only).  Any newly registered policy joins the
-#: pool — and therefore the seeded scenario stream — automatically.
+#: FT-RT carries the rt.* family and scx_nest the scxnest.* family).
+#: Any newly registered policy joins the pool — and therefore the seeded
+#: scenario stream — automatically.
 from ..sched.registry import fuzz_scheduler_pool
 
 SCHEDULER_POOL = fuzz_scheduler_pool()

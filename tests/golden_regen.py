@@ -4,6 +4,11 @@
   hand-built run (test_obs_export.py).
 * ``tests/data/golden_analysis.json`` — the trace-analysis report of
   the fig2 reference run (test_obs_analysis.py).
+* ``tests/data/golden_scxnest_analysis.json`` — the same report for the
+  pinned scx_nest run (test_scxnest_golden.py).
+* ``tests/data/golden_digests.json`` — result and event-log digests of
+  the pinned reference runs, the bit-identity guard for engine changes
+  (test_golden_digests.py).
 
 Run after an *intentional* simulator, exporter or analyzer change::
 
@@ -29,6 +34,8 @@ from test_obs_analysis import (ANALYSIS_GOLDEN_PATH,  # noqa: E402
                                analysis_golden_report)
 from test_scxnest_golden import (SCXNEST_GOLDEN_PATH,  # noqa: E402
                                  scxnest_golden_report)
+from test_golden_digests import (DIGEST_GOLDEN_PATH,  # noqa: E402
+                                 digests_json, golden_digests)
 
 
 def regenerate(out: Optional[Path] = None) -> Path:
@@ -59,6 +66,14 @@ def regenerate_scxnest(out: Optional[Path] = None) -> Path:
     return out
 
 
+def regenerate_digests(out: Optional[Path] = None) -> Path:
+    """Write the golden run digests (default: the checked-in path)."""
+    out = Path(out) if out is not None else DIGEST_GOLDEN_PATH
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(digests_json(golden_digests()), encoding="utf-8")
+    return out
+
+
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         print(f"wrote {regenerate(Path(sys.argv[1]))}")
@@ -66,3 +81,4 @@ if __name__ == "__main__":
         print(f"wrote {regenerate()}")
         print(f"wrote {regenerate_analysis()}")
         print(f"wrote {regenerate_scxnest()}")
+        print(f"wrote {regenerate_digests()}")

@@ -111,6 +111,29 @@ class TestGovernors:
         kern.enqueue(t, 0)
         assert gov.request_mhz(0) > HEADROOM * MACHINE.max_turbo_mhz * 0.5 / 1.25
 
+    def test_schedutil_sums_util_est_of_queued_tasks_only(self):
+        """A lazily removed task keeps a stale runqueue heap entry; the
+        request must stop counting it."""
+        eng, kern, gov = self.make(SchedutilGovernor())
+
+        def hog(api):
+            yield Compute(ms_of_work(100))
+
+        a = kern._new_task(hog, "a", None)
+        b = kern._new_task(hog, "b", None)
+        a.util_est, b.util_est = 300.0, 500.0
+        rq = kern.rqs[0]
+        rq.push(a)
+        rq.push(b)
+
+        def expected(util):
+            return max(MACHINE.min_mhz, min(MACHINE.max_turbo_mhz, int(
+                HEADROOM * MACHINE.max_turbo_mhz * util / 1024)))
+
+        assert gov.request_mhz(0) == expected(800.0)
+        assert rq.remove(b)
+        assert gov.request_mhz(0) == expected(300.0) < expected(800.0)
+
     def test_governor_single_bind(self):
         eng, kern, gov = self.make(PerformanceGovernor())
         with pytest.raises(RuntimeError):

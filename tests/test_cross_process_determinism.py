@@ -16,8 +16,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments.cache import result_to_jsonable, spec_key
+from repro.experiments.cache import spec_key
 from repro.experiments.parallel import RunSpec, execute_spec
+from repro.verify.differential import canonical
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -28,15 +29,13 @@ SPEC_KWARGS = dict(workload="configure-gcc", machine="ryzen_4650g",
 CHILD_SCRIPT = """\
 import json, sys
 from repro.core.params import NestParams
-from repro.experiments.cache import result_to_jsonable, spec_key
+from repro.experiments.cache import spec_key
 from repro.experiments.parallel import RunSpec, execute_spec
+from repro.verify.differential import canonical
 
 spec = RunSpec(workload="configure-gcc", machine="ryzen_4650g",
                scheduler="nest", governor="schedutil", seed=7, scale=0.3)
-result = execute_spec(spec)
-payload = result_to_jsonable(result, spec.machine)
-payload.pop("sim_wall_s")
-payload.pop("host")
+payload = canonical(execute_spec(spec), spec.machine)
 print(json.dumps({
     "key": spec_key(spec),
     "params_key": spec_key(RunSpec(workload="redis", machine="5218_2s",
@@ -58,9 +57,7 @@ def _run_child(hashseed: str) -> dict:
 def test_subprocess_matches_parent_and_is_hashseed_independent():
     spec = RunSpec(**SPEC_KWARGS)
     parent_key = spec_key(spec)
-    parent_payload = result_to_jsonable(execute_spec(spec), spec.machine)
-    parent_payload.pop("sim_wall_s")
-    parent_payload.pop("host")
+    parent_payload = canonical(execute_spec(spec), spec.machine)
     parent_canonical = json.dumps(parent_payload, sort_keys=True)
 
     children = [_run_child(seed) for seed in ("0", "12345")]

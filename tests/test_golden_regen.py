@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import golden_regen
+from test_golden_digests import DIGEST_GOLDEN_PATH
 from test_obs_analysis import ANALYSIS_GOLDEN_PATH
 from test_obs_export import GOLDEN_PATH
 from test_scxnest_golden import SCXNEST_GOLDEN_PATH
@@ -42,6 +43,17 @@ def test_scxnest_default_path_is_the_pinned_golden():
     assert golden_regen.SCXNEST_GOLDEN_PATH == SCXNEST_GOLDEN_PATH
     assert SCXNEST_GOLDEN_PATH.exists()
     assert SCXNEST_GOLDEN_PATH.name == "golden_scxnest_analysis.json"
+
+
+def test_regenerate_digests_matches_checked_in_golden(tmp_path):
+    out = golden_regen.regenerate_digests(tmp_path / "digests.json")
+    assert out.read_bytes() == DIGEST_GOLDEN_PATH.read_bytes()
+
+
+def test_digests_default_path_is_the_pinned_golden():
+    assert golden_regen.DIGEST_GOLDEN_PATH == DIGEST_GOLDEN_PATH
+    assert DIGEST_GOLDEN_PATH.exists()
+    assert DIGEST_GOLDEN_PATH.name == "golden_digests.json"
 
 
 def test_regen_script_cli_matches_golden(tmp_path):

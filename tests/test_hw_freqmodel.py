@@ -60,9 +60,15 @@ class TestActivityTracking:
 
     def test_spinning_counts_as_active(self):
         _, fm, _ = make()
-        fm.set_thread_state(0, busy=False, spinning=True)
+        assert fm.set_thread_state(0, busy=False, spinning=True)
         assert fm.active_physical_cores(0) == 1
-        assert fm.core_is_active(0)
+
+    def test_returns_core_activity(self):
+        _, fm, _ = make()
+        assert fm.set_thread_state(0, busy=True, spinning=False)
+        assert fm.set_thread_state(32, busy=True, spinning=False)
+        assert fm.set_thread_state(0, busy=False, spinning=False)  # sibling
+        assert not fm.set_thread_state(32, busy=False, spinning=False)
 
     def test_thread_state_readback(self):
         _, fm, _ = make()

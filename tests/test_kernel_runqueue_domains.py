@@ -78,13 +78,6 @@ class TestRunQueue:
     def test_steal_from_empty(self):
         assert RunQueue(0).steal_one() is None
 
-    def test_queued_tasks_listing(self):
-        rq = RunQueue(0)
-        rq.push(mk_task(1))
-        rq.push(mk_task(2))
-        rq.pop()
-        assert [t.tid for t in rq.queued_tasks()] == [2]
-
     def test_peek_skips_removed(self):
         rq = RunQueue(0)
         a, b = mk_task(1, 1), mk_task(2, 2)

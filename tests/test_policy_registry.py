@@ -1,8 +1,7 @@
 """Drift tests: the policy registry is the single source of truth.
 
-Before PR 10 the scheduler name lists lived in four places (CLI
-choices, runner factory, fast-engine tuple, fuzz pool) and could drift
-apart silently.  They are now all *derived* from sched/registry.py;
+Scheduler name lists used to live in several places (CLI choices,
+runner factory, fuzz pool) and could drift apart silently.  They are now all *derived* from sched/registry.py;
 these tests pin that derivation so a future hand-edited list is an
 immediate failure, and pin the SDK metadata contract every entry must
 honour.
@@ -12,10 +11,9 @@ import pytest
 
 from repro.core.params import NestParams
 from repro.sched.base import SelectionPolicy
-from repro.sched.registry import (available_policies, fast_scheduler_names,
-                                  fuzz_scheduler_pool, invariant_groups_of,
-                                  iter_policy_infos, make_registered_policy,
-                                  make_registered_fast_policy, policy_info,
+from repro.sched.registry import (available_policies, fuzz_scheduler_pool,
+                                  invariant_groups_of, iter_policy_infos,
+                                  make_registered_policy, policy_info,
                                   register_policy, unregister_policy)
 
 EXPECTED_BUILTINS = {"cfs", "ftrt", "nest", "scxnest", "smove"}
@@ -46,13 +44,6 @@ def test_cli_compare_and_sweep_choices_come_from_the_registry():
         assert choices == available_policies(), command
 
 
-def test_fast_engine_list_is_derived():
-    from repro.sim.fastengine import FAST_SCHEDULERS
-    assert FAST_SCHEDULERS == fast_scheduler_names()
-    assert set(FAST_SCHEDULERS) == {
-        info.name for info in iter_policy_infos() if info.fast}
-
-
 def test_fuzz_pool_is_derived_and_weighted():
     from repro.verify.generate import SCHEDULER_POOL
     assert SCHEDULER_POOL == fuzz_scheduler_pool()
@@ -77,16 +68,6 @@ def test_nest_params_flow_only_where_declared():
             continue
         policy = make_registered_policy(info.name, params)
         assert policy.params.r_max == 7, info.name
-
-
-def test_fast_factories_refuse_or_build():
-    for info in iter_policy_infos():
-        if info.fast:
-            assert isinstance(make_registered_fast_policy(info.name),
-                              SelectionPolicy)
-        else:
-            with pytest.raises(ValueError, match="no fast-engine variant"):
-                make_registered_fast_policy(info.name)
 
 
 def test_duplicate_registration_is_rejected():

@@ -11,8 +11,7 @@ from repro.hw.turbo import XEON_5218
 from repro.kernel.scheduler_core import Kernel
 from repro.kernel.syscalls import Compute
 from repro.obs import events as oev
-from repro.sched.registry import (make_registered_fast_policy,
-                                  make_registered_policy)
+from repro.sched.registry import make_registered_policy
 from repro.sched.scxnest import (GlobalVtimeQueue, NestMasks, ScxNestPolicy,
                                  SLICE_US)
 from repro.sim.clock import TICK_US
@@ -371,11 +370,9 @@ class TestEndToEnd:
             elif ev.kind == oev.NEST_OFFLINE_EVICT:
                 size = ev.value
 
-    def test_registry_resolution_and_declared_refusal(self):
+    def test_registry_resolution(self):
         policy = make_registered_policy("scxnest")
         assert isinstance(policy, ScxNestPolicy)
-        with pytest.raises(ValueError, match="no fast-engine variant"):
-            make_registered_fast_policy("scxnest")
 
     def test_nest_params_override_reaches_the_policy(self):
         policy = make_registered_policy(

@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
-from repro.sim.fastengine import FastEngine
 from repro.sim.queue import EventQueue
 
 
@@ -225,12 +224,12 @@ class TestRearm:
         assert q.pop() is moved and q.pop() is None
 
 
-def _script(engine_cls, move, rearm, until):
+def _script(move, rearm, until):
     """Run a fixed script; ``move`` re-arms event "a" at t=5 to a later,
-    the same or an earlier instant, by re-arm or by cancel + after.  The
-    run stops once at ``until``: before the move, or after it while the
-    moved entry is still keyed at its old time."""
-    eng = engine_cls()
+    the same or an earlier instant, by a queue re-arm or by cancel +
+    after.  The run stops once at ``until``: before the move, or after it
+    while the moved entry is still keyed at its old time."""
+    eng = Engine()
     log = []
 
     def rec(name):
@@ -245,7 +244,7 @@ def _script(engine_cls, move, rearm, until):
         rec("move")
         ev = handles["a"]
         if rearm:
-            handles["a"] = eng.rearm(ev, delay)
+            handles["a"] = eng.queue.rearm(ev, eng.now + delay)
         else:
             eng.cancel(ev)
             handles["a"] = eng.after(delay, ev.kind, ev.callback, ev.args)
@@ -258,18 +257,9 @@ def _script(engine_cls, move, rearm, until):
     return log, eng.events_processed, end
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, FastEngine])
 @pytest.mark.parametrize("move", ["later", "same", "earlier"])
 @pytest.mark.parametrize("until", [4, 12])
-def test_engine_rearm_matches_cancel_plus_after(engine_cls, move, until):
-    expected = _script(Engine, move, rearm=False, until=until)
-    assert _script(engine_cls, move, rearm=True, until=until) == expected
+def test_rearm_in_engine_run_matches_cancel_plus_after(move, until):
+    expected = _script(move, rearm=False, until=until)
+    assert _script(move, rearm=True, until=until) == expected
     assert expected[1] == 6
-
-
-@pytest.mark.parametrize("engine_cls", [Engine, FastEngine])
-def test_engine_rearm_rejects_negative_delay(engine_cls):
-    eng = engine_cls()
-    ev = eng.after(5, EventKind.FREQ, _noop)
-    with pytest.raises(SimulationError, match="negative delay"):
-        eng.rearm(ev, -1)

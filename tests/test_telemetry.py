@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.experiments.cache import ResultCache, result_to_jsonable
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.faults import fault_profile
 from repro.obs.telemetry.hub import (TelemetryHub, WorkerTelemetry,
@@ -23,20 +23,13 @@ from repro.obs.telemetry.records import (RECORD_KINDS, make_record,
                                          read_stream, validate_record,
                                          write_record)
 from repro.obs.telemetry.view import LiveView, PlainView, make_view
+from repro.verify.differential import canonical
 
 SPECS = [
     RunSpec(workload="configure-gcc", machine="ryzen_4650g",
             scheduler=sched, governor="schedutil", seed=1, scale=0.3)
     for sched in ("cfs", "nest")
 ]
-
-
-def canonical(result):
-    """The deterministic image of a result (host telemetry dropped)."""
-    data = result_to_jsonable(result, result.machine)
-    data.pop("sim_wall_s", None)
-    data.pop("host", None)
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +323,11 @@ class TestZeroPerturbation:
             hub = TelemetryHub(stream_dir=tmp_path / "telemetry",
                                heartbeat_s=0.0)   # heartbeat per segment
         ex = SweepExecutor(jobs=jobs, cache=None, telemetry=hub)
-        return [canonical(r) for r in ex.run(specs)]
+        return [canonical(r, s.machine) for s, r in zip(specs, ex.run(specs))]
 
-    @pytest.mark.parametrize("engine", ["ref", "fast"])
-    def test_bit_identical_with_and_without_telemetry(self, tmp_path,
-                                                      engine):
-        import dataclasses
-        specs = [dataclasses.replace(s, engine=engine) for s in SPECS]
-        with_t = self._images(specs, True, tmp_path)
-        without = self._images(specs, False)
+    def test_bit_identical_with_and_without_telemetry(self, tmp_path):
+        with_t = self._images(SPECS, True, tmp_path)
+        without = self._images(SPECS, False)
         assert with_t == without
 
     def test_bit_identical_under_fault_injection(self, tmp_path):

@@ -33,9 +33,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set
 
 from ...metrics.quantiles import percentile
-from ..events import (FREQ_STEP, PLACEMENT_KINDS, PLACEMENT_TIERS,
-                      RT_BACKUP_ACTIVATE, RT_BACKUP_PLACE, RT_DEADLINE_MET,
-                      RT_DEADLINE_MISS, RT_KILL, SCHED_DISPATCH,
+from ..events import (FREQ_STEP, NEST_TRANSITION_KINDS, PLACEMENT_KINDS,
+                      PLACEMENT_TIERS, RT_BACKUP_ACTIVATE, RT_DEADLINE_MET,
+                      RT_DEADLINE_MISS, RT_KILL, RT_KINDS, SCHED_DISPATCH,
                       SCHED_PREEMPT, SPIN_START, SPIN_STOP,
                       UNATTRIBUTED_TIER, SchedEvent, placement_tier)
 from .base import Analyzer, AnalysisContext
@@ -63,6 +63,7 @@ class LatencyTierAnalyzer(Analyzer):
     """Wakeup→dispatch latency, attributed to the placing search tier."""
 
     name = "latency_tiers"
+    kinds = frozenset(PLACEMENT_KINDS) | {SCHED_DISPATCH}
 
     def __init__(self, top_tasks: int = 5) -> None:
         self._tier_of_task: Dict[int, str] = {}
@@ -73,16 +74,16 @@ class LatencyTierAnalyzer(Analyzer):
         self._top_tasks = top_tasks
 
     def feed(self, ev: SchedEvent) -> None:
-        if ev.kind in PLACEMENT_KINDS:
+        if ev.kind != SCHED_DISPATCH:
             self._tier_of_task[ev.task] = placement_tier(ev.kind)
-        elif ev.kind == SCHED_DISPATCH:
-            tier = self._tier_of_task.get(ev.task, UNATTRIBUTED_TIER)
-            self._by_tier.setdefault(tier, []).append(ev.value)
-            self._overall.append(ev.value)
-            acc = self._per_task.setdefault(ev.task, [0, 0, 0])
-            acc[0] += 1
-            acc[1] += ev.value
-            acc[2] = max(acc[2], ev.value)
+            return
+        tier = self._tier_of_task.get(ev.task, UNATTRIBUTED_TIER)
+        self._by_tier.setdefault(tier, []).append(ev.value)
+        self._overall.append(ev.value)
+        acc = self._per_task.setdefault(ev.task, [0, 0, 0])
+        acc[0] += 1
+        acc[1] += ev.value
+        acc[2] = max(acc[2], ev.value)
 
     def finish(self, ctx: AnalysisContext) -> Dict[str, Any]:
         tiers = {}
@@ -108,6 +109,7 @@ class WarmCoreAnalyzer(Analyzer):
     #: §3.2 keeps the core awake at high frequency on purpose).
     _ACTIVITY = frozenset({SCHED_DISPATCH, SCHED_PREEMPT,
                            SPIN_START, SPIN_STOP})
+    kinds = frozenset(PLACEMENT_KINDS) | _ACTIVITY
 
     def __init__(self) -> None:
         self._last_active: Dict[int, int] = {}
@@ -123,7 +125,7 @@ class WarmCoreAnalyzer(Analyzer):
             seen = self._last_active.get(ev.cpu)
             self._pending.append(
                 (tier, None if seen is None else ev.t - seen))
-        if ev.kind in self._ACTIVITY and ev.cpu >= 0:
+        if ev.cpu >= 0:
             self._last_active[ev.cpu] = ev.t
 
     def finish(self, ctx: AnalysisContext) -> Dict[str, Any]:
@@ -148,6 +150,7 @@ class NestDynamicsAnalyzer(Analyzer):
     """Primary-nest size over time, churn and transition cadence."""
 
     name = "nest_dynamics"
+    kinds = NEST_TRANSITION_KINDS
 
     def __init__(self, timeline_points: int = 64) -> None:
         self._counts: Dict[str, int] = {}
@@ -157,8 +160,6 @@ class NestDynamicsAnalyzer(Analyzer):
         self._timeline_points = timeline_points
 
     def feed(self, ev: SchedEvent) -> None:
-        if not ev.kind.startswith("nest."):
-            return
         self._counts[ev.kind] = self._counts.get(ev.kind, 0) + 1
         self._sizes.append((ev.t, ev.value))
         prev = self._last_by_kind.get(ev.kind)
@@ -209,6 +210,7 @@ class FreqRampAnalyzer(Analyzer):
     """DVFS ramps: up-steps, time to peak, wall-time state residency."""
 
     name = "freq_ramps"
+    kinds = frozenset({FREQ_STEP})
 
     def __init__(self) -> None:
         self._freq: Dict[int, int] = {}       # core -> current MHz
@@ -220,8 +222,6 @@ class FreqRampAnalyzer(Analyzer):
         self._core_peak: Dict[int, tuple] = {}   # core -> (peak MHz, first t)
 
     def feed(self, ev: SchedEvent) -> None:
-        if ev.kind != FREQ_STEP:
-            return
         core, mhz = ev.cpu, ev.value
         self._steps += 1
         prev = self._freq.get(core)
@@ -271,6 +271,7 @@ class OccupancyAnalyzer(Analyzer):
     """Per-core gantt summary: busy/spin time and task spread."""
 
     name = "occupancy"
+    kinds = frozenset({SCHED_DISPATCH})
 
     def __init__(self, top_cores: int = 8) -> None:
         self._dispatches: Dict[int, int] = {}
@@ -278,9 +279,8 @@ class OccupancyAnalyzer(Analyzer):
         self._top_cores = top_cores
 
     def feed(self, ev: SchedEvent) -> None:
-        if ev.kind == SCHED_DISPATCH:
-            self._dispatches[ev.cpu] = self._dispatches.get(ev.cpu, 0) + 1
-            self._tasks.setdefault(ev.cpu, set()).add(ev.task)
+        self._dispatches[ev.cpu] = self._dispatches.get(ev.cpu, 0) + 1
+        self._tasks.setdefault(ev.cpu, set()).add(ev.task)
 
     def finish(self, ctx: AnalysisContext) -> Dict[str, Any]:
         if ctx.segments:
@@ -334,6 +334,7 @@ class DeadlineAnalyzer(Analyzer):
     """
 
     name = "deadlines"
+    kinds = RT_KINDS
 
     def __init__(self) -> None:
         self._met = 0
@@ -360,7 +361,7 @@ class DeadlineAnalyzer(Analyzer):
         elif ev.kind == RT_BACKUP_ACTIVATE:
             self._activations += 1
             self._activated_at[ev.value] = ev.t
-        elif ev.kind == RT_BACKUP_PLACE:
+        else:   # rt.backup_place
             if ev.value >= 0:
                 self._places_disjoint += 1
             else:
@@ -391,6 +392,7 @@ class SpinEconomicsAnalyzer(Analyzer):
     """§3.2 spin economics: time burned spinning vs wakeups absorbed."""
 
     name = "spin_economics"
+    kinds = frozenset({SPIN_START, SPIN_STOP, SCHED_DISPATCH})
 
     def __init__(self) -> None:
         self._open: Dict[int, int] = {}       # cpu -> spin start t
@@ -409,7 +411,7 @@ class SpinEconomicsAnalyzer(Analyzer):
                 self._spins += 1
                 self._spin_us += ev.t - start
                 self._stopped_at[ev.cpu] = ev.t
-        elif ev.kind == SCHED_DISPATCH:
+        else:   # sched.dispatch
             self._dispatches += 1
             # A wakeup absorbed by the spin: the kernel stops the spin
             # and dispatches at the same timestamp (spin.stop precedes

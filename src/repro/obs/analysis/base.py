@@ -4,7 +4,9 @@ An :class:`Analyzer` consumes a run's structured event log once, event
 by event, and finishes into a JSON-serializable report fragment.  The
 driver (:func:`run_analyzers`) feeds every analyzer from the same single
 pass over the log, so analyzing a million-event run costs one iteration
-regardless of how many analyzers are registered.
+regardless of how many analyzers are registered.  Each event goes only
+to the analyzers whose ``kinds`` name it, so an analyzer pays for the
+events it reads and nothing else.
 
 The determinism contract (DESIGN.md §9): a report is a pure function of
 the event log plus the :class:`AnalysisContext` — no wall-clock reads,
@@ -20,7 +22,8 @@ or kernel hot paths, and event collection itself is the pre-existing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
+                    Optional, Sequence)
 
 from ..events import SchedEvent
 
@@ -54,11 +57,13 @@ class AnalysisContext:
 class Analyzer:
     """One single-pass reduction over the event log.
 
-    Subclasses set ``name`` (the report key), accumulate state in
-    :meth:`feed` and produce a JSON-ready dict in :meth:`finish`.
+    Subclasses set ``name`` (the report key) and ``kinds`` (the event
+    kinds :meth:`feed` is handed; ``None`` means every event), accumulate
+    state in :meth:`feed` and produce a JSON-ready dict in :meth:`finish`.
     """
 
     name: str = "?"
+    kinds: Optional[FrozenSet[str]] = None
 
     def feed(self, ev: SchedEvent) -> None:
         raise NotImplementedError
@@ -84,15 +89,24 @@ def run_analyzers(events: Iterable[SchedEvent], ctx: AnalysisContext,
                   ) -> Dict[str, Dict[str, Any]]:
     """Feed every analyzer from one pass over ``events``.
 
-    Returns ``{analyzer.name: report}`` with names sorted, so the
-    serialized output is stable however the analyzers were listed.
+    Each event goes to the analyzers whose ``kinds`` contain its kind (or
+    are ``None``), in the order they were listed; the per-kind route is
+    built the first time the kind appears.  Returns ``{analyzer.name:
+    report}`` with names sorted, so the serialized output is stable
+    however the analyzers were listed.
     """
     active = list(analyzers) if analyzers is not None else default_analyzers()
     names = [a.name for a in active]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate analyzer names: {sorted(names)}")
+    routes: Dict[str, List[Callable[[SchedEvent], None]]] = {}
     for ev in events:
-        for a in active:
-            a.feed(ev)
+        feeds = routes.get(ev.kind)
+        if feeds is None:
+            feeds = routes[ev.kind] = [
+                a.feed for a in active
+                if a.kinds is None or ev.kind in a.kinds]
+        for feed in feeds:
+            feed(ev)
     return {a.name: a.finish(ctx) for a in sorted(active,
                                                   key=lambda a: a.name)}

@@ -1,11 +1,16 @@
 """The invariant oracle: paper-derived properties checked after a run.
 
-Each invariant is a pure function over the :class:`RunArtifacts` of one
+Each invariant is a pure function of the :class:`RunArtifacts` of one
 simulation — the serialized :class:`RunResult`, the structured event log
-and the final nest snapshot — returning the :class:`Violation`\\ s it
+and the final nest snapshot — yielding the :class:`Violation`\\ s it
 found.  The oracle never re-runs the simulator; it *replays* what the
-observability layer recorded, so anything it can catch, it can catch on
-every fuzzed scenario for the cost of one list walk.
+observability layer recorded.  Checks that only read the result's
+metrics or the snapshot are plain functions; every check that reads the
+log is an :class:`~repro.obs.analysis.base.Analyzer` that declares the
+event kinds it needs, and :func:`check_run` feeds them all from one
+routed :func:`~repro.obs.analysis.base.run_analyzers` pass that also
+counts events per kind.  So anything the oracle can catch, it can catch
+on every fuzzed scenario for the cost of one list walk.
 
 The paper mapping:
 
@@ -26,14 +31,16 @@ The paper mapping:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List,
+                    Optional, Tuple)
 
 from ..core.params import DEFAULT_PARAMS, NestParams
 from ..faults.plan import (KIND_CORE_FAILURE, KIND_CPU_OFFLINE,
                            KIND_STRAGGLER, KIND_THERMAL_CAP, FaultPlan)
 from ..obs import events as oev
+from ..obs.analysis.base import AnalysisContext, Analyzer, run_analyzers
+from ..obs.events import SchedEvent
 from ..sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,13 +87,6 @@ def _counter(metrics: Dict[str, Any], name: str) -> int:
     return entry["value"] if entry else 0
 
 
-def _kind_counts(events) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for ev in events:
-        out[ev.kind] = out.get(ev.kind, 0) + 1
-    return out
-
-
 def _params_of(art: "RunArtifacts") -> NestParams:
     return art.scenario.nest_params_obj() or DEFAULT_PARAMS
 
@@ -107,13 +107,51 @@ def _in_group(art: "RunArtifacts", group: str) -> bool:
     return group in invariant_groups_of(art.scenario.scheduler)
 
 
-def _has_hotplug(art: "RunArtifacts") -> bool:
-    """Hotplug scrubs attachment histories and redirects placements
-    without emitting commit events, so history replay must stand down."""
-    if any(ev.kind in (oev.FAULT_CPU_OFFLINE, oev.FAULT_CPU_ONLINE)
-           for ev in art.events):
+class _KindCounts(Analyzer):
+    """Events per kind, counted once for every check that compares
+    counters with the event log (complete when ``finish`` runs)."""
+
+    name = "kind_counts"
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+
+    def feed(self, ev: SchedEvent) -> None:
+        counts = self.counts
+        counts[ev.kind] = counts.get(ev.kind, 0) + 1
+
+    def finish(self, ctx: AnalysisContext) -> Dict[str, int]:
+        return self.counts
+
+
+class _Replay(Analyzer):
+    """An invariant that reads the event log, as one analyzer of
+    :func:`check_run`'s pass.
+
+    Built from the run's artifacts and the shared per-kind counts, fed
+    only the ``kinds`` it declares (none: it reads only the counts), and
+    ``finish`` returns its violations, at most ``MAX_PER_INVARIANT``.
+    ``applies`` keeps a check that does not concern the run out of the
+    pass altogether.
+    """
+
+    kinds: Optional[FrozenSet[str]] = frozenset()
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        self.art = art
+        self.counts = counts
+        self.found: List[Violation] = []
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
         return True
-    return _counter(art.result.metrics, "kernel.fault_placement_redirects") > 0
+
+    def flag(self, message: str, t: Optional[int] = None) -> None:
+        if len(self.found) < MAX_PER_INVARIANT:
+            self.found.append(Violation(self.name, message, t=t))
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        return self.found
 
 
 # ---------------------------------------------------------------------------
@@ -131,41 +169,52 @@ def check_completed(art: "RunArtifacts") -> Iterable[Violation]:
         yield Violation("run.completed", "engine processed no events")
 
 
-def check_clock_monotonic(art: "RunArtifacts") -> Iterable[Violation]:
+class ClockMonotonic(_Replay):
     """Event timestamps never run backwards and stay within the run."""
-    last = 0
-    end = art.result.makespan_us
-    for i, ev in enumerate(art.events):
-        if ev.t < last:
-            yield Violation("clock.monotonic",
-                            f"event #{i} ({ev.kind}) at t={ev.t} after "
-                            f"t={last}", t=ev.t)
-            return
-        last = ev.t
-    if art.events and last > end:
-        yield Violation("clock.monotonic",
-                        f"last event at t={last} beyond makespan {end}",
-                        t=last)
+
+    name = "clock.monotonic"
+    kinds = None
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._last = 0
+        self._seen = 0
+
+    def feed(self, ev: SchedEvent) -> None:
+        if ev.t < self._last and not self.found:
+            self.flag(f"event #{self._seen} ({ev.kind}) at t={ev.t} after "
+                      f"t={self._last}", t=ev.t)
+        self._last = ev.t
+        self._seen += 1
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        end = self.art.result.makespan_us
+        if self._seen and not self.found and self._last > end:
+            self.flag(f"last event at t={self._last} beyond makespan {end}",
+                      t=self._last)
+        return self.found
 
 
-def check_vocabulary(art: "RunArtifacts") -> Iterable[Violation]:
+class Vocabulary(_Replay):
     """Every event uses a known kind and plausible cpu/task fields."""
-    n_cpus = art.machine.n_cpus
-    bad = 0
-    for ev in art.events:
-        problem = None
+
+    name = "events.vocabulary"
+    kinds = None
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._n_cpus = art.machine.n_cpus
+
+    def feed(self, ev: SchedEvent) -> None:
         if ev.kind not in oev.EVENT_KINDS:
             problem = f"unknown kind {ev.kind!r}"
-        elif not -1 <= ev.cpu < n_cpus:
-            problem = f"cpu {ev.cpu} outside [-1, {n_cpus})"
+        elif not -1 <= ev.cpu < self._n_cpus:
+            problem = f"cpu {ev.cpu} outside [-1, {self._n_cpus})"
         elif ev.task < -1:
             problem = f"task id {ev.task}"
-        if problem:
-            yield Violation("events.vocabulary", f"{ev.kind}: {problem}",
-                            t=ev.t)
-            bad += 1
-            if bad >= MAX_PER_INVARIANT:
-                return
+        else:
+            return
+        self.flag(f"{ev.kind}: {problem}", t=ev.t)
 
 
 def check_placement_accounting(art: "RunArtifacts") -> Iterable[Violation]:
@@ -183,86 +232,116 @@ def check_placement_accounting(art: "RunArtifacts") -> Iterable[Violation]:
                         f"!= placements {placements}")
 
 
-def check_event_counter_match(art: "RunArtifacts") -> Iterable[Violation]:
-    """The event log and the metrics registry tell the same story."""
-    if not _is_nest(art) or not art.events:
-        return
-    m = art.result.metrics
-    counts = _kind_counts(art.events)
-    expected = {
-        oev.PLACE_ATTACH: _counter(m, "nest.attachment_hits"),
-        oev.PLACE_PRIMARY: _counter(m, "nest.primary_hits"),
-        oev.PLACE_IMPATIENT: _counter(m, "nest.impatient_placements"),
-        oev.NEST_PROMOTE: _counter(m, "nest.reserve_hits"),
-        oev.NEST_COMPACT: (_counter(m, "nest.compactions")
-                           - _counter(m, "nest.exit_demotions")),
-        oev.NEST_EXIT_DEMOTE: _counter(m, "nest.exit_demotions"),
-        oev.NEST_OFFLINE_EVICT: _counter(m, "nest.offline_evictions"),
-    }
-    for kind, want in expected.items():
-        got = counts.get(kind, 0)
-        if got != want:
-            yield Violation("nest.event_counter_match",
-                            f"{got} {kind} event(s) but counters say {want}")
-    total_place = sum(counts.get(k, 0) for k in oev.PLACEMENT_KINDS)
-    placements = _counter(m, "nest.placements")
-    if total_place != placements:
-        yield Violation("nest.event_counter_match",
-                        f"{total_place} place.* events != placements "
-                        f"counter {placements}")
+class _CounterMatch(_Replay):
+    """The event log and the metrics registry tell the same story: each
+    mirrored kind's event count equals its counters, and the ``place.*``
+    events sum to the placement counter.  Subclasses name the registry
+    ``prefix`` and the ``expected`` mirror."""
+
+    prefix = "?"
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return _in_group(art, cls.prefix) and bool(art.events)
+
+    def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
+        raise NotImplementedError
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        m = self.art.result.metrics
+        counts = self.counts
+        for kind, want in self.expected(m).items():
+            got = counts.get(kind, 0)
+            if got != want:
+                self.flag(f"{got} {kind} event(s) but counters say {want}")
+        total_place = sum(counts.get(k, 0) for k in oev.PLACEMENT_KINDS)
+        placements = _counter(m, f"{self.prefix}.placements")
+        if total_place != placements:
+            self.flag(f"{total_place} place.* events != placements "
+                      f"counter {placements}")
+        return self.found
 
 
-def check_primary_replay(art: "RunArtifacts") -> Iterable[Violation]:
+class EventCounterMatch(_CounterMatch):
+    """Nest's event log and counters tell the same story."""
+
+    name = "nest.event_counter_match"
+    prefix = "nest"
+
+    def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
+        return {
+            oev.PLACE_ATTACH: _counter(m, "nest.attachment_hits"),
+            oev.PLACE_PRIMARY: _counter(m, "nest.primary_hits"),
+            oev.PLACE_IMPATIENT: _counter(m, "nest.impatient_placements"),
+            oev.NEST_PROMOTE: _counter(m, "nest.reserve_hits"),
+            oev.NEST_COMPACT: (_counter(m, "nest.compactions")
+                               - _counter(m, "nest.exit_demotions")),
+            oev.NEST_EXIT_DEMOTE: _counter(m, "nest.exit_demotions"),
+            oev.NEST_OFFLINE_EVICT: _counter(m, "nest.offline_evictions"),
+        }
+
+
+class PrimaryReplay(_Replay):
     """§3.1: the primary nest replayed from events is always consistent —
     promotions add non-members, demotions remove members, the size each
     transition reports matches the replayed set, primary hits target
-    members, and the final replayed set equals the live snapshot."""
-    if not _is_nest(art) or not art.events:
-        return
-    primary: set = set()
-    bad = 0
-    for ev in art.events:
-        kind = ev.kind
-        if kind in oev.PRIMARY_ADD_KINDS:
-            # nest.expand may be idempotent: an impatient task bypasses
-            # the primary search, so CFS can pick a core that is already
-            # a member (§3.1 expansion is then a no-op).  nest.promote
-            # cannot — the reserve is disjoint from the primary.
-            if ev.cpu in primary and kind == oev.NEST_PROMOTE:
-                yield Violation("nest.primary_replay",
-                                f"{kind} of cpu {ev.cpu} already in primary",
-                                t=ev.t)
-                bad += 1
+    members, and the final replayed set equals the live snapshot.
+
+    The class attributes parametrise the replay per policy family:
+    which kinds add and remove members, which adds must find the core
+    absent, which transitions report the size, and which placements must
+    target a member.
+    """
+
+    name = "nest.primary_replay"
+    group = "nest"
+    noun = "nest"
+    adds = oev.PRIMARY_ADD_KINDS
+    # nest.expand may be idempotent: an impatient task bypasses the
+    # primary search, so CFS can pick a core that is already a member
+    # (§3.1 expansion is then a no-op).  nest.promote cannot — the
+    # reserve is disjoint from the primary.
+    strict_adds = frozenset({oev.NEST_PROMOTE})
+    removes = oev.PRIMARY_REMOVE_KINDS
+    transitions = oev.NEST_TRANSITION_KINDS
+    placed = frozenset({oev.PLACE_ATTACH, oev.PLACE_PRIMARY})
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self.kinds = (self.adds | self.removes | self.placed
+                      | {oev.NEST_OFFLINE_EVICT})
+        self._primary: set = set()
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return _in_group(art, cls.group) and bool(art.events)
+
+    def feed(self, ev: SchedEvent) -> None:
+        kind, primary = ev.kind, self._primary
+        if kind in self.adds:
+            if ev.cpu in primary and kind in self.strict_adds:
+                self.flag(f"{kind} of cpu {ev.cpu} already in primary",
+                          t=ev.t)
             primary.add(ev.cpu)
-        elif kind in oev.PRIMARY_REMOVE_KINDS:
+        elif kind in self.removes:
             if ev.cpu not in primary:
-                yield Violation("nest.primary_replay",
-                                f"{kind} of cpu {ev.cpu} not in primary",
-                                t=ev.t)
-                bad += 1
+                self.flag(f"{kind} of cpu {ev.cpu} not in primary", t=ev.t)
             primary.discard(ev.cpu)
         elif kind == oev.NEST_OFFLINE_EVICT:
             primary.discard(ev.cpu)   # may have been reserve-only
-        elif kind in (oev.PLACE_ATTACH, oev.PLACE_PRIMARY):
-            if ev.cpu not in primary:
-                yield Violation("nest.primary_replay",
-                                f"{kind} chose cpu {ev.cpu} outside the "
-                                f"replayed primary nest {sorted(primary)}",
-                                t=ev.t)
-                bad += 1
-        else:
-            continue
-        if kind in oev.NEST_TRANSITION_KINDS and ev.value != len(primary):
-            yield Violation("nest.primary_replay",
-                            f"{kind} reports primary size {ev.value}, "
-                            f"replay says {len(primary)}", t=ev.t)
-            bad += 1
-        if bad >= MAX_PER_INVARIANT:
-            return
-    if art.nest is not None and primary != set(art.nest.primary):
-        yield Violation("nest.primary_replay",
-                        f"final replayed primary {sorted(primary)} != live "
-                        f"snapshot {sorted(art.nest.primary)}")
+        elif ev.cpu not in primary:
+            self.flag(f"{kind} chose cpu {ev.cpu} outside the replayed "
+                      f"primary {self.noun} {sorted(primary)}", t=ev.t)
+        if kind in self.transitions and ev.value != len(primary):
+            self.flag(f"{kind} reports primary size {ev.value}, replay "
+                      f"says {len(primary)}", t=ev.t)
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        snap = self.art.nest
+        if snap is not None and self._primary != set(snap.primary):
+            self.flag(f"final replayed primary {sorted(self._primary)} != "
+                      f"live snapshot {sorted(snap.primary)}")
+        return self.found
 
 
 def check_final_state(art: "RunArtifacts") -> Iterable[Violation]:
@@ -290,7 +369,7 @@ def check_final_state(art: "RunArtifacts") -> Iterable[Violation]:
                         f"nest members outside cpu range: {stray}")
 
 
-def check_attachment(art: "RunArtifacts") -> Iterable[Violation]:
+class Attachment(_Replay):
     """§3.3: an attachment hit requires two consecutive same-core commits.
 
     Replays each task's two-slot core history from the placement-commit
@@ -298,101 +377,129 @@ def check_attachment(art: "RunArtifacts") -> Iterable[Violation]:
     attached core.  Stands down under hotplug faults (the kernel scrubs
     histories and redirects placements without commit events).
     """
-    if not _is_nest(art) or not art.events or _has_hotplug(art):
-        return
-    history: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-    bad = 0
-    for ev in art.events:
-        if ev.kind == oev.PLACE_ATTACH:
-            a, b = history.get(ev.task, (None, None))
-            attached = a if a is not None and a == b else None
-            if attached != ev.cpu:
-                yield Violation(
-                    "nest.attachment", f"task {ev.task} attach-placed on "
-                    f"cpu {ev.cpu} but its history {(a, b)} attaches "
-                    f"{attached}", t=ev.t)
-                bad += 1
-                if bad >= MAX_PER_INVARIANT:
-                    return
-        elif ev.kind in oev.COMMIT_KINDS:
-            a, _ = history.get(ev.task, (None, None))
+
+    name = "nest.attachment"
+    kinds = oev.COMMIT_KINDS | {oev.PLACE_ATTACH}
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._history: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return (_is_nest(art) and bool(art.events)
+                and _counter(art.result.metrics,
+                             "kernel.fault_placement_redirects") == 0)
+
+    def feed(self, ev: SchedEvent) -> None:
+        history = self._history
+        a, b = history.get(ev.task, (None, None))
+        if ev.kind != oev.PLACE_ATTACH:
             history[ev.task] = (ev.cpu, a)
+            return
+        attached = a if a is not None and a == b else None
+        if attached != ev.cpu:
+            self.flag(f"task {ev.task} attach-placed on cpu {ev.cpu} but "
+                      f"its history {(a, b)} attaches {attached}", t=ev.t)
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        if self.counts.get(oev.FAULT_CPU_OFFLINE) \
+                or self.counts.get(oev.FAULT_CPU_ONLINE):
+            return []
+        return self.found
 
 
-def check_feature_legality(art: "RunArtifacts") -> Iterable[Violation]:
+class FeatureLegality(_Replay):
     """Disabled §3 features must leave no event footprint."""
-    if not _is_nest(art) or not art.events:
-        return
-    p = _params_of(art)
-    counts = _kind_counts(art.events)
-    rules = (
-        (p.attachment_enabled, oev.PLACE_ATTACH, "attachment"),
-        (p.reserve_enabled, oev.PLACE_RESERVE, "reserve"),
-        (p.reserve_enabled, oev.NEST_PROMOTE, "reserve"),
-        (p.impatience_enabled, oev.PLACE_IMPATIENT, "impatience"),
-        (p.compaction_enabled, oev.NEST_COMPACT, "compaction"),
-        (p.spin_enabled, oev.SPIN_START, "spin"),
-    )
-    for enabled, kind, feature in rules:
-        if not enabled and counts.get(kind, 0):
-            yield Violation("nest.feature_legality",
-                            f"{feature} disabled but {counts[kind]} "
-                            f"{kind} event(s) emitted")
+
+    name = "nest.feature_legality"
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return _is_nest(art) and bool(art.events)
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        p = _params_of(self.art)
+        rules = (
+            (p.attachment_enabled, oev.PLACE_ATTACH, "attachment"),
+            (p.reserve_enabled, oev.PLACE_RESERVE, "reserve"),
+            (p.reserve_enabled, oev.NEST_PROMOTE, "reserve"),
+            (p.impatience_enabled, oev.PLACE_IMPATIENT, "impatience"),
+            (p.compaction_enabled, oev.NEST_COMPACT, "compaction"),
+            (p.spin_enabled, oev.SPIN_START, "spin"),
+        )
+        for enabled, kind, feature in rules:
+            n = self.counts.get(kind, 0)
+            if not enabled and n:
+                self.flag(f"{feature} disabled but {n} {kind} event(s) "
+                          f"emitted")
+        return self.found
 
 
-def check_wakeup_dispatch(art: "RunArtifacts") -> Iterable[Violation]:
+class WakeupDispatch(_Replay):
     """Every runnable task is placed exactly once: two placement commits
     of the same task must have a dispatch in between (a task cannot block
     and wake again without having run)."""
-    pending: Dict[int, int] = {}   # task -> t of the undispatched commit
-    bad = 0
-    for ev in art.events:
-        if ev.kind in oev.COMMIT_KINDS:
-            if ev.task in pending:
-                yield Violation(
-                    "sched.wakeup_dispatch",
-                    f"task {ev.task} committed twice (t={pending[ev.task]} "
-                    f"then t={ev.t}) with no dispatch between", t=ev.t)
-                bad += 1
-                if bad >= MAX_PER_INVARIANT:
-                    return
-            pending[ev.task] = ev.t
-        elif ev.kind == oev.SCHED_DISPATCH:
+
+    name = "sched.wakeup_dispatch"
+    kinds = oev.COMMIT_KINDS | {oev.SCHED_DISPATCH}
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._pending: Dict[int, int] = {}   # task -> t of the commit
+
+    def feed(self, ev: SchedEvent) -> None:
+        pending = self._pending
+        if ev.kind == oev.SCHED_DISPATCH:
             pending.pop(ev.task, None)
+            return
+        if ev.task in pending:
+            self.flag(f"task {ev.task} committed twice (t={pending[ev.task]} "
+                      f"then t={ev.t}) with no dispatch between", t=ev.t)
+        pending[ev.task] = ev.t
     # Commits still pending at the end are fine: the engine stopped (task
     # exit cascade or max_us cutoff) inside their placement window.
 
 
-def check_latency_accounting(art: "RunArtifacts") -> Iterable[Violation]:
+class LatencyAccounting(_Replay):
     """Dispatch events, the latency histogram and the per-task sums agree."""
-    if not art.events:
-        return
-    res = art.result
-    m = res.metrics
-    hist = m.get("kernel.wakeup_latency_us")
-    dispatches = [ev for ev in art.events if ev.kind == oev.SCHED_DISPATCH]
-    if hist is not None:
-        if hist["count"] != len(dispatches):
-            yield Violation("sched.latency_accounting",
-                            f"{len(dispatches)} dispatch events but the "
-                            f"latency histogram saw {hist['count']}")
-        ev_sum = sum(ev.value for ev in dispatches)
-        if hist["sum"] != ev_sum or hist["sum"] != res.wakeup_latency_us:
-            yield Violation("sched.latency_accounting",
-                            f"latency sums disagree: histogram "
-                            f"{hist['sum']}, events {ev_sum}, result "
-                            f"{res.wakeup_latency_us}")
-    n_wakeups = sum(1 for ev in art.events if ev.kind == oev.SCHED_WAKEUP)
-    if n_wakeups != res.total_wakeups:
-        yield Violation("sched.latency_accounting",
-                        f"{n_wakeups} wakeup commits != total_wakeups "
-                        f"{res.total_wakeups}")
-    n_migrations = sum(1 for ev in art.events
-                       if ev.kind == oev.SCHED_MIGRATE)
-    if n_migrations > res.n_migrations:
-        yield Violation("sched.latency_accounting",
-                        f"{n_migrations} migrate events exceed the result's "
-                        f"n_migrations {res.n_migrations}")
+
+    name = "sched.latency_accounting"
+    kinds = frozenset({oev.SCHED_DISPATCH})
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._latency_sum = 0
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return bool(art.events)
+
+    def feed(self, ev: SchedEvent) -> None:
+        self._latency_sum += ev.value
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        res = self.art.result
+        counts = self.counts
+        hist = res.metrics.get("kernel.wakeup_latency_us")
+        if hist is not None:
+            n_dispatches = counts.get(oev.SCHED_DISPATCH, 0)
+            if hist["count"] != n_dispatches:
+                self.flag(f"{n_dispatches} dispatch events but the latency "
+                          f"histogram saw {hist['count']}")
+            ev_sum = self._latency_sum
+            if hist["sum"] != ev_sum or hist["sum"] != res.wakeup_latency_us:
+                self.flag(f"latency sums disagree: histogram {hist['sum']}, "
+                          f"events {ev_sum}, result {res.wakeup_latency_us}")
+        n_wakeups = counts.get(oev.SCHED_WAKEUP, 0)
+        if n_wakeups != res.total_wakeups:
+            self.flag(f"{n_wakeups} wakeup commits != total_wakeups "
+                      f"{res.total_wakeups}")
+        n_migrations = counts.get(oev.SCHED_MIGRATE, 0)
+        if n_migrations > res.n_migrations:
+            self.flag(f"{n_migrations} migrate events exceed the result's "
+                      f"n_migrations {res.n_migrations}")
+        return self.found
 
 
 def check_histograms(art: "RunArtifacts") -> Iterable[Violation]:
@@ -429,215 +536,237 @@ def check_histograms(art: "RunArtifacts") -> Iterable[Violation]:
                                 f"placements, counter says {placements}")
 
 
-def check_freq_sanity(art: "RunArtifacts") -> Iterable[Violation]:
+class FreqSanity(_Replay):
     """§2.3: hardware frequency steps stay inside the machine envelope,
     and the frequency-residency distribution accounts for busy time."""
-    lo = art.machine.min_mhz
-    hi = art.machine.max_turbo_mhz
-    bad = 0
-    for ev in art.events:
-        if ev.kind == oev.FREQ_STEP and not lo <= ev.value <= hi:
-            yield Violation("freq.sanity",
-                            f"core {ev.cpu} stepped to {ev.value} MHz, "
-                            f"envelope is [{lo}, {hi}]", t=ev.t)
-            bad += 1
-            if bad >= MAX_PER_INVARIANT:
-                return
-    fdist = art.result.freq_dist
-    if fdist is not None:
-        total = sum(fdist.bin_time_us)
-        if total != fdist.total_us:
-            yield Violation("freq.sanity",
-                            f"freq distribution bins sum to {total}, "
-                            f"total_us is {fdist.total_us}")
-        budget = art.result.makespan_us * art.machine.n_cpus
-        if fdist.total_us > budget:
-            yield Violation("freq.sanity",
-                            f"freq residency {fdist.total_us}µs exceeds "
-                            f"makespan × cpus = {budget}µs")
+
+    name = "freq.sanity"
+    kinds = frozenset({oev.FREQ_STEP})
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._lo = art.machine.min_mhz
+        self._hi = art.machine.max_turbo_mhz
+
+    def feed(self, ev: SchedEvent) -> None:
+        if not self._lo <= ev.value <= self._hi:
+            self.flag(f"core {ev.cpu} stepped to {ev.value} MHz, envelope "
+                      f"is [{self._lo}, {self._hi}]", t=ev.t)
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        res = self.art.result
+        fdist = res.freq_dist
+        if fdist is not None:
+            total = sum(fdist.bin_time_us)
+            if total != fdist.total_us:
+                self.flag(f"freq distribution bins sum to {total}, "
+                          f"total_us is {fdist.total_us}")
+            budget = res.makespan_us * self.art.machine.n_cpus
+            if fdist.total_us > budget:
+                self.flag(f"freq residency {fdist.total_us}µs exceeds "
+                          f"makespan × cpus = {budget}µs")
+        return self.found
 
 
-def check_spin_pairing(art: "RunArtifacts") -> Iterable[Violation]:
+class SpinPairing(_Replay):
     """§3.2: per cpu, spin starts and stops strictly alternate."""
-    spinning: set = set()
-    bad = 0
-    for ev in art.events:
+
+    name = "spin.pairing"
+    kinds = frozenset({oev.SPIN_START, oev.SPIN_STOP})
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._spinning: set = set()
+
+    def feed(self, ev: SchedEvent) -> None:
+        spinning = self._spinning
         if ev.kind == oev.SPIN_START:
             if ev.cpu in spinning:
-                yield Violation("spin.pairing",
-                                f"cpu {ev.cpu} started spinning twice",
-                                t=ev.t)
-                bad += 1
+                self.flag(f"cpu {ev.cpu} started spinning twice", t=ev.t)
             spinning.add(ev.cpu)
-        elif ev.kind == oev.SPIN_STOP:
+        else:
             if ev.cpu not in spinning:
-                yield Violation("spin.pairing",
-                                f"cpu {ev.cpu} stopped a spin it never "
-                                f"started", t=ev.t)
-                bad += 1
+                self.flag(f"cpu {ev.cpu} stopped a spin it never started",
+                          t=ev.t)
             spinning.discard(ev.cpu)
-        if bad >= MAX_PER_INVARIANT:
-            return
     # Spins still open at the end are legal: the engine stopped mid-spin.
 
 
-def check_fault_consistency(art: "RunArtifacts") -> Iterable[Violation]:
+class FaultConsistency(_Replay):
     """The deterministic fault plan re-derived from the seed reconciles
     with the injected-fault counters and the fault event stream."""
-    config = art.scenario.faults_obj()
-    if config is None or not config.enabled:
-        return
-    res = art.result
-    m = res.metrics
-    machine = art.machine
-    plan = FaultPlan.generate(config, machine.n_cpus,
-                              machine.topology.n_physical_cores,
-                              machine.nominal_mhz, machine.min_mhz,
-                              RngRegistry(art.scenario.seed),
-                              n_sockets=machine.topology.n_sockets)
-    injected = int(res.extra.get("faults_injected", -1))
-    if injected != len(plan):
-        yield Violation("faults.consistency",
-                        f"result reports {injected} planned faults, the "
-                        f"re-derived plan has {len(plan)}")
-    planned = plan.counts()
-    family_counters = {
-        KIND_CPU_OFFLINE: (_counter(m, "kernel.fault_cpu_offline")
-                           + _counter(m, "kernel.fault_offline_skipped")),
-        KIND_THERMAL_CAP: _counter(m, "kernel.fault_thermal_caps"),
-        KIND_STRAGGLER: (_counter(m, "kernel.fault_stragglers")
-                         + _counter(m, "kernel.fault_straggler_skipped")),
-        KIND_CORE_FAILURE: (
-            _counter(m, "kernel.fault_core_failures")
-            + _counter(m, "kernel.fault_core_failure_skipped")),
-    }
-    for kind, handled in family_counters.items():
-        if handled > planned.get(kind, 0):
-            yield Violation("faults.consistency",
-                            f"{handled} {kind} faults handled but only "
-                            f"{planned.get(kind, 0)} were planned")
-    # Core failures offline the thread through the same hotplug machinery,
-    # so an online event may repay either an offline fault or a failure.
-    if _counter(m, "kernel.fault_cpu_online") \
-            > (_counter(m, "kernel.fault_cpu_offline")
-               + _counter(m, "kernel.fault_core_failures")):
-        yield Violation("faults.consistency",
-                        "more cpus brought online than taken offline")
-    if art.events:
-        counts = _kind_counts(art.events)
-        offline_events = counts.get(oev.FAULT_CPU_OFFLINE, 0)
-        offline_expected = (_counter(m, "kernel.fault_cpu_offline")
-                            + _counter(m, "kernel.fault_core_failures"))
-        if offline_events != offline_expected:
-            yield Violation("faults.consistency",
-                            f"{offline_events} {oev.FAULT_CPU_OFFLINE} "
-                            f"events but offline + core-failure counters "
-                            f"= {offline_expected}")
-        event_mirrors = (
-            (oev.FAULT_CPU_ONLINE, "kernel.fault_cpu_online"),
-            (oev.FAULT_THERMAL_CAP, "kernel.fault_thermal_caps"),
-            (oev.FAULT_STRAGGLER, "kernel.fault_stragglers"),
-            (oev.FAULT_CORE_FAILURE, "kernel.fault_core_failures"),
-        )
-        for kind, counter in event_mirrors:
-            if counts.get(kind, 0) != _counter(m, counter):
-                yield Violation("faults.consistency",
-                                f"{counts.get(kind, 0)} {kind} events but "
-                                f"{counter} = {_counter(m, counter)}")
-        jitter_events = counts.get(oev.FAULT_JITTER_ON, 0)
-        if (config.tick_jitter_us > 0) != (jitter_events == 1):
-            yield Violation("faults.consistency",
-                            f"tick_jitter_us={config.tick_jitter_us} but "
-                            f"{jitter_events} jitter_on event(s)")
+
+    name = "faults.consistency"
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        config = art.scenario.faults_obj()
+        return config is not None and config.enabled
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        art = self.art
+        config = art.scenario.faults_obj()
+        m = art.result.metrics
+        machine = art.machine
+        plan = FaultPlan.generate(config, machine.n_cpus,
+                                  machine.topology.n_physical_cores,
+                                  machine.nominal_mhz, machine.min_mhz,
+                                  RngRegistry(art.scenario.seed),
+                                  n_sockets=machine.topology.n_sockets)
+        injected = int(art.result.extra.get("faults_injected", -1))
+        if injected != len(plan):
+            self.flag(f"result reports {injected} planned faults, the "
+                      f"re-derived plan has {len(plan)}")
+        planned = plan.counts()
+        family_counters = {
+            KIND_CPU_OFFLINE: (_counter(m, "kernel.fault_cpu_offline")
+                               + _counter(m, "kernel.fault_offline_skipped")),
+            KIND_THERMAL_CAP: _counter(m, "kernel.fault_thermal_caps"),
+            KIND_STRAGGLER: (_counter(m, "kernel.fault_stragglers")
+                             + _counter(m, "kernel.fault_straggler_skipped")),
+            KIND_CORE_FAILURE: (
+                _counter(m, "kernel.fault_core_failures")
+                + _counter(m, "kernel.fault_core_failure_skipped")),
+        }
+        for kind, handled in family_counters.items():
+            if handled > planned.get(kind, 0):
+                self.flag(f"{handled} {kind} faults handled but only "
+                          f"{planned.get(kind, 0)} were planned")
+        # Core failures offline the thread through the same hotplug
+        # machinery, so an online event may repay either an offline fault
+        # or a failure.
+        if _counter(m, "kernel.fault_cpu_online") \
+                > (_counter(m, "kernel.fault_cpu_offline")
+                   + _counter(m, "kernel.fault_core_failures")):
+            self.flag("more cpus brought online than taken offline")
+        if art.events:
+            counts = self.counts
+            offline_events = counts.get(oev.FAULT_CPU_OFFLINE, 0)
+            offline_expected = (_counter(m, "kernel.fault_cpu_offline")
+                                + _counter(m, "kernel.fault_core_failures"))
+            if offline_events != offline_expected:
+                self.flag(f"{offline_events} {oev.FAULT_CPU_OFFLINE} events "
+                          f"but offline + core-failure counters "
+                          f"= {offline_expected}")
+            event_mirrors = (
+                (oev.FAULT_CPU_ONLINE, "kernel.fault_cpu_online"),
+                (oev.FAULT_THERMAL_CAP, "kernel.fault_thermal_caps"),
+                (oev.FAULT_STRAGGLER, "kernel.fault_stragglers"),
+                (oev.FAULT_CORE_FAILURE, "kernel.fault_core_failures"),
+            )
+            for kind, counter in event_mirrors:
+                if counts.get(kind, 0) != _counter(m, counter):
+                    self.flag(f"{counts.get(kind, 0)} {kind} events but "
+                              f"{counter} = {_counter(m, counter)}")
+            jitter_events = counts.get(oev.FAULT_JITTER_ON, 0)
+            if (config.tick_jitter_us > 0) != (jitter_events == 1):
+                self.flag(f"tick_jitter_us={config.tick_jitter_us} but "
+                          f"{jitter_events} jitter_on event(s)")
+        return self.found
 
 
-def check_rt_miss_causality(art: "RunArtifacts") -> Iterable[Violation]:
+class MissCausality(_Replay):
     """Deadline streams carry generous slack, so a fault-free run meets
     every deadline: a miss without a single logged fault is a scheduler
-    bug, not bad luck."""
-    m = art.result.metrics
-    misses = _counter(m, "kernel.rt_deadline_miss")
-    if misses == 0:
-        return
-    fault_counters = ("kernel.fault_core_failures", "kernel.fault_cpu_offline",
-                      "kernel.fault_thermal_caps", "kernel.fault_stragglers")
-    if all(_counter(m, c) == 0 for c in fault_counters) \
-            and not any(ev.kind in oev.FAULT_KINDS for ev in art.events):
-        yield Violation("rt.miss_causality",
-                        f"{misses} deadline miss(es) in a run that logged "
-                        f"no fault")
-        return
-    if art.events:
-        first_fault = min((ev.t for ev in art.events
-                           if ev.kind in oev.FAULT_KINDS), default=None)
-        bad = 0
-        for ev in art.events:
-            if ev.kind != oev.RT_DEADLINE_MISS:
-                continue
-            if first_fault is None or ev.t < first_fault:
-                yield Violation("rt.miss_causality",
-                                f"task {ev.task} missed its deadline before "
-                                f"any fault was injected", t=ev.t)
-                bad += 1
-                if bad >= MAX_PER_INVARIANT:
-                    return
+    bug, not bad luck.  Decided in ``finish``, against the earliest of
+    all logged faults."""
+
+    name = "rt.miss_causality"
+    kinds = oev.FAULT_KINDS | {oev.RT_DEADLINE_MISS}
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._first_fault: Optional[int] = None
+        self._misses: List[Tuple[int, int]] = []   # (t, task)
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return _counter(art.result.metrics, "kernel.rt_deadline_miss") > 0
+
+    def feed(self, ev: SchedEvent) -> None:
+        if ev.kind == oev.RT_DEADLINE_MISS:
+            self._misses.append((ev.t, ev.task))
+        elif self._first_fault is None or ev.t < self._first_fault:
+            self._first_fault = ev.t
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        m = self.art.result.metrics
+        first_fault = self._first_fault
+        fault_counters = ("kernel.fault_core_failures",
+                          "kernel.fault_cpu_offline",
+                          "kernel.fault_thermal_caps",
+                          "kernel.fault_stragglers")
+        if first_fault is None \
+                and all(_counter(m, c) == 0 for c in fault_counters):
+            self.flag(f"{_counter(m, 'kernel.rt_deadline_miss')} deadline "
+                      f"miss(es) in a run that logged no fault")
+            return self.found
+        for t, task in self._misses:
+            if first_fault is None or t < first_fault:
+                self.flag(f"task {task} missed its deadline before any "
+                          f"fault was injected", t=t)
+        return self.found
 
 
-def check_rt_backup_disjoint(art: "RunArtifacts") -> Iterable[Violation]:
+class BackupDisjoint(_Replay):
     """A backup admitted against a known primary core must land on a
     different physical core — otherwise one failure takes both copies."""
-    topo = art.machine.topology
-    bad = 0
-    for ev in art.events:
-        if ev.kind != oev.RT_BACKUP_PLACE or ev.value < 0:
-            continue
-        if topo.physical_core_of(ev.cpu) == topo.physical_core_of(ev.value):
-            yield Violation("rt.backup_disjoint",
-                            f"backup {ev.task} placed on cpu {ev.cpu}, the "
-                            f"same physical core as its primary's cpu "
-                            f"{ev.value}", t=ev.t)
-            bad += 1
-            if bad >= MAX_PER_INVARIANT:
-                return
+
+    name = "rt.backup_disjoint"
+    kinds = frozenset({oev.RT_BACKUP_PLACE})
+
+    def feed(self, ev: SchedEvent) -> None:
+        topo = self.art.machine.topology
+        if ev.value >= 0 and (topo.physical_core_of(ev.cpu)
+                              == topo.physical_core_of(ev.value)):
+            self.flag(f"backup {ev.task} placed on cpu {ev.cpu}, the same "
+                      f"physical core as its primary's cpu {ev.value}",
+                      t=ev.t)
 
 
-def check_rt_activation_pairing(art: "RunArtifacts") -> Iterable[Violation]:
+class ActivationPairing(_Replay):
     """Backups are promoted only inside the application of a core-failure
     fault, so every activation (and every RT kill) shares its timestamp
     with a ``fault.core_failure`` event, and the counters mirror the
-    event stream."""
-    m = art.result.metrics
-    activations = _counter(m, "kernel.rt_backup_activations")
-    if art.events:
-        counts = _kind_counts(art.events)
+    event stream.  Decided in ``finish``, against every failure
+    timestamp."""
+
+    name = "rt.activation_pairing"
+    kinds = frozenset({oev.RT_BACKUP_ACTIVATE, oev.RT_KILL,
+                       oev.FAULT_CORE_FAILURE})
+
+    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
+        super().__init__(art, counts)
+        self._failure_times: set = set()
+        self._copies: List[SchedEvent] = []   # activations and kills
+
+    def feed(self, ev: SchedEvent) -> None:
+        if ev.kind == oev.FAULT_CORE_FAILURE:
+            self._failure_times.add(ev.t)
+        else:
+            self._copies.append(ev)
+
+    def finish(self, ctx: AnalysisContext) -> List[Violation]:
+        m = self.art.result.metrics
+        activations = _counter(m, "kernel.rt_backup_activations")
+        kills = _counter(m, "kernel.rt_kills")
+        if not self.art.events:
+            if activations > kills:
+                self.flag(f"{activations} backup activations exceed "
+                          f"{kills} RT kills")
+            return self.found
+        counts = self.counts
         if counts.get(oev.RT_BACKUP_ACTIVATE, 0) != activations:
-            yield Violation("rt.activation_pairing",
-                            f"{counts.get(oev.RT_BACKUP_ACTIVATE, 0)} "
-                            f"activation events but the counter says "
-                            f"{activations}")
-        if counts.get(oev.RT_KILL, 0) != _counter(m, "kernel.rt_kills"):
-            yield Violation("rt.activation_pairing",
-                            f"{counts.get(oev.RT_KILL, 0)} rt.kill events "
-                            f"but the counter says "
-                            f"{_counter(m, 'kernel.rt_kills')}")
-        failure_times = {ev.t for ev in art.events
-                         if ev.kind == oev.FAULT_CORE_FAILURE}
-        bad = 0
-        for ev in art.events:
-            if ev.kind not in (oev.RT_BACKUP_ACTIVATE, oev.RT_KILL):
-                continue
-            if ev.t not in failure_times:
-                yield Violation("rt.activation_pairing",
-                                f"{ev.kind} for task {ev.task} has no "
-                                f"core-failure event at its timestamp",
-                                t=ev.t)
-                bad += 1
-                if bad >= MAX_PER_INVARIANT:
-                    return
-    elif activations > _counter(m, "kernel.rt_kills"):
-        yield Violation("rt.activation_pairing",
-                        f"{activations} backup activations exceed "
-                        f"{_counter(m, 'kernel.rt_kills')} RT kills")
+            self.flag(f"{counts.get(oev.RT_BACKUP_ACTIVATE, 0)} activation "
+                      f"events but the counter says {activations}")
+        if counts.get(oev.RT_KILL, 0) != kills:
+            self.flag(f"{counts.get(oev.RT_KILL, 0)} rt.kill events but the "
+                      f"counter says {kills}")
+        for ev in self._copies:
+            if ev.t not in self._failure_times:
+                self.flag(f"{ev.kind} for task {ev.task} has no "
+                          f"core-failure event at its timestamp", t=ev.t)
+        return self.found
 
 
 def check_scxnest_accounting(art: "RunArtifacts") -> Iterable[Violation]:
@@ -674,147 +803,91 @@ def check_scxnest_accounting(art: "RunArtifacts") -> Iterable[Violation]:
                         f"enqueues")
 
 
-def check_scxnest_event_counter_match(art: "RunArtifacts"
-                                      ) -> Iterable[Violation]:
+class ScxnestEventCounterMatch(_CounterMatch):
     """scx_nest's event log and counters tell the same story."""
-    if not _is_scxnest(art) or not art.events:
-        return
-    m = art.result.metrics
-    counts = _kind_counts(art.events)
-    expected = {
-        oev.PLACE_PRIMARY: _counter(m, "scxnest.primary_hits"),
-        oev.PLACE_RESERVE: _counter(m, "scxnest.reserve_hits"),
-        oev.SCXNEST_PROMOTE: _counter(m, "scxnest.reserve_hits"),
-        oev.PLACE_IMPATIENT: _counter(m, "scxnest.impatient_placements"),
-        oev.PLACE_CFS: (_counter(m, "scxnest.cfs_fallbacks")
-                        - _counter(m, "scxnest.impatient_placements")),
-        oev.SCXNEST_EXPAND: _counter(m, "scxnest.expansions"),
-        oev.SCXNEST_COMPACT: _counter(m, "scxnest.compactions"),
-        oev.SCXNEST_COMPACT_ARM: _counter(m, "scxnest.compact_arms"),
-        oev.SCXNEST_COMPACT_CANCEL: _counter(m, "scxnest.compact_cancels"),
-        oev.SCXNEST_VTIME_PULL: _counter(m, "scxnest.vtime_pulls"),
-        oev.NEST_OFFLINE_EVICT: _counter(m, "scxnest.offline_evictions"),
-    }
-    for kind, want in expected.items():
-        got = counts.get(kind, 0)
-        if got != want:
-            yield Violation("scxnest.event_counter_match",
-                            f"{got} {kind} event(s) but counters say {want}")
-    total_place = sum(counts.get(k, 0) for k in oev.PLACEMENT_KINDS)
-    placements = _counter(m, "scxnest.placements")
-    if total_place != placements:
-        yield Violation("scxnest.event_counter_match",
-                        f"{total_place} place.* events != placements "
-                        f"counter {placements}")
+
+    name = "scxnest.event_counter_match"
+    prefix = "scxnest"
+
+    def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
+        return {
+            oev.PLACE_PRIMARY: _counter(m, "scxnest.primary_hits"),
+            oev.PLACE_RESERVE: _counter(m, "scxnest.reserve_hits"),
+            oev.SCXNEST_PROMOTE: _counter(m, "scxnest.reserve_hits"),
+            oev.PLACE_IMPATIENT: _counter(m, "scxnest.impatient_placements"),
+            oev.PLACE_CFS: (_counter(m, "scxnest.cfs_fallbacks")
+                            - _counter(m, "scxnest.impatient_placements")),
+            oev.SCXNEST_EXPAND: _counter(m, "scxnest.expansions"),
+            oev.SCXNEST_COMPACT: _counter(m, "scxnest.compactions"),
+            oev.SCXNEST_COMPACT_ARM: _counter(m, "scxnest.compact_arms"),
+            oev.SCXNEST_COMPACT_CANCEL: _counter(m,
+                                                 "scxnest.compact_cancels"),
+            oev.SCXNEST_VTIME_PULL: _counter(m, "scxnest.vtime_pulls"),
+            oev.NEST_OFFLINE_EVICT: _counter(m, "scxnest.offline_evictions"),
+        }
 
 
-def check_scxnest_mask_replay(art: "RunArtifacts") -> Iterable[Violation]:
+class MaskReplay(PrimaryReplay):
     """The primary mask replayed from ``scxnest.*`` transition events is
-    always consistent: promotions and expansions add non-members,
-    compactions remove members, each transition's reported size matches
-    the replayed set, primary hits target members, and the final
-    replayed set equals the live snapshot."""
-    if not _is_scxnest(art) or not art.events:
-        return
-    primary: set = set()
-    bad = 0
-    for ev in art.events:
-        kind = ev.kind
-        if kind in oev.SCXNEST_PRIMARY_ADD_KINDS:
-            # Both adds are strict: the policy guards membership before
-            # emitting (unlike nest.expand, which may be idempotent).
-            if ev.cpu in primary:
-                yield Violation("scxnest.mask_replay",
-                                f"{kind} of cpu {ev.cpu} already in primary",
-                                t=ev.t)
-                bad += 1
-            primary.add(ev.cpu)
-        elif kind in oev.SCXNEST_PRIMARY_REMOVE_KINDS:
-            if ev.cpu not in primary:
-                yield Violation("scxnest.mask_replay",
-                                f"{kind} of cpu {ev.cpu} not in primary",
-                                t=ev.t)
-                bad += 1
-            primary.discard(ev.cpu)
-        elif kind == oev.NEST_OFFLINE_EVICT:
-            primary.discard(ev.cpu)   # may have been reserve-only
-        elif kind == oev.PLACE_PRIMARY:
-            if ev.cpu not in primary:
-                yield Violation("scxnest.mask_replay",
-                                f"{kind} chose cpu {ev.cpu} outside the "
-                                f"replayed primary mask {sorted(primary)}",
-                                t=ev.t)
-                bad += 1
-        else:
-            continue
-        if kind in oev.SCXNEST_TRANSITION_KINDS and ev.value != len(primary):
-            yield Violation("scxnest.mask_replay",
-                            f"{kind} reports primary size {ev.value}, "
-                            f"replay says {len(primary)}", t=ev.t)
-            bad += 1
-        if bad >= MAX_PER_INVARIANT:
-            return
-    if art.nest is not None and primary != set(art.nest.primary):
-        yield Violation("scxnest.mask_replay",
-                        f"final replayed primary {sorted(primary)} != live "
-                        f"snapshot {sorted(art.nest.primary)}")
+    always consistent, by :class:`PrimaryReplay`'s rules.  Both adds are
+    strict here: the policy guards membership before emitting (unlike
+    nest.expand, which may be idempotent)."""
 
-
-def check_result_sanity(art: "RunArtifacts") -> Iterable[Violation]:
-    """Energy, latency and horizon bounds on the summary record."""
-    res = art.result
-    if not math.isfinite(res.energy_joules) or res.energy_joules < 0:
-        yield Violation("result.sanity",
-                        f"energy {res.energy_joules!r} out of range")
-    if res.makespan_us > 0 and res.energy_joules == 0:
-        yield Violation("result.sanity", "nonzero run consumed no energy")
-    if res.wakeup_latency_us < 0:
-        yield Violation("result.sanity",
-                        f"negative wakeup latency {res.wakeup_latency_us}")
-    if art.scenario.max_us is not None \
-            and res.makespan_us > art.scenario.max_us:
-        yield Violation("result.sanity",
-                        f"makespan {res.makespan_us} exceeds the "
-                        f"max_us cutoff {art.scenario.max_us}")
-    under = res.underload
-    if under is not None and under.underload_per_second < 0:
-        yield Violation("result.sanity", "negative underload rate")
+    name = "scxnest.mask_replay"
+    group = "scxnest"
+    noun = "mask"
+    adds = oev.SCXNEST_PRIMARY_ADD_KINDS
+    strict_adds = oev.SCXNEST_PRIMARY_ADD_KINDS
+    removes = oev.SCXNEST_PRIMARY_REMOVE_KINDS
+    transitions = oev.SCXNEST_TRANSITION_KINDS
+    placed = frozenset({oev.PLACE_PRIMARY})
 
 
 #: The oracle, in evaluation order.  Names are stable: repro files,
-#: shrinking and the mutation canary key off them.
+#: shrinking and the mutation canary key off them.  A function checks the
+#: result and snapshot; an analyzer class replays the event log.
 INVARIANTS: Tuple[Tuple[str, Any], ...] = (
     ("run.completed", check_completed),
-    ("clock.monotonic", check_clock_monotonic),
-    ("events.vocabulary", check_vocabulary),
+    ("clock.monotonic", ClockMonotonic),
+    ("events.vocabulary", Vocabulary),
     ("nest.placement_accounting", check_placement_accounting),
-    ("nest.event_counter_match", check_event_counter_match),
-    ("nest.primary_replay", check_primary_replay),
+    ("nest.event_counter_match", EventCounterMatch),
+    ("nest.primary_replay", PrimaryReplay),
     ("nest.final_state", check_final_state),
-    ("nest.attachment", check_attachment),
-    ("nest.feature_legality", check_feature_legality),
-    ("sched.wakeup_dispatch", check_wakeup_dispatch),
-    ("sched.latency_accounting", check_latency_accounting),
+    ("nest.attachment", Attachment),
+    ("nest.feature_legality", FeatureLegality),
+    ("sched.wakeup_dispatch", WakeupDispatch),
+    ("sched.latency_accounting", LatencyAccounting),
     ("metrics.histograms", check_histograms),
-    ("freq.sanity", check_freq_sanity),
-    ("spin.pairing", check_spin_pairing),
-    ("faults.consistency", check_fault_consistency),
-    ("rt.miss_causality", check_rt_miss_causality),
-    ("rt.backup_disjoint", check_rt_backup_disjoint),
-    ("rt.activation_pairing", check_rt_activation_pairing),
+    ("freq.sanity", FreqSanity),
+    ("spin.pairing", SpinPairing),
+    ("faults.consistency", FaultConsistency),
+    ("rt.miss_causality", MissCausality),
+    ("rt.backup_disjoint", BackupDisjoint),
+    ("rt.activation_pairing", ActivationPairing),
     ("scxnest.accounting", check_scxnest_accounting),
-    ("scxnest.event_counter_match", check_scxnest_event_counter_match),
-    ("scxnest.mask_replay", check_scxnest_mask_replay),
+    ("scxnest.event_counter_match", ScxnestEventCounterMatch),
+    ("scxnest.mask_replay", MaskReplay),
 )
 
 
 def check_run(art: "RunArtifacts") -> List[Violation]:
-    """Evaluate every invariant against one run's artifacts."""
+    """Evaluate every invariant against one run's artifacts.
+
+    The log-reading invariants that apply to the run share one routed
+    pass over ``art.events`` with a per-kind event count.
+    """
     if art.error is not None:
         return [Violation("run.completed", f"simulation crashed: {art.error}")]
     if art.result is None:   # pragma: no cover - execute() guarantees one
         return [Violation("run.completed", "no result produced")]
+    counts = _KindCounts()
+    replays = [check(art, counts.counts) for _name, check in INVARIANTS
+               if isinstance(check, type) and check.applies(art)]
+    verdicts = run_analyzers(art.events, AnalysisContext(),
+                             [counts, *replays])
     out: List[Violation] = []
-    for _name, fn in INVARIANTS:
-        out.extend(fn(art))
+    for name, check in INVARIANTS:
+        out.extend(verdicts.get(name, ()) if isinstance(check, type)
+                   else check(art))
     return out

@@ -17,13 +17,14 @@ The central contracts under test:
 
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import main
 from repro.obs.analysis import (ANALYSIS_VERSION, AnalysisContext,
-                                EventFilter, analysis_digest, analyze_run,
+                                Analyzer, EventFilter, analysis_digest, analyze_run,
                                 default_analyzers, derived_metrics,
                                 diff_reports, filter_events, flatten_numeric,
                                 rank_moves, render_attribution,
@@ -35,10 +36,13 @@ from repro.obs.analysis.analyzers import (FreqRampAnalyzer,
                                           OccupancyAnalyzer,
                                           SpinEconomicsAnalyzer,
                                           WarmCoreAnalyzer)
-from repro.obs.events import (FREQ_STEP, NEST_COMPACT, NEST_EXPAND,
-                              NEST_PROMOTE, PLACE_CFS, PLACE_PRIMARY,
-                              SCHED_DISPATCH, SPIN_START, SPIN_STOP,
-                              SchedEvent, event_from_dict, event_to_dict)
+from repro.obs.events import (EVENT_KINDS, FREQ_STEP, NEST_COMPACT,
+                              NEST_EXPAND, NEST_PROMOTE, PLACE_CFS,
+                              PLACE_PRIMARY, RT_BACKUP_ACTIVATE,
+                              RT_BACKUP_PLACE, RT_DEADLINE_MET,
+                              RT_DEADLINE_MISS, RT_KILL, SCHED_DISPATCH,
+                              SPIN_START, SPIN_STOP, SchedEvent,
+                              event_from_dict, event_to_dict)
 from repro.obs.export import events_from_jsonl, events_to_jsonl
 
 ANALYSIS_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_analysis.json"
@@ -287,6 +291,99 @@ class TestRunAnalyzers:
         report = {"b": 1, "a": {"z": 2, "y": 3}}
         doc = report_json(report)
         assert doc == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+class _Recorder(Analyzer):
+    """Records the kinds it is fed, in order."""
+
+    def __init__(self, name, kinds):
+        self.name, self.kinds, self.seen = name, kinds, []
+
+    def feed(self, ev):
+        self.seen.append(ev.kind)
+
+    def finish(self, ctx):
+        return {"seen": self.seen}
+
+
+def _feed_everything(events, ctx, analyzers):
+    """Reference driver: offers every event to every analyzer in turn and
+    applies only the declared ``kinds`` contract (no route table)."""
+    for e in events:
+        for a in analyzers:
+            if a.kinds is None or e.kind in a.kinds:
+                a.feed(e)
+    return {a.name: a.finish(ctx) for a in sorted(analyzers,
+                                                  key=lambda a: a.name)}
+
+
+class TestRouting:
+    LOG = [ev(1, PLACE_PRIMARY), ev(2, SCHED_DISPATCH), ev(3, FREQ_STEP),
+           ev(4, "no.such.kind"), ev(5, SCHED_DISPATCH), ev(6, SPIN_START)]
+
+    def test_analyzer_with_kinds_is_fed_only_those_kinds(self):
+        picky = _Recorder("picky", frozenset({SCHED_DISPATCH, SPIN_START}))
+        reports = run_analyzers(self.LOG, AnalysisContext(), [picky])
+        assert reports["picky"]["seen"] == [SCHED_DISPATCH, SCHED_DISPATCH,
+                                            SPIN_START]
+
+    def test_analyzer_without_kinds_is_fed_every_event(self):
+        greedy = _Recorder("greedy", None)
+        empty = _Recorder("empty", frozenset())
+        reports = run_analyzers(self.LOG, AnalysisContext(), [greedy, empty])
+        assert reports["greedy"]["seen"] == [e.kind for e in self.LOG]
+        assert reports["empty"]["seen"] == []
+
+    def test_standard_kinds_are_in_the_vocabulary(self):
+        for analyzer in default_analyzers():
+            assert analyzer.kinds and analyzer.kinds <= EVENT_KINDS, \
+                analyzer.name
+
+    def test_routed_reports_match_feed_everything_on_faulted_rt_log(self):
+        """The goldens pin fig2 and scx_nest logs; this covers the rt.*
+        and fault.* kinds the deadline analyzer reads."""
+        from repro.faults import FaultConfig
+        from repro.experiments.runner import run_experiment
+        from repro.hw.machines import get_machine
+        from repro.workloads.catalog import make_workload
+
+        machine = get_machine("ryzen_4650g")
+        res = run_experiment(
+            make_workload("deadline-periodic"), machine, "ftrt",
+            "schedutil", seed=2, collect_events=True,
+            faults=FaultConfig(core_failure_rate_per_s=60.0,
+                               core_failure_burst=3,
+                               core_failure_downtime_us=10_000,
+                               horizon_us=100_000))
+        ctx = AnalysisContext(makespan_us=res.makespan_us,
+                              n_cpus=machine.n_cpus,
+                              metrics=dict(res.metrics))
+        routed = run_analyzers(res.events, ctx)
+        reference = _feed_everything(res.events, ctx, default_analyzers())
+        assert report_json(routed) == report_json(reference)
+        # The declared kinds cover what each report counts.
+        n = Counter(e.kind for e in res.events)
+        deadlines = routed["deadlines"]
+        assert deadlines["activations"] == n[RT_BACKUP_ACTIVATE] > 0
+        assert deadlines["kills"] == n[RT_KILL] > 0
+        assert deadlines["jobs"] == n[RT_DEADLINE_MET] + n[RT_DEADLINE_MISS]
+        placements = deadlines["backup_placements"]
+        assert placements["disjoint"] + placements["fallback"] \
+            == n[RT_BACKUP_PLACE]
+        assert routed["freq_ramps"]["steps"] == n[FREQ_STEP]
+        for name in ("spin_economics", "warm_cores"):
+            assert routed[name]["dispatches"] == n[SCHED_DISPATCH]
+
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        events = CountingList(res.events)
+        report = analyze_run(res, events, n_cpus=machine.n_cpus)
+        assert report["analyzers"] == routed and events.iterations == 1
 
 
 # ---------------------------------------------------------------------------

@@ -293,3 +293,21 @@ def test_violation_formatting():
     assert "nest.final_state" in str(v) and "@t=42" in str(v)
     assert v.to_dict() == {"invariant": "nest.final_state",
                            "message": "boom", "t": 42}
+
+
+class _CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("fixture", ["nest_art", "ftrt_art"])
+def test_check_run_walks_the_event_log_once(fixture, request):
+    art = request.getfixturevalue(fixture)
+    events = _CountingList(art.events)
+    assert check_run(_copy_with(art, events=events)) == []
+    assert events.iterations == 1

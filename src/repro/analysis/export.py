@@ -32,7 +32,6 @@ def result_to_dict(res: RunResult) -> Dict[str, Any]:
         "n_migrations": res.n_migrations,
         "total_wakeups": res.total_wakeups,
         "wakeup_latency_us": res.wakeup_latency_us,
-        "policy_stats": dict(res.policy_stats),
         "extra": dict(res.extra),
         "metrics": dict(res.metrics),
     }

@@ -17,7 +17,7 @@ directly, growing the nest.  See DESIGN.md for the mapping to the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..kernel.task import Task
 from ..obs import events as oev
@@ -27,12 +27,6 @@ from ..sim.clock import TICK_US
 from .params import DEFAULT_PARAMS, NestParams
 from ..sched.base import SelectionPolicy
 from ..sched.cfs import CfsPolicy, _rotate
-
-#: Keys of the legacy ``stats`` dict, preserved by the compat property.
-STAT_KEYS = (
-    "primary_hits", "reserve_hits", "cfs_fallbacks", "attachment_hits",
-    "compactions", "exit_demotions", "impatient_placements", "placements",
-)
 
 #: Bucket edges for the placement-search-length histogram (cores examined
 #: before a placement was decided) and the primary-nest-size histogram.
@@ -56,8 +50,7 @@ class NestPolicy(SelectionPolicy):
         self.home_cpu: Optional[int] = None
         self._cfs = CfsPolicy()
         # Placement statistics live in a metrics registry (obs/metrics.py);
-        # the hot path increments counter objects directly.  The legacy
-        # ``stats`` dict is still available as a property view.
+        # the hot path increments counter objects directly.
         self.metrics = MetricsRegistry()
         m = self.metrics
         self._c_primary = m.counter("primary_hits")
@@ -78,12 +71,6 @@ class NestPolicy(SelectionPolicy):
         self._cfs.kernel = self.kernel
         self._cfs.check_pending_default = self.params.placement_flag
         self._obs = self.kernel.engine.obs
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy view of the placement counters (read-only snapshot)."""
-        counters = self.metrics.counters()
-        return {k: counters[k] for k in STAT_KEYS}
 
     def check_invariants(self) -> None:
         """Every placement is claimed by exactly one search tier."""

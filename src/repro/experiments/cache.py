@@ -48,7 +48,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: 3: added the nondeterministic "host" telemetry block (peak RSS, GC
 #:    deltas, tracemalloc peak) — dropped, like sim_wall_s, by every
 #:    determinism comparison.
-FORMAT_VERSION = 3
+#: 4: dropped "policy_stats"; policy counters live only in "metrics".
+FORMAT_VERSION = 4
 
 #: Subdirectory of the cache root where corrupt entries are parked.
 QUARANTINE_DIR = ".quarantine"
@@ -151,7 +152,6 @@ def result_to_jsonable(result: RunResult, machine_key: str) -> Dict[str, Any]:
         "n_migrations": result.n_migrations,
         "total_wakeups": result.total_wakeups,
         "wakeup_latency_us": result.wakeup_latency_us,
-        "policy_stats": dict(result.policy_stats),
         "extra": dict(result.extra),
         "metrics": dict(result.metrics),
         "sim_wall_s": result.sim_wall_s,
@@ -194,7 +194,6 @@ def result_from_jsonable(data: Dict[str, Any]) -> RunResult:
         n_migrations=data["n_migrations"],
         total_wakeups=data["total_wakeups"],
         wakeup_latency_us=data["wakeup_latency_us"],
-        policy_stats=dict(data["policy_stats"]),
         extra=dict(data["extra"]),
         metrics=dict(data.get("metrics", {})),
         sim_wall_s=data["sim_wall_s"],

@@ -199,7 +199,6 @@ def run_experiment(
         n_migrations=sum(t.n_migrations for t in tasks),
         total_wakeups=sum(t.n_wakeups for t in tasks),
         wakeup_latency_us=sum(t.wakeup_latency_us for t in tasks),
-        policy_stats=dict(getattr(policy, "stats", {})),
         metrics=metrics,
         sim_wall_s=time.perf_counter() - wall_start,
         events_processed=engine.events_processed,

@@ -27,11 +27,10 @@ class RunResult:
     n_migrations: int = 0
     total_wakeups: int = 0
     wakeup_latency_us: int = 0
-    policy_stats: Dict[str, int] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
     #: Serialized observability registry (obs/metrics.py): counters, gauges
     #: and histograms from the kernel (``kernel.*``) and the selection
-    #: policy (``nest.*``).  Deterministic and cached with the result;
+    #: policy (``nest.*``, ``smove.*``, ...).  Deterministic and cached with the result;
     #: rebuild instruments with ``MetricsRegistry.from_dict``.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Host-side telemetry: wall-clock seconds the simulation took and how

@@ -10,8 +10,8 @@ Designed to cost nothing when nobody is looking.  Per-run pieces:
   ``if obs.enabled:``, so a run with no sinks attached allocates no event
   objects and pays one attribute read per potential emission.
 * :mod:`repro.obs.metrics` — the :class:`~repro.obs.metrics.MetricsRegistry`
-  of named counters, gauges and fixed-bucket histograms.  Always on (it
-  replaced the ad-hoc ``NestPolicy.stats`` dict) and serialized into
+  of named counters, gauges and fixed-bucket histograms.  Always on (the
+  kernel's and every policy's counters live here) and serialized into
   :class:`~repro.metrics.summary.RunResult` and the result cache.
 * :mod:`repro.obs.export` — exporters: Perfetto/Chrome ``trace_event``
   JSON (open it at https://ui.perfetto.dev), a JSONL event dump, and the

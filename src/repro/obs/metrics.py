@@ -1,8 +1,9 @@
 """Named counters, gauges and fixed-bucket histograms.
 
-The registry replaces ad-hoc stats dicts (``NestPolicy.stats`` was the
-canonical offender) with typed instruments that serialize into
-:class:`~repro.metrics.summary.RunResult` and the on-disk result cache.
+The registry is the one counter store: the kernel and every policy keep
+typed instruments here instead of ad-hoc stats dicts, and they serialize
+into :class:`~repro.metrics.summary.RunResult` and the on-disk result
+cache.
 
 Everything here is *always on* — instruments are incremented by the
 simulator whether or not anyone is watching — so the implementations are

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..kernel.task import Task, TaskState
+from ..obs.metrics import MetricsRegistry
 from ..sim.events import EventKind
 from .base import SelectionPolicy
 from .cfs import CfsPolicy
@@ -34,7 +35,9 @@ class SmovePolicy(SelectionPolicy):
         self.move_delay_us = move_delay_us
         self._cfs = CfsPolicy()
         self._tick_freq: Optional[List[int]] = None
-        self.stats = {"deferred_placements": 0, "timer_migrations": 0}
+        self.metrics = MetricsRegistry()
+        self._c_deferred = self.metrics.counter("deferred_placements")
+        self._c_timer = self.metrics.counter("timer_migrations")
 
     def on_bind(self) -> None:
         self._cfs.kernel = self.kernel
@@ -73,7 +76,7 @@ class SmovePolicy(SelectionPolicy):
         if waker_freq < nominal:
             return cfs_cpu
         # Defer to the waker's core; arm the migration timer.
-        self.stats["deferred_placements"] += 1
+        self._c_deferred.value += 1
         kernel.engine.after(self.move_delay_us, EventKind.PREEMPT,
                             self._timer_fired, (task, waker_cpu, cfs_cpu))
         return waker_cpu
@@ -86,5 +89,5 @@ class SmovePolicy(SelectionPolicy):
             return    # the CFS choice was hotplugged out while the timer ran
         rq = self.kernel.rqs[placed_cpu]
         if rq.remove(task):
-            self.stats["timer_migrations"] += 1
+            self._c_timer.value += 1
             self.kernel._migrate_queued(task, placed_cpu, cfs_cpu)

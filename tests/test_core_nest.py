@@ -49,7 +49,7 @@ class TestNestGrowth:
         eng, kern, policy = make()
         t = noop_task(kern)
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
-        assert policy.stats["cfs_fallbacks"] == 1
+        assert policy.metrics.counters()["cfs_fallbacks"] == 1
         assert cpu in policy.reserve
         assert policy.home_cpu == 0
 
@@ -60,7 +60,7 @@ class TestNestGrowth:
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
         assert cpu == 2
         assert 2 in policy.primary and 2 not in policy.reserve
-        assert policy.stats["reserve_hits"] == 1
+        assert policy.metrics.counters()["reserve_hits"] == 1
 
     def test_primary_searched_first(self):
         eng, kern, policy = make()
@@ -70,7 +70,7 @@ class TestNestGrowth:
         t = noop_task(kern)
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
         assert cpu == 3
-        assert policy.stats["primary_hits"] == 1
+        assert policy.metrics.counters()["primary_hits"] == 1
 
     def test_reserve_bounded_by_r_max(self):
         eng, kern, policy = make(NestParams(r_max=2))
@@ -102,8 +102,8 @@ class TestCompaction:
         eng.run()
         t = noop_task(kern)
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
-        assert policy.stats["compactions"] >= 1
-        assert cpu == 1 and policy.stats["reserve_hits"] == 1
+        assert policy.metrics.counters()["compactions"] >= 1
+        assert cpu == 1 and policy.metrics.counters()["reserve_hits"] == 1
 
     def test_stale_core_skipped_when_alternatives_exist(self):
         eng, kern, policy = make()
@@ -157,7 +157,7 @@ class TestAttachment:
         t.record_core(2)   # attached to 2
         cpu = policy.select_cpu_wakeup(t, waker_cpu=0)
         assert cpu == 2
-        assert policy.stats["attachment_hits"] == 1
+        assert policy.metrics.counters()["attachment_hits"] == 1
 
     def test_attachment_requires_primary_membership(self):
         eng, kern, policy = make()
@@ -199,7 +199,7 @@ class TestAttachment:
         t.record_core(2)
         t.record_core(2)
         cpu = policy.select_cpu_wakeup(t, waker_cpu=0)
-        assert policy.stats["attachment_hits"] == 0
+        assert policy.metrics.counters()["attachment_hits"] == 0
         assert cpu == 2   # still found via the normal primary search
 
 
@@ -233,7 +233,7 @@ class TestImpatience:
         cpu = policy.select_cpu_wakeup(t, waker_cpu=0)
         assert cpu in policy.primary
         assert t.impatience == 0
-        assert policy.stats["impatient_placements"] == 1
+        assert policy.metrics.counters()["impatient_placements"] == 1
 
     def test_impatience_disabled_by_ablation(self):
         eng, kern, policy = make(NestParams(impatience_enabled=False))
@@ -243,7 +243,7 @@ class TestImpatience:
         t = noop_task(kern, prev=2)
         t.impatience = 99
         policy.select_cpu_wakeup(t, waker_cpu=0)
-        assert policy.stats["impatient_placements"] == 0
+        assert policy.metrics.counters()["impatient_placements"] == 0
 
 
 class TestExitDemotion:
@@ -253,7 +253,7 @@ class TestExitDemotion:
         policy.on_exit_idle(1)
         assert 1 not in policy.primary
         assert 1 in policy.reserve
-        assert policy.stats["exit_demotions"] == 1
+        assert policy.metrics.counters()["exit_demotions"] == 1
 
     def test_exit_on_busy_core_keeps_primary(self):
         eng, kern, policy = make()

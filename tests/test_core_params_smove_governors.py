@@ -166,7 +166,7 @@ class TestSmove:
 
         t = kern._new_task(noop, "x", None)
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
-        assert policy.stats["deferred_placements"] == 0
+        assert policy.metrics.counters()["deferred_placements"] == 0
 
     def test_defers_to_waker_when_cfs_core_observed_slow(self):
         eng, kern, policy = self.make()
@@ -188,7 +188,7 @@ class TestSmove:
         t = kern._new_task(noop, "x", None)
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
         assert cpu == 0
-        assert policy.stats["deferred_placements"] == 1
+        assert policy.metrics.counters()["deferred_placements"] == 1
 
     def test_no_defer_when_waker_also_slow(self):
         eng, kern, policy = self.make()
@@ -200,7 +200,7 @@ class TestSmove:
 
         t = kern._new_task(noop, "x", None)
         cpu = policy.select_cpu_fork(t, parent_cpu=0)
-        assert policy.stats["deferred_placements"] == 0
+        assert policy.metrics.counters()["deferred_placements"] == 0
         assert cpu != 0 or True
 
     def test_timer_migrates_unscheduled_task(self):
@@ -221,5 +221,15 @@ class TestSmove:
 
         p = kern.spawn(parent, "p", on_cpu=0)
         kern.run_until_idle()
-        assert policy.stats["timer_migrations"] >= 0   # ran to completion
+        # Ran to completion; the counter is registered from the start.
+        assert policy.metrics.counters()["timer_migrations"] >= 0
         assert kern.n_live == 0
+
+    def test_counters_ride_on_the_result(self):
+        from repro.experiments.runner import run_experiment
+        from repro.workloads.catalog import make_workload
+        res = run_experiment(make_workload("phoronix-libavif-avifenc-1",
+                                           scale=0.3),
+                             XEON_5218_2S, "smove", "schedutil", seed=1)
+        for name in ("smove.deferred_placements", "smove.timer_migrations"):
+            assert res.metrics[name]["type"] == "counter"

@@ -59,7 +59,7 @@ class TestRunExperiment:
         assert res.underload is not None
         assert res.freq_dist is not None
         assert res.n_tasks > 0
-        assert "primary_hits" in res.policy_stats
+        assert "nest.primary_hits" in res.metrics
 
     def test_determinism(self):
         a = run_experiment(ConfigureWorkload("gcc"), SMALL, "cfs",

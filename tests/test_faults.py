@@ -320,7 +320,6 @@ class TestEndToEndDeterminism:
         assert a.makespan_us == b.makespan_us
         assert a.energy_joules == b.energy_joules
         assert a.metrics == b.metrics
-        assert a.policy_stats == b.policy_stats
         assert a.n_migrations == b.n_migrations
         assert a.extra == b.extra
 
@@ -389,7 +388,6 @@ class TestCorrelatedFailureRuns:
         assert a.makespan_us == b.makespan_us
         assert a.energy_joules == b.energy_joules
         assert a.metrics == b.metrics
-        assert a.policy_stats == b.policy_stats
         assert a.extra == b.extra
 
     def test_failures_kill_and_recover(self):

@@ -133,7 +133,7 @@ class TestOfflineSearchPaths:
         t.core_history = [2, 2]
         cpu = policy.select_cpu_wakeup(t, waker_cpu=0)
         assert cpu == 2
-        assert policy.stats["attachment_hits"] == 1
+        assert policy.metrics.counters()["attachment_hits"] == 1
 
     def test_orphan_migration_routed_through_nest_search(self):
         eng, kern, policy = make()
@@ -142,11 +142,11 @@ class TestOfflineSearchPaths:
         kern.rqs[2].last_busy_us = kern.engine.now
         occupy(kern, 2)
         eng.run(until=100)
-        before = policy.stats["placements"]
+        before = policy.metrics.counters()["placements"]
         kern.set_cpu_offline(2)
         # The orphan was re-placed via _select: placements grew and the
         # accounting invariant still balances.
-        assert policy.stats["placements"] == before + 1
+        assert policy.metrics.counters()["placements"] == before + 1
         policy.check_invariants()
 
 
@@ -220,7 +220,7 @@ class TestCompactionAndImpatience:
         eng.run()
         t = noop_task(kern)
         policy.select_cpu_fork(t, parent_cpu=0)
-        assert policy.stats["compactions"] >= 1
+        assert policy.metrics.counters()["compactions"] >= 1
         policy.check_invariants()
 
     def test_impatient_task_expands_primary_nest(self):
@@ -232,7 +232,7 @@ class TestCompactionAndImpatience:
         t.impatience = 2
         cpu = policy.select_cpu_wakeup(t, waker_cpu=0)
         assert cpu in policy.primary         # direct promotion (§3.1)
-        assert policy.stats["impatient_placements"] == 1
+        assert policy.metrics.counters()["impatient_placements"] == 1
         assert t.impatience == 0
         policy.check_invariants()
 
@@ -281,6 +281,8 @@ class TestEndToEndNestUnderFaults:
         assert res.metrics["kernel.fault_cpu_offline"]["value"] > 0
         # Placement accounting survived the chaos (else run_experiment
         # would have raised) and the hits still sum to the placements.
-        s = res.policy_stats
+        s = {k: res.metrics[f"nest.{k}"]["value"] for k in
+             ("attachment_hits", "primary_hits", "reserve_hits",
+              "cfs_fallbacks", "placements")}
         assert (s["attachment_hits"] + s["primary_hits"] + s["reserve_hits"]
                 + s["cfs_fallbacks"]) == s["placements"]

@@ -60,19 +60,11 @@ class TestNestMetrics:
     def test_placement_identity_holds(self):
         """attach + primary + reserve + cfs == placements (§3.3 search)."""
         res = _run()
-        st = res.policy_stats
+        st = {k[len("nest."):]: e["value"] for k, e in res.metrics.items()
+              if k.startswith("nest.") and e["type"] == "counter"}
         assert (st["attachment_hits"] + st["primary_hits"] +
                 st["reserve_hits"] + st["cfs_fallbacks"]) == st["placements"]
         assert st["placements"] > 0
-
-    def test_stats_property_backwards_compatible(self):
-        """Old code reads policy.stats as a plain dict of ints."""
-        from repro.core.nest import STAT_KEYS, NestPolicy
-        pol = NestPolicy()
-        st = pol.stats
-        assert isinstance(st, dict)
-        assert tuple(st) == STAT_KEYS
-        assert all(v == 0 for v in st.values())
 
     def test_check_invariants_raises_on_corruption(self):
         from repro.core.nest import NestPolicy
@@ -84,8 +76,7 @@ class TestNestMetrics:
     def test_metrics_ride_on_run_result(self):
         res = _run()
         assert res.metrics["nest.placements"]["type"] == "counter"
-        assert res.metrics["nest.placements"]["value"] == \
-            res.policy_stats["placements"]
+        assert res.metrics["nest.placements"]["value"] > 0
         assert res.metrics["kernel.wakeup_latency_us"]["type"] == "histogram"
         # Every dispatch observes the histogram (forks and requeues
         # included), so it covers at least every wakeup.
@@ -95,7 +86,7 @@ class TestNestMetrics:
     def test_search_len_histogram_counts_every_placement(self):
         res = _run()
         h = res.metrics["nest.search_len"]
-        assert h["count"] == res.policy_stats["placements"]
+        assert h["count"] == res.metrics["nest.placements"]["value"]
 
     def test_cfs_run_has_kernel_metrics_only(self):
         res = _run(scheduler="cfs")

@@ -25,7 +25,7 @@ SPECS = [
 DETERMINISTIC_FIELDS = (
     "scheduler", "governor", "machine", "workload", "seed", "makespan_us",
     "energy_joules", "n_tasks", "n_migrations", "total_wakeups",
-    "wakeup_latency_us", "policy_stats", "extra", "metrics",
+    "wakeup_latency_us", "extra", "metrics",
     "events_processed",
 )
 

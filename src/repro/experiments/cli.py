@@ -50,14 +50,13 @@ from ..obs.history import HistoryStore, append_trajectory, trajectory_entries
 from ..obs.telemetry.hub import TelemetryHub
 from ..obs.telemetry.view import make_view
 from ..sched.registry import available_policies, iter_policy_infos
-# Re-exported for backward compatibility: the catalogue used to live here.
 from ..workloads.catalog import make_workload, workload_names
 from .cache import ResultCache
-from .parallel import SweepExecutor, stderr_progress
+from .parallel import SweepExecutor
 from .registry import EXPERIMENTS, get_experiment, reference_spec, specs_for
 from .runner import STANDARD_COMBOS, compare, run_experiment
 
-__all__ = ["build_parser", "main", "make_workload", "workload_names"]
+__all__ = ["build_parser", "main"]
 
 
 def _history_path(cache_dir) -> Path:
@@ -71,23 +70,17 @@ def _executor_from_args(args) -> SweepExecutor:
     if not getattr(args, "no_cache", False):
         root = getattr(args, "cache_dir", None)
         cache = ResultCache(Path(root) if root else None)
-    mode = getattr(args, "progress", None)
-    progress = None
+    view = make_view(getattr(args, "progress", None) or "none", sys.stderr)
+    stream_dir = history = None
+    if cache is not None and not getattr(args, "no_telemetry", False):
+        stream_dir = cache.root / "telemetry"
+        history = HistoryStore(cache.root / "history.sqlite")
     telemetry = None
-    if getattr(args, "no_telemetry", False):
-        # Hub disabled: keep the legacy single-line progress callback.
-        if mode not in (None, "none"):
-            progress = stderr_progress
-    else:
-        view = make_view(mode or "none", sys.stderr)
-        if cache is not None or view is not None:
-            stream_dir = history = None
-            if cache is not None:
-                stream_dir = cache.root / "telemetry"
-                history = HistoryStore(cache.root / "history.sqlite")
-            telemetry = TelemetryHub(stream_dir=stream_dir, view=view,
-                                     history=history)
-    return SweepExecutor(jobs=args.jobs, cache=cache, progress=progress,
+    if view is not None or stream_dir is not None:
+        # --no-telemetry leaves a view-only hub: no stream, no history.
+        telemetry = TelemetryHub(stream_dir=stream_dir, view=view,
+                                 history=history)
+    return SweepExecutor(jobs=args.jobs, cache=cache,
                          timeout_s=getattr(args, "timeout", None),
                          retries=getattr(args, "retries", 2),
                          skip_failures=getattr(args, "keep_going", False),
@@ -171,34 +164,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    spec = None
     try:
-        spec = reference_spec(get_experiment(args.experiment),
-                              seed=args.seed, scale=args.scale,
-                              machine=args.machine)
-        if spec is None:
-            print(f"error: {args.experiment} has no traceable workload "
-                  f"(pure table entry)", file=sys.stderr)
-            return 2
-    except KeyError:
-        # Not a registry id — fall back to treating it as a workload name.
-        from .parallel import RunSpec
-        make_workload(args.experiment)   # raises KeyError on bad names
-        spec = RunSpec(workload=args.experiment,
-                       machine=args.machine or "5218_2s",
-                       scheduler="nest", governor="schedutil",
-                       seed=args.seed, scale=args.scale, record_trace=True)
-
-    wl = make_workload(spec.workload, scale=spec.scale)
-    machine = get_machine(spec.machine)
-    res = run_experiment(wl, machine, spec.scheduler, spec.governor,
-                         seed=spec.seed, record_trace=True,
-                         collect_events=True)
+        res, events, segments, n_cpus = _analysis_events(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(res.brief())
-    print(text_summary(res.trace_segments, res.events, res.metrics))
+    print(text_summary(segments, events, res.metrics))
     if args.out:
-        write_chrome_trace(args.out, res.trace_segments, res.events,
-                           n_cpus=machine.n_cpus,
+        write_chrome_trace(args.out, segments, events, n_cpus=n_cpus,
                            label=f"{res.workload} "
                                  f"{res.scheduler}-{res.governor}")
         print(f"trace: {args.out} (open at ui.perfetto.dev)")
@@ -257,11 +231,13 @@ def _cmd_obs(args) -> int:
 
 
 def _analysis_events(args):
-    """The (result, events, segments, n_cpus) an analyze/query works on.
+    """The (result, events, segments, n_cpus) a trace/analyze/query works
+    on: the one place an experiment-or-workload argument is resolved.
 
     ``--events FILE`` analyzes a JSONL dump; otherwise the experiment's
-    reference run (or a bare workload name, like ``repro trace``) is
-    simulated with event collection on.
+    reference run (or a bare workload name) is simulated with tracing and
+    event collection on.  A pure table entry raises ``ValueError``, an
+    unknown name ``KeyError``.
     """
     from ..obs.export import events_from_jsonl
 
@@ -699,7 +675,7 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                         "--progress means auto")
     p.add_argument("--no-telemetry", action="store_true",
                    help="disable telemetry streaming/history recording "
-                        "(progress falls back to the legacy stderr line)")
+                        "(--progress still renders its view)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="kill and retry the worker pool if no run completes "
                         "for this long (default: wait forever)")

@@ -37,7 +37,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.params import NestParams
 from ..faults import FaultConfig
@@ -228,21 +228,6 @@ class SweepStats:
         }
 
 
-#: Progress callback signature: (done, total, spec, result, cached).
-ProgressFn = Callable[[int, int, RunSpec, RunResult, bool], None]
-
-
-def stderr_progress(done: int, total: int, spec: RunSpec,
-                    result: RunResult, cached: bool) -> None:
-    """The default ``--progress`` live line (one carriage-returned line)."""
-    src = "cache " if cached else f"{result.sim_wall_s:5.2f}s"
-    line = f"\r[{done}/{total}] {src}  {spec.label}"
-    sys.stderr.write(line[:118].ljust(118))
-    if done == total:
-        sys.stderr.write("\n")
-    sys.stderr.flush()
-
-
 def _scalar_metrics(metrics: Dict[str, object]) -> Dict[str, float]:
     """Scalar instruments (counters/gauges) of a serialized registry.
 
@@ -314,7 +299,6 @@ class SweepExecutor:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressFn] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 2,
                  backoff_s: float = 0.05,
@@ -322,7 +306,6 @@ class SweepExecutor:
                  telemetry: Optional[TelemetryHub] = None) -> None:
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.cache = cache
-        self.progress = progress
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
         self.backoff_s = max(0.0, backoff_s)
@@ -369,8 +352,6 @@ class SweepExecutor:
             if res is None:
                 continue
             self._done += 1
-            if self.progress is not None:
-                self.progress(self._done, n, specs[i], res, True)
             if self.telemetry is not None:
                 outcome = ("checkpoint"
                            if specs[i].label in checkpoint_labels
@@ -551,8 +532,6 @@ class SweepExecutor:
             except OSError:
                 pass   # a read-only cache dir must not kill the sweep
         self._done += 1
-        if self.progress is not None:
-            self.progress(self._done, self._total, specs[i], res, False)
         if self.telemetry is not None:
             outcome = "retried" if i in state.retried else "simulated"
             self.telemetry.run_done(

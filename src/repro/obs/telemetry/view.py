@@ -10,8 +10,7 @@ record to ``view.handle(record)`` from its drain thread and calls
   simulating, its sim-time progress and wall seconds.
 * :class:`PlainView` — the non-TTY/CI fallback (``--progress=plain``):
   one terminal-width-clipped line per *completed* run plus a final
-  summary line.  This is the old ``stderr_progress`` behaviour grown a
-  width clamp and a closing summary.
+  summary line.
 
 Both render to ``stderr`` by default and never touch ``stdout`` (result
 tables stay machine-diffable).

@@ -8,6 +8,14 @@ what the frequency-distribution metric (figures 6 and 11) aggregates.
 Recording full traces is optional: metric consumers can subscribe to the
 same begin/end callbacks without storing segments, so long simulations with
 tracing disabled allocate nothing here.
+
+Segments are not derived from the structured event log (``obs/``); they
+stay a mechanism of their own for three reasons.  The underload and
+frequency-distribution sinks the runner installs need them in *every*
+run; the event log is off by default and, when on, allocates a
+``SchedEvent`` per emission; and the host-time benchmark
+(``perfbench/``) times those sinks as its ``metrics.sinks`` layer by
+patching them.
 """
 
 from __future__ import annotations
@@ -92,20 +100,3 @@ class Tracer:
         """Close every open segment (end of simulation)."""
         for core in range(len(self._open)):
             self.end(core, now)
-
-    def busy_segments(self) -> List[Segment]:
-        """Recorded segments where a real task was running.
-
-        Only meaningful on a tracer constructed with
-        ``record_segments=True``.  Without recording the tracer still
-        forwards every segment to its sinks but stores nothing, so this
-        used to silently return ``[]`` — now it raises instead.  Metric
-        consumers that do not need stored segments should subscribe via
-        :meth:`add_sink`.
-        """
-        if not self.record_segments:
-            raise RuntimeError(
-                "busy_segments() on a Tracer with record_segments=False: "
-                "no segments were stored; construct the Tracer with "
-                "record_segments=True or consume segments via add_sink()")
-        return [s for s in self.segments if s.task_id >= 0 and not s.spinning]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.cli import build_parser, main, make_workload, workload_names
+from repro.experiments.cli import build_parser, main
+from repro.workloads.catalog import make_workload, workload_names
 from repro.workloads.configure import ConfigureWorkload
 from repro.workloads.dacapo import DacapoWorkload
 from repro.workloads.messaging import HackbenchWorkload
@@ -167,6 +168,21 @@ class TestObservabilityCli:
         assert main(["obs", "report", "--cache-dir", cache_dir,
                      "--json"]) == 0
         assert _json.loads(capsys.readouterr().out) == report
+
+    def test_progress_without_telemetry(self, tmp_path, capsys):
+        """--no-telemetry keeps --progress (a view-only hub) but writes
+        neither the JSONL stream nor the history store."""
+        cache_dir = tmp_path / "cache"
+        rc = main(["compare", "--workload", "configure-gcc",
+                   "--machine", "ryzen_4650g", "--seeds", "1",
+                   "--scale", "0.3", "--jobs", "1",
+                   "--cache-dir", str(cache_dir),
+                   "--no-telemetry", "--progress", "plain"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "[4/4]" in err and "done: 4/4 runs" in err
+        assert not list(cache_dir.glob("telemetry/*.jsonl"))
+        assert not (cache_dir / "history.sqlite").exists()
 
     def test_sweep_summary_shows_cache_counters(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.cache import (QUARANTINE_DIR, ResultCache,
                                      atomic_write_json, spec_key)
 from repro.experiments.parallel import (RunSpec, SweepExecutor, SweepFailure,
@@ -105,16 +106,30 @@ class TestFailureBudget:
         assert "skipped" in ex.last_stats.summary()
 
 
-class TestCheckpointResume:
-    def test_interrupt_flushes_completed_runs(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        calls = []
+@pytest.fixture
+def interrupt_second_run(monkeypatch):
+    """Let the first spec run, then interrupt the sweep (Ctrl-C) as the
+    second one starts; returns the labels of the runs that completed."""
+    real = parallel.execute_spec
+    calls = []
 
-        def bomb(done, total, spec, result, cached):
-            calls.append(spec.label)
+    def bomb(spec):
+        if calls:
             raise KeyboardInterrupt
+        calls.append(spec.label)
+        return real(spec)
 
-        ex = SweepExecutor(jobs=1, cache=cache, progress=bomb)
+    monkeypatch.setattr(parallel, "execute_spec", bomb)
+    return calls
+
+
+class TestCheckpointResume:
+    def test_interrupt_flushes_completed_runs(self, tmp_path,
+                                              interrupt_second_run):
+        cache = ResultCache(tmp_path / "cache")
+        calls = interrupt_second_run
+
+        ex = SweepExecutor(jobs=1, cache=cache)
         with pytest.raises(KeyboardInterrupt):
             ex.run(SPECS)
         assert ex.last_stats.interrupted
@@ -128,15 +143,15 @@ class TestCheckpointResume:
         assert len(completed) == 1
         assert len(pending) == len(SPECS) - 1
 
-    def test_resumed_sweep_recovers_from_checkpoint(self, tmp_path):
+    def test_resumed_sweep_recovers_from_checkpoint(self, tmp_path,
+                                                    monkeypatch,
+                                                    interrupt_second_run):
         cache = ResultCache(tmp_path / "cache")
 
-        def bomb(done, total, spec, result, cached):
-            raise KeyboardInterrupt
-
         with pytest.raises(KeyboardInterrupt):
-            SweepExecutor(jobs=1, cache=cache, progress=bomb).run(SPECS)
+            SweepExecutor(jobs=1, cache=cache).run(SPECS)
 
+        monkeypatch.undo()
         ex = SweepExecutor(jobs=1, cache=cache)
         results = ex.run(SPECS)
         assert all(r is not None for r in results)

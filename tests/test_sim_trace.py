@@ -1,7 +1,5 @@
 """Tests for the tracer."""
 
-import pytest
-
 from repro.sim.trace import Segment, Tracer
 
 
@@ -81,21 +79,3 @@ class TestTracer:
         t.end(0, 5)
         (seg,) = t.segments
         assert seg.spinning and seg.task_id == -1
-        assert t.busy_segments() == []
-
-    def test_busy_segments_filters_idle_and_spin(self):
-        t = Tracer(2, record_segments=True)
-        t.begin(0, 0, 3000, 5)
-        t.end(0, 5)
-        t.begin(1, 0, 3000, -1, spinning=True)
-        t.end(1, 5)
-        assert [s.task_id for s in t.busy_segments()] == [5]
-
-    def test_busy_segments_raises_without_recording(self):
-        """Sink-only tracers store nothing; asking for segments must not
-        silently return []."""
-        t = Tracer(1, record_segments=False)
-        t.begin(0, 0, 1500, 3)
-        t.end(0, 8)
-        with pytest.raises(RuntimeError, match="record_segments"):
-            t.busy_segments()

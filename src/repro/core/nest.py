@@ -17,7 +17,7 @@ directly, growing the nest.  See DESIGN.md for the mapping to the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from ..kernel.task import Task
 from ..obs import events as oev

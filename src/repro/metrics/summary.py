@@ -30,8 +30,9 @@ class RunResult:
     extra: Dict[str, float] = field(default_factory=dict)
     #: Serialized observability registry (obs/metrics.py): counters, gauges
     #: and histograms from the kernel (``kernel.*``) and the selection
-    #: policy (``nest.*``, ``smove.*``, ...).  Deterministic and cached with the result;
-    #: rebuild instruments with ``MetricsRegistry.from_dict``.
+    #: policy (``nest.*``, ``smove.*``, ...).  Deterministic and cached
+    #: with the result; rebuild instruments with
+    #: ``MetricsRegistry.from_dict``.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Host-side telemetry: wall-clock seconds the simulation took and how
     #: many engine events it processed.  Nondeterministic (timing), so it is

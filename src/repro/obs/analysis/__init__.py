@@ -7,10 +7,10 @@ a deterministic, JSON-serializable report fragment.  Strictly post-hoc:
 nothing here runs during simulation.
 
 * :mod:`~repro.obs.analysis.base` — the :class:`Analyzer` protocol,
-  :class:`AnalysisContext` and the single-pass driver.
-* :mod:`~repro.obs.analysis.analyzers` — the six standard analyzers
+  :class:`AnalysisContext` and the single-pass, kind-routed driver.
+* :mod:`~repro.obs.analysis.analyzers` — the seven standard analyzers
   (latency tiers, warm cores, nest dynamics, freq ramps, occupancy,
-  spin economics).
+  spin economics, deadlines).
 * :mod:`~repro.obs.analysis.report` — report assembly, canonical JSON,
   repro digests, and the ``derived.*`` scalars history rows carry.
 * :mod:`~repro.obs.analysis.diff` — cross-run attribution ("run A is

@@ -74,16 +74,16 @@ class LatencyTierAnalyzer(Analyzer):
         self._top_tasks = top_tasks
 
     def feed(self, ev: SchedEvent) -> None:
-        if ev.kind != SCHED_DISPATCH:
+        if ev.kind in PLACEMENT_KINDS:
             self._tier_of_task[ev.task] = placement_tier(ev.kind)
-            return
-        tier = self._tier_of_task.get(ev.task, UNATTRIBUTED_TIER)
-        self._by_tier.setdefault(tier, []).append(ev.value)
-        self._overall.append(ev.value)
-        acc = self._per_task.setdefault(ev.task, [0, 0, 0])
-        acc[0] += 1
-        acc[1] += ev.value
-        acc[2] = max(acc[2], ev.value)
+        else:   # sched.dispatch
+            tier = self._tier_of_task.get(ev.task, UNATTRIBUTED_TIER)
+            self._by_tier.setdefault(tier, []).append(ev.value)
+            self._overall.append(ev.value)
+            acc = self._per_task.setdefault(ev.task, [0, 0, 0])
+            acc[0] += 1
+            acc[1] += ev.value
+            acc[2] = max(acc[2], ev.value)
 
     def finish(self, ctx: AnalysisContext) -> Dict[str, Any]:
         tiers = {}

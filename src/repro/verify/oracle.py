@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List,
                     Optional, Tuple)
 
-from ..core.params import DEFAULT_PARAMS, NestParams
+from ..core.params import DEFAULT_PARAMS
 from ..faults.plan import (KIND_CORE_FAILURE, KIND_CPU_OFFLINE,
                            KIND_STRAGGLER, KIND_THERMAL_CAP, FaultPlan)
 from ..obs import events as oev
@@ -87,18 +87,6 @@ def _counter(metrics: Dict[str, Any], name: str) -> int:
     return entry["value"] if entry else 0
 
 
-def _params_of(art: "RunArtifacts") -> NestParams:
-    return art.scenario.nest_params_obj() or DEFAULT_PARAMS
-
-
-def _is_nest(art: "RunArtifacts") -> bool:
-    return _in_group(art, "nest")
-
-
-def _is_scxnest(art: "RunArtifacts") -> bool:
-    return _in_group(art, "scxnest")
-
-
 def _in_group(art: "RunArtifacts", group: str) -> bool:
     """Policy-specific invariant families are gated by the registry's
     ``invariant_groups`` metadata, not by hard-coded scheduler names, so
@@ -131,20 +119,30 @@ class _Replay(Analyzer):
     Built from the run's artifacts and the shared per-kind counts, fed
     only the ``kinds`` it declares (none: it reads only the counts), and
     ``finish`` returns its violations, at most ``MAX_PER_INVARIANT``.
-    ``applies`` keeps a check that does not concern the run out of the
-    pass altogether.
+    Unless a check replays as it is fed, ``feed`` keeps the events for
+    ``finish`` to decide on.
+    A check whose ``applies`` is false is left out of the pass: one of a
+    policy family (``group``) on a run outside it, or one that stands
+    down on an empty log (``needs_log``).
     """
 
     kinds: Optional[FrozenSet[str]] = frozenset()
+    group: Optional[str] = None
+    needs_log = False
 
     def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
         self.art = art
         self.counts = counts
+        self.events: List[SchedEvent] = []
         self.found: List[Violation] = []
 
     @classmethod
     def applies(cls, art: "RunArtifacts") -> bool:
-        return True
+        return ((cls.group is None or _in_group(art, cls.group))
+                and (bool(art.events) or not cls.needs_log))
+
+    def feed(self, ev: SchedEvent) -> None:
+        self.events.append(ev)
 
     def flag(self, message: str, t: Optional[int] = None) -> None:
         if len(self.found) < MAX_PER_INVARIANT:
@@ -174,11 +172,8 @@ class ClockMonotonic(_Replay):
 
     name = "clock.monotonic"
     kinds = None
-
-    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
-        super().__init__(art, counts)
-        self._last = 0
-        self._seen = 0
+    _last = 0    # timestamp of the last event fed
+    _seen = 0    # events fed so far
 
     def feed(self, ev: SchedEvent) -> None:
         if ev.t < self._last and not self.found:
@@ -219,7 +214,7 @@ class Vocabulary(_Replay):
 
 def check_placement_accounting(art: "RunArtifacts") -> Iterable[Violation]:
     """§3.1: every placement is claimed by exactly one search tier."""
-    if not _is_nest(art):
+    if not _in_group(art, "nest"):
         return
     m = art.result.metrics
     tiers = {k: _counter(m, f"nest.{k}") for k in
@@ -235,14 +230,10 @@ def check_placement_accounting(art: "RunArtifacts") -> Iterable[Violation]:
 class _CounterMatch(_Replay):
     """The event log and the metrics registry tell the same story: each
     mirrored kind's event count equals its counters, and the ``place.*``
-    events sum to the placement counter.  Subclasses name the registry
-    ``prefix`` and the ``expected`` mirror."""
+    events sum to the ``<group>.placements`` counter.  Subclasses give
+    the ``expected`` mirror."""
 
-    prefix = "?"
-
-    @classmethod
-    def applies(cls, art: "RunArtifacts") -> bool:
-        return _in_group(art, cls.prefix) and bool(art.events)
+    needs_log = True
 
     def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
         raise NotImplementedError
@@ -255,7 +246,7 @@ class _CounterMatch(_Replay):
             if got != want:
                 self.flag(f"{got} {kind} event(s) but counters say {want}")
         total_place = sum(counts.get(k, 0) for k in oev.PLACEMENT_KINDS)
-        placements = _counter(m, f"{self.prefix}.placements")
+        placements = _counter(m, f"{self.group}.placements")
         if total_place != placements:
             self.flag(f"{total_place} place.* events != placements "
                       f"counter {placements}")
@@ -266,7 +257,7 @@ class EventCounterMatch(_CounterMatch):
     """Nest's event log and counters tell the same story."""
 
     name = "nest.event_counter_match"
-    prefix = "nest"
+    group = "nest"
 
     def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
         return {
@@ -295,6 +286,7 @@ class PrimaryReplay(_Replay):
 
     name = "nest.primary_replay"
     group = "nest"
+    needs_log = True
     noun = "nest"
     adds = oev.PRIMARY_ADD_KINDS
     # nest.expand may be idempotent: an impatient task bypasses the
@@ -311,10 +303,6 @@ class PrimaryReplay(_Replay):
         self.kinds = (self.adds | self.removes | self.placed
                       | {oev.NEST_OFFLINE_EVICT})
         self._primary: set = set()
-
-    @classmethod
-    def applies(cls, art: "RunArtifacts") -> bool:
-        return _in_group(art, cls.group) and bool(art.events)
 
     def feed(self, ev: SchedEvent) -> None:
         kind, primary = ev.kind, self._primary
@@ -380,6 +368,8 @@ class Attachment(_Replay):
 
     name = "nest.attachment"
     kinds = oev.COMMIT_KINDS | {oev.PLACE_ATTACH}
+    group = "nest"
+    needs_log = True
 
     def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
         super().__init__(art, counts)
@@ -387,9 +377,8 @@ class Attachment(_Replay):
 
     @classmethod
     def applies(cls, art: "RunArtifacts") -> bool:
-        return (_is_nest(art) and bool(art.events)
-                and _counter(art.result.metrics,
-                             "kernel.fault_placement_redirects") == 0)
+        return super().applies(art) and _counter(
+            art.result.metrics, "kernel.fault_placement_redirects") == 0
 
     def feed(self, ev: SchedEvent) -> None:
         history = self._history
@@ -413,13 +402,11 @@ class FeatureLegality(_Replay):
     """Disabled §3 features must leave no event footprint."""
 
     name = "nest.feature_legality"
-
-    @classmethod
-    def applies(cls, art: "RunArtifacts") -> bool:
-        return _is_nest(art) and bool(art.events)
+    group = "nest"
+    needs_log = True
 
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
-        p = _params_of(self.art)
+        p = self.art.scenario.nest_params_obj() or DEFAULT_PARAMS
         rules = (
             (p.attachment_enabled, oev.PLACE_ATTACH, "attachment"),
             (p.reserve_enabled, oev.PLACE_RESERVE, "reserve"),
@@ -466,28 +453,17 @@ class LatencyAccounting(_Replay):
 
     name = "sched.latency_accounting"
     kinds = frozenset({oev.SCHED_DISPATCH})
-
-    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
-        super().__init__(art, counts)
-        self._latency_sum = 0
-
-    @classmethod
-    def applies(cls, art: "RunArtifacts") -> bool:
-        return bool(art.events)
-
-    def feed(self, ev: SchedEvent) -> None:
-        self._latency_sum += ev.value
+    needs_log = True
 
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
         res = self.art.result
         counts = self.counts
         hist = res.metrics.get("kernel.wakeup_latency_us")
         if hist is not None:
-            n_dispatches = counts.get(oev.SCHED_DISPATCH, 0)
-            if hist["count"] != n_dispatches:
-                self.flag(f"{n_dispatches} dispatch events but the latency "
-                          f"histogram saw {hist['count']}")
-            ev_sum = self._latency_sum
+            if hist["count"] != len(self.events):
+                self.flag(f"{len(self.events)} dispatch events but the "
+                          f"latency histogram saw {hist['count']}")
+            ev_sum = sum(ev.value for ev in self.events)
             if hist["sum"] != ev_sum or hist["sum"] != res.wakeup_latency_us:
                 self.flag(f"latency sums disagree: histogram {hist['sum']}, "
                           f"events {ev_sum}, result {res.wakeup_latency_us}")
@@ -543,15 +519,11 @@ class FreqSanity(_Replay):
     name = "freq.sanity"
     kinds = frozenset({oev.FREQ_STEP})
 
-    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
-        super().__init__(art, counts)
-        self._lo = art.machine.min_mhz
-        self._hi = art.machine.max_turbo_mhz
-
     def feed(self, ev: SchedEvent) -> None:
-        if not self._lo <= ev.value <= self._hi:
+        lo, hi = self.art.machine.min_mhz, self.art.machine.max_turbo_mhz
+        if not lo <= ev.value <= hi:
             self.flag(f"core {ev.cpu} stepped to {ev.value} MHz, envelope "
-                      f"is [{self._lo}, {self._hi}]", t=ev.t)
+                      f"is [{lo}, {hi}]", t=ev.t)
 
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
         res = self.art.result
@@ -668,30 +640,20 @@ class FaultConsistency(_Replay):
 class MissCausality(_Replay):
     """Deadline streams carry generous slack, so a fault-free run meets
     every deadline: a miss without a single logged fault is a scheduler
-    bug, not bad luck.  Decided in ``finish``, against the earliest of
-    all logged faults."""
+    bug, not bad luck.  Decided in ``finish``, since a miss is judged
+    against the earliest of all logged faults."""
 
     name = "rt.miss_causality"
     kinds = oev.FAULT_KINDS | {oev.RT_DEADLINE_MISS}
-
-    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
-        super().__init__(art, counts)
-        self._first_fault: Optional[int] = None
-        self._misses: List[Tuple[int, int]] = []   # (t, task)
 
     @classmethod
     def applies(cls, art: "RunArtifacts") -> bool:
         return _counter(art.result.metrics, "kernel.rt_deadline_miss") > 0
 
-    def feed(self, ev: SchedEvent) -> None:
-        if ev.kind == oev.RT_DEADLINE_MISS:
-            self._misses.append((ev.t, ev.task))
-        elif self._first_fault is None or ev.t < self._first_fault:
-            self._first_fault = ev.t
-
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
         m = self.art.result.metrics
-        first_fault = self._first_fault
+        first_fault = min((ev.t for ev in self.events
+                           if ev.kind in oev.FAULT_KINDS), default=None)
         fault_counters = ("kernel.fault_core_failures",
                           "kernel.fault_cpu_offline",
                           "kernel.fault_thermal_caps",
@@ -701,10 +663,11 @@ class MissCausality(_Replay):
             self.flag(f"{_counter(m, 'kernel.rt_deadline_miss')} deadline "
                       f"miss(es) in a run that logged no fault")
             return self.found
-        for t, task in self._misses:
-            if first_fault is None or t < first_fault:
-                self.flag(f"task {task} missed its deadline before any "
-                          f"fault was injected", t=t)
+        for ev in self.events:
+            if ev.kind == oev.RT_DEADLINE_MISS \
+                    and (first_fault is None or ev.t < first_fault):
+                self.flag(f"task {ev.task} missed its deadline before any "
+                          f"fault was injected", t=ev.t)
         return self.found
 
 
@@ -728,23 +691,12 @@ class ActivationPairing(_Replay):
     """Backups are promoted only inside the application of a core-failure
     fault, so every activation (and every RT kill) shares its timestamp
     with a ``fault.core_failure`` event, and the counters mirror the
-    event stream.  Decided in ``finish``, against every failure
-    timestamp."""
+    event stream.  Decided in ``finish``: the kernel logs the kills and
+    activations before the failure event itself."""
 
     name = "rt.activation_pairing"
     kinds = frozenset({oev.RT_BACKUP_ACTIVATE, oev.RT_KILL,
                        oev.FAULT_CORE_FAILURE})
-
-    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
-        super().__init__(art, counts)
-        self._failure_times: set = set()
-        self._copies: List[SchedEvent] = []   # activations and kills
-
-    def feed(self, ev: SchedEvent) -> None:
-        if ev.kind == oev.FAULT_CORE_FAILURE:
-            self._failure_times.add(ev.t)
-        else:
-            self._copies.append(ev)
 
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
         m = self.art.result.metrics
@@ -762,8 +714,11 @@ class ActivationPairing(_Replay):
         if counts.get(oev.RT_KILL, 0) != kills:
             self.flag(f"{counts.get(oev.RT_KILL, 0)} rt.kill events but the "
                       f"counter says {kills}")
-        for ev in self._copies:
-            if ev.t not in self._failure_times:
+        failure_times = {ev.t for ev in self.events
+                         if ev.kind == oev.FAULT_CORE_FAILURE}
+        for ev in self.events:
+            if ev.kind != oev.FAULT_CORE_FAILURE \
+                    and ev.t not in failure_times:
                 self.flag(f"{ev.kind} for task {ev.task} has no "
                           f"core-failure event at its timestamp", t=ev.t)
         return self.found
@@ -774,7 +729,7 @@ def check_scxnest_accounting(art: "RunArtifacts") -> Iterable[Violation]:
     one of primary / reserve / global-queue fallback, impatient
     placements are a subset of the fallbacks, and compaction-timer
     outcomes never exceed the timers armed."""
-    if not _is_scxnest(art):
+    if not _in_group(art, "scxnest"):
         return
     m = art.result.metrics
     tiers = {k: _counter(m, f"scxnest.{k}") for k in
@@ -807,7 +762,7 @@ class ScxnestEventCounterMatch(_CounterMatch):
     """scx_nest's event log and counters tell the same story."""
 
     name = "scxnest.event_counter_match"
-    prefix = "scxnest"
+    group = "scxnest"
 
     def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
         return {

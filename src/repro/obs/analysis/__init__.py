@@ -7,7 +7,8 @@ a deterministic, JSON-serializable report fragment.  Strictly post-hoc:
 nothing here runs during simulation.
 
 * :mod:`~repro.obs.analysis.base` — the :class:`Analyzer` protocol,
-  :class:`AnalysisContext` and the single-pass, kind-routed driver.
+  :class:`AnalysisContext` and :func:`run_analyzers`, the single
+  pass that routes each event to the analyzers of its kind.
 * :mod:`~repro.obs.analysis.analyzers` — the seven standard analyzers
   (latency tiers, warm cores, nest dynamics, freq ramps, occupancy,
   spin economics, deadlines).

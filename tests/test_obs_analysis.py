@@ -307,8 +307,8 @@ class _Recorder(Analyzer):
 
 
 def _feed_everything(events, ctx, analyzers):
-    """Reference driver: offers every event to every analyzer in turn and
-    applies only the declared ``kinds`` contract (no route table)."""
+    """Reference feed loop: offers every event to every analyzer in turn
+    and applies only the declared ``kinds`` contract (no route table)."""
     for e in events:
         for a in analyzers:
             if a.kinds is None or e.kind in a.kinds:

@@ -60,8 +60,9 @@ class TestNestMetrics:
     def test_placement_identity_holds(self):
         """attach + primary + reserve + cfs == placements (§3.3 search)."""
         res = _run()
-        st = {k[len("nest."):]: e["value"] for k, e in res.metrics.items()
-              if k.startswith("nest.") and e["type"] == "counter"}
+        st = {k: res.metrics[f"nest.{k}"]["value"] for k in
+              ("attachment_hits", "primary_hits", "reserve_hits",
+               "cfs_fallbacks", "placements")}
         assert (st["attachment_hits"] + st["primary_hits"] +
                 st["reserve_hits"] + st["cfs_fallbacks"]) == st["placements"]
         assert st["placements"] > 0

@@ -5,7 +5,7 @@ PYTHON  ?= python
 PYPATH  := PYTHONPATH=src
 JOBS    ?=
 
-.PHONY: test fuzz bench profile clean
+.PHONY: test fuzz bench perf clean
 
 ## Run the tier-1 test suite.
 test:
@@ -22,10 +22,18 @@ fuzz:
 bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks -q -p no:cacheprovider
 
-## Time the representative configure sweep; PROFILE_ARGS adds flags,
-## e.g. `make profile PROFILE_ARGS="--profile"` for a cProfile breakdown.
-profile:
-	$(PYPATH) $(PYTHON) benchmarks/profile_sweep.py --repeat 10 $(PROFILE_ARGS)
+## Time the four BENCHMARK.json workloads end to end with perfbench; each
+## run's stdout goes to .perfbench/<workload>-seed<S>.out, the input of
+## `repro history export-trajectory`.  PERF_ARGS adds run.py flags, e.g.
+## `make perf PERF_ARGS="--seconds 2"`; PERF_SEEDS="1 2 3" repeats.
+PERF_WORKLOADS := configure-fork hackbench-wake fuzz-verify family-sweep
+PERF_SEEDS ?= 1
+perf:
+	mkdir -p .perfbench
+	for w in $(PERF_WORKLOADS); do for s in $(PERF_SEEDS); do \
+	  $(PYTHON) perfbench/run.py --workload $$w --seed $$s --trace 0 \
+	    $(PERF_ARGS) > .perfbench/$$w-seed$$s.out || exit 1; \
+	done; done
 
 clean:
 	rm -rf .repro-cache .pytest_cache

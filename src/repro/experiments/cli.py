@@ -16,8 +16,8 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
     python -m repro obs query fig2 --kind place --cpu 3   # event queries
     python -m repro history list         # archived sweeps (sqlite-backed)
     python -m repro history diff last    # regression gate vs previous sweep
-    python -m repro history export-trajectory --record perf.json --pr 7 \
-        --append BENCH_trajectory.json   # generated perf-trajectory entries
+    python -m repro history export-trajectory --record .perfbench/*.out \
+        --pr 7 --append BENCH_trajectory.json   # perf trajectory entries
     python -m repro describe fig5        # registry entry for an artefact
     python -m repro verify fuzz --runs 200 --seed 1   # invariant fuzzing
     python -m repro verify replay repro.json          # re-run a saved repro
@@ -367,7 +367,7 @@ def _cmd_obs_dashboard(args) -> int:
             trajectory_path=trajectory,
             traces_dir=Path(args.traces_dir) if args.traces_dir else None)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     out = Path(args.out)
     out.write_text(html_text, encoding="utf-8")
@@ -376,9 +376,9 @@ def _cmd_obs_dashboard(args) -> int:
 
 
 def _cmd_history(args) -> int:
-    path = _history_path(args.cache_dir)
     if args.action == "export-trajectory":
         return _cmd_history_export(args)
+    path = _history_path(args.cache_dir)
     if not path.exists():
         print(f"no run history at {path} — run a sweep with telemetry "
               f"enabled first", file=sys.stderr)
@@ -416,7 +416,7 @@ def _cmd_history(args) -> int:
             try:
                 sweep = store.resolve(args.ref)
             except KeyError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+                print(f"error: {exc.args[0]}", file=sys.stderr)
                 return 1
             print(f"sweep #{sweep['id']} {sweep['uid']} "
                   f"(git {sweep['git_sha'] or '?'}"
@@ -442,19 +442,22 @@ def _cmd_history(args) -> int:
                               attribute=args.attribute,
                               top_moves=args.top_moves)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {exc.args[0]}", file=sys.stderr)
             return 1
         print(diff.render())
         return 1 if diff.has_regressions else 0
 
 
 def _cmd_history_export(args) -> int:
-    """profile_sweep --json record -> BENCH_trajectory.json entries."""
+    """perfbench/run.py stdouts -> BENCH_trajectory.json entries."""
     import json as _json
 
-    with open(args.record, encoding="utf-8") as fh:
-        record = _json.load(fh)
-    entries = trajectory_entries(record, pr=args.pr, host=args.host)
+    try:
+        texts = [Path(p).read_text(encoding="utf-8") for p in args.record]
+        entries = trajectory_entries(texts, pr=args.pr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.append:
         added = append_trajectory(Path(args.append), entries)
         print(f"trajectory: merged {added} entr"
@@ -874,22 +877,20 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 3)")
     hexp_p = hist_sub.add_parser(
         "export-trajectory",
-        help="BENCH_trajectory.json entries from a profile_sweep --json "
-             "record")
-    hexp_p.add_argument("--record", required=True, metavar="PATH",
-                        help="benchmark record written by "
-                             "profile_sweep.py --json")
+        help="BENCH_trajectory.json entries from perfbench/run.py "
+             "--trace 0 stdouts")
+    hexp_p.add_argument("--record", required=True, nargs="+",
+                        metavar="PATH",
+                        help="saved stdout of perfbench/run.py --trace 0 "
+                             "(one entry per workload: the median across "
+                             "its files)")
     hexp_p.add_argument("--pr", type=int, required=True,
                         help="PR number the measurement belongs to")
-    hexp_p.add_argument("--host", default="dev-container",
-                        help="host tag for the entries "
-                             "(default: dev-container)")
     hexp_p.add_argument("--append", default=None, metavar="PATH",
                         help="merge into this trajectory file instead of "
                              "printing the entries")
     for sp in (hlist_p, hshow_p, hdiff_p):
         sp.add_argument("--cache-dir", default=None)
-    hexp_p.add_argument("--cache-dir", default=None)
     hist_p.set_defaults(fn=_cmd_history)
 
     verify_p = sub.add_parser(

@@ -16,8 +16,9 @@ Sections, each fed by one observability layer:
   the sweep's telemetry JSONL stream (``run_start``/``run_end``
   records), with heartbeat ticks;
 * **History sparklines** — wall time and events/s across the archived
-  sweeps, plus engine wall times across ``BENCH_trajectory.json``
-  entries (the PR-over-PR perf trajectory);
+  sweeps, plus one perfbench ``sweep_wall_s`` sparkline per workload
+  across ``BENCH_trajectory.json`` entries (the PR-over-PR perf
+  trajectory);
 * **Trace links** — relative links to Perfetto traces when a trace
   directory is supplied.
 
@@ -360,26 +361,31 @@ def _history_section(store: HistoryStore, limit: int = 30) -> str:
 
 
 def _trajectory_section(trajectory_path: Optional[Path]) -> str:
+    """One ``sweep_wall_s`` sparkline per perfbench workload across PRs
+    (the v2 entries; the retired v1 records are not drawn)."""
     if trajectory_path is None or not Path(trajectory_path).exists():
         return '<p class="muted">no trajectory file</p>'
     try:
         doc = json.loads(Path(trajectory_path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return '<p class="muted">trajectory file unreadable</p>'
-    entries = doc.get("entries", [])
-    by_engine: Dict[str, List[tuple]] = {}
-    for e in entries:
-        by_engine.setdefault(e.get("engine", "?"), []).append(
-            (e.get("pr", 0), e.get("wall_s")))
+    by_workload: Dict[str, List[Dict[str, Any]]] = {}
+    for e in doc.get("entries", []):
+        if (e.get("metrics") or {}).get("sweep_wall_s") is not None:
+            by_workload.setdefault(e.get("workload", "?"), []).append(e)
     parts = []
-    colors = {"ref": "#1971c2", "fast": "#2f9e44", "ref-seed": "#868e96"}
-    for engine in sorted(by_engine):
-        series = sorted(by_engine[engine])
-        walls = [w for _, w in series if w is not None]
-        prs = ", ".join(f"PR{pr}: {w}s" for pr, w in series)
+    for workload, series in sorted(by_workload.items()):
+        series.sort(key=lambda e: e.get("pr", 0))
+        walls = [e["metrics"]["sweep_wall_s"] for e in series]
+        prs = ", ".join(f"PR{e.get('pr')}: {e['metrics']['sweep_wall_s']:.3f}s"
+                        for e in series)
+        ratio = (series[-1].get("seed_over_current") or {}).get(
+            "sweep_wall_s")
+        if ratio:
+            prs += f" ({ratio:.2f}x faster than the seed tree)"
         parts.append(
-            f'<p><b>{_esc(engine)}</b> wall seconds across PRs: '
-            f'{_sparkline(walls, color=colors.get(engine, "#7048e8"), label=f"{engine} wall trajectory")} '
+            f'<p><b>{_esc(workload)}</b> sweep_wall_s across PRs: '
+            f'{_sparkline(walls, label=f"{workload} sweep_wall_s trajectory")} '
             f'<span class="muted">{_esc(prs)}</span></p>')
     return "".join(parts) or '<p class="muted">no trajectory entries</p>'
 

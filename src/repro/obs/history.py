@@ -17,9 +17,10 @@ On top of the store sit the regression gates:
   tolerance and *any* drift in deterministic outputs (makespan, energy,
   metrics — those must be bit-stable unless ``ENGINE_VERSION`` moved);
   ``repro history diff <ref>`` exits non-zero when a gate fires.
-* :func:`trajectory_entries` converts a ``profile_sweep.py --json``
-  benchmark record into ``BENCH_trajectory.json`` entries, so the perf
-  trajectory is *generated* from measurements instead of hand-written.
+* :func:`trajectory_entries` turns ``perfbench/run.py --trace 0``
+  stdouts into ``BENCH_trajectory.json`` entries (one per PR and
+  workload), so the perf trajectory is *generated* from measurements
+  instead of hand-written.
 
 Schema versioning: the sqlite ``user_version`` pragma tracks the schema
 generation; :data:`MIGRATIONS` is an ordered list whose *i*-th entry
@@ -32,15 +33,23 @@ re-create).
 from __future__ import annotations
 
 import json
+import os
+import platform
+import re
 import sqlite3
 import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from statistics import median
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["HistoryStore", "HistoryDiff", "Regression",
-           "trajectory_entries", "append_trajectory", "git_sha"]
+__all__ = ["HistoryStore", "HistoryDiff", "Regression", "parse_perfbench",
+           "trajectory_entries", "append_trajectory", "git_sha", "host"]
+
+#: Same-host seed-tree medians written by ``perfbench/seed_reference.py``
+#: (relative to the checkout root, like ``BENCH_trajectory.json``).
+SEED_REFERENCE = Path("perfbench") / "seed_reference.json"
 
 
 def git_sha() -> str:
@@ -264,7 +273,9 @@ class HistoryStore:
         ref = str(ref).strip()
         row = None
         if ref == "last" or ref.startswith("last-"):
-            back = 0 if ref == "last" else int(ref.split("-", 1)[1])
+            back = "0" if ref == "last" else ref[len("last-"):]
+            if not back.isdecimal():   # last-x, last--1: no such sweep
+                raise KeyError(f"no sweep matches {ref!r}")
             rows = self._con.execute(
                 "SELECT * FROM sweeps ORDER BY id DESC LIMIT 1 OFFSET ?",
                 (back,)).fetchall()
@@ -388,52 +399,112 @@ class HistoryStore:
 # BENCH_trajectory.json generation
 # ---------------------------------------------------------------------------
 
-def trajectory_entries(record: Dict[str, Any], pr: int,
-                       host: str = "dev-container") -> List[Dict[str, Any]]:
-    """``BENCH_trajectory.json`` entries from a ``--json`` benchmark record.
+def host() -> str:
+    """CPU model, cpu count and Python version: the host string
+    ``perfbench/seed_reference.py`` records beside its seed medians."""
+    model = "unknown cpu"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return (f"{model}, {os.cpu_count()} cpus, "
+            f"Python {platform.python_version()}")
 
-    One entry per key of the record's ``engines`` map (``profile_sweep.py
-    --json`` writes one, ``ref``) — the same schema the hand-written
-    PR-1/PR-6 entries follow, generated from the measurement itself:
-    ``repro history export-trajectory --record perf.json --pr N --append
-    BENCH_trajectory.json``.
+
+_HEADER = re.compile(r"^workload (?P<workload>\S+)  seed (?P<seed>\d+)  "
+                     r"trace (?P<trace>\d):", re.MULTILINE)
+
+
+def parse_perfbench(text: str) -> Tuple[str, int, Dict[str, float]]:
+    """``(workload, seed, metrics)`` from one ``perfbench/run.py`` stdout.
+
+    The workload and seed come from the ``workload X  seed S  trace 0:``
+    header line, the metric values from the last-line JSON result.
+    Raises :class:`ValueError` for text that is not such a report, for a
+    ``trace 1`` run (per-layer metrics, timed with hooks attached) and
+    for a run whose correctness gate failed.
     """
+    header = _HEADER.search(text)
+    if header is None:
+        raise ValueError("no 'workload X  seed S  trace T:' header line")
+    workload, seed = header["workload"], int(header["seed"])
+    if header["trace"] != "0":
+        raise ValueError(f"{workload} seed {seed}: a trace "
+                         f"{header['trace']} run is per-layer; the "
+                         f"trajectory takes trace 0 runs")
+    try:
+        result = json.loads(text.strip().splitlines()[-1])
+        metrics = {name: float(m["value"])
+                   for name, m in result["metrics"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise ValueError(f"{workload} seed {seed}: the last line is not "
+                         f"perfbench's JSON result") from None
+    if result.get("correct") is not True:
+        raise ValueError(f"{workload} seed {seed}: the run failed its "
+                         f"correctness gate ({result.get('failed')} of "
+                         f"{result.get('attempted')} simulations)")
+    return workload, seed, metrics
+
+
+def trajectory_entries(texts: Sequence[str], pr: int,
+                       seed_reference: Path = SEED_REFERENCE
+                       ) -> List[Dict[str, Any]]:
+    """``BENCH_trajectory.json`` v2 entries from perfbench stdouts.
+
+    One entry per workload among ``texts`` (see :func:`parse_perfbench`):
+    the per-metric median across that workload's runs, the git sha and
+    :func:`host`.  ``seed_over_current`` divides the seed tree's medians
+    in ``seed_reference`` (same host, from ``perfbench/seed_reference.py``)
+    by these medians; it is ``None`` for workloads the seed tree cannot
+    run.  ``repro history export-trajectory --record .perfbench/*.out
+    --pr N --append BENCH_trajectory.json``.
+    """
+    runs: Dict[str, List[Tuple[int, Dict[str, float]]]] = {}
+    for text in texts:
+        workload, seed, metrics = parse_perfbench(text)
+        runs.setdefault(workload, []).append((seed, metrics))
+    try:
+        seeds = json.loads(Path(seed_reference).read_text())["workloads"]
+    except (OSError, ValueError, KeyError):
+        seeds = {}
+    sha, where = git_sha(), host()
     entries = []
-    speedups = record.get("speedup_vs_seed", {})
-    for engine, numbers in record.get("engines", {}).items():
-        entry = {
-            "pr": pr,
-            "git_sha": record.get("git_sha", "unknown"),
-            "engine": engine,
-            "workload": record.get("workload", "unknown"),
-            "wall_s": numbers["wall_s"],
-            "speedup_vs_seed": speedups.get(engine),
-            "host": host,
-        }
-        entries.append(entry)
+    for workload, measured in sorted(runs.items()):
+        medians = {name: float(f"{median(m[name] for _, m in measured):.6g}")
+                   for name in measured[0][1]}
+        ref = seeds.get(workload)
+        entries.append({
+            "pr": pr, "workload": workload, "git_sha": sha, "host": where,
+            "seeds": sorted(seed for seed, _ in measured),
+            "metrics": medians,
+            "seed_over_current": None if ref is None else {
+                name: round(ref["seed"][name] / medians[name], 3)
+                for name in ref["seed_over_current"] if name in medians},
+        })
     return entries
 
 
 def append_trajectory(path: Path, entries: List[Dict[str, Any]]) -> int:
     """Merge entries into the trajectory file; returns how many were added.
 
-    Idempotent per (pr, engine, git_sha): re-exporting the same
+    Idempotent per (pr, workload, git_sha): re-exporting the same
     measurement replaces the previous entry instead of duplicating it.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     existing = doc.setdefault("entries", [])
-    added = 0
     for entry in entries:
-        key = (entry["pr"], entry["engine"], entry["git_sha"])
+        key = (entry["pr"], entry["workload"], entry["git_sha"])
         existing[:] = [e for e in existing
-                       if (e.get("pr"), e.get("engine"),
+                       if (e.get("pr"), e.get("workload"),
                            e.get("git_sha")) != key]
         existing.append(entry)
-        added += 1
-    existing.sort(key=lambda e: (e.get("pr", 0), e.get("engine", "")))
+    existing.sort(key=lambda e: (e.get("pr", 0), e.get("workload", "")))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return added
+    return len(entries)

@@ -115,7 +115,34 @@ class TestBuildDashboard:
         html_text = build_dashboard(swept / "cache" / "history.sqlite",
                                     trajectory_path="BENCH_trajectory.json")
         assert "Perf trajectory" in html_text
-        assert "PR1" in html_text or "PR6" in html_text
+        with open("BENCH_trajectory.json", encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+        for entry in entries:
+            assert f"<b>{entry['workload']}</b>" in html_text
+            assert f"PR{entry['pr']}: " in html_text
+
+    def test_trajectory_draws_one_sparkline_per_workload(self, swept,
+                                                         tmp_path):
+        def entry(pr, workload, wall, ratio=None):
+            return {"pr": pr, "workload": workload,
+                    "metrics": {"sweep_wall_s": wall},
+                    "seed_over_current": ratio and {"sweep_wall_s": ratio}}
+
+        traj = tmp_path / "traj.json"
+        traj.write_text(json.dumps({
+            "entries": [entry(18, "configure-fork", 4.1, 2.6),
+                        entry(17, "configure-fork", 4.8, 2.24),
+                        entry(17, "fuzz-verify", 5.0),
+                        entry(18, "fuzz-verify", 4.5)],
+            "v1_entries": [{"pr": 1, "engine": "ref", "wall_s": 1.87}]}))
+        html_text = build_dashboard(swept / "cache" / "history.sqlite",
+                                    trajectory_path=traj)
+        assert_well_formed(html_text)
+        assert html_text.count("sweep_wall_s trajectory") == 2
+        assert ("PR17: 4.800s, PR18: 4.100s (2.60x faster than the seed "
+                "tree)") in html_text
+        assert "PR17: 5.000s, PR18: 4.500s</span>" in html_text
+        assert "PR1:" not in html_text   # v1 records are not drawn
 
     def test_analysis_panel_renders_derived_metrics(self, swept):
         html_text = build_dashboard(swept / "cache" / "history.sqlite",

@@ -15,7 +15,8 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.obs.history import (HistoryStore, SCHEMA_VERSION,
-                               append_trajectory, trajectory_entries)
+                               append_trajectory, parse_perfbench,
+                               trajectory_entries)
 from repro.obs.telemetry.hub import TelemetryHub
 
 STATS = {"n_specs": 2, "simulated": 2, "cache_hits": 0, "wall_s": 2.0,
@@ -92,8 +93,19 @@ class TestRecordAndResolve:
         assert store.resolve("last-1")["uid"] == "20260101-aaa"
         assert store.resolve(str(i1))["uid"] == "20260101-aaa"
         assert store.resolve("20260101")["uid"] == "20260101-aaa"
-        with pytest.raises(KeyError):
-            store.resolve("nope")
+        for bad in ("nope", "last-x", "last--1", "last-"):
+            with pytest.raises(KeyError):
+                store.resolve(bad)
+
+    def test_malformed_last_ref_is_a_cli_error(self, tmp_path, capsys):
+        with HistoryStore(tmp_path / "history.sqlite") as st:
+            st.record_sweep("u1", STATS, [])
+        for argv in (["history", "show", "last-x"],
+                     ["history", "diff", "last-x"],
+                     ["obs", "dashboard", "--sweep", "last-x",
+                      "--out", str(tmp_path / "d.html")]):
+            assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+            assert "error: no sweep matches" in capsys.readouterr().err
 
 
 class TestDiffGate:
@@ -228,55 +240,134 @@ class TestExecutorIntegration:
             assert not diff.has_regressions, diff.render()
 
 
-TRAJ_RECORD = {
-    "workload": "configure x combos",
-    "git_sha": "abc1234",
-    "engines": {"ref": {"wall_s": 2.0, "events_per_sec": 100.0}},
-    "speedup_vs_seed": {"ref": 1.7},
-}
+def perfbench_stdout(workload="configure-fork", seed=1, trace=0,
+                     correct=True, sweep_wall_s=6.0, **metrics):
+    """A ``perfbench/run.py`` report: header line, detail, JSON last line."""
+    metrics = dict({"setup_s": 0.5, "sweep_wall_s": sweep_wall_s,
+                    "cpu_s": 6.0}, **metrics)
+    result = {"correct": correct, "attempted": 40,
+              "failed": 0 if correct else 1,
+              "metrics": {k: {"value": v, "unit": "s"}
+                          for k, v in metrics.items()}}
+    return (f"workload {workload}  seed {seed}  trace {trace}: 9 untraced "
+            f"+ 1 traced passes, 40 timed simulations\n"
+            f"  setup_s samples: 0.500, 0.510\n"
+            f"  sweep_wall_s {sweep_wall_s:14.6g} s\n"
+            + json.dumps(result) + "\n")
+
+
+SEED_REF = {"workloads": {"configure-fork": {
+    "seed": {"sweep_wall_s": 12.0, "cpu_s": 9.0, "nest_speedup_pct": [1.0]},
+    "seed_over_current": {"sweep_wall_s": 1.8, "cpu_s": 1.5}}}}
+
+
+@pytest.fixture
+def seed_ref(tmp_path):
+    path = tmp_path / "seed_reference.json"
+    path.write_text(json.dumps(SEED_REF))
+    return path
 
 
 class TestTrajectoryExport:
-    def test_entries_match_the_trajectory_schema(self):
-        entries = trajectory_entries(TRAJ_RECORD, pr=7, host="ci")
-        assert entries == [{
-            "pr": 7, "git_sha": "abc1234", "engine": "ref",
-            "workload": "configure x combos", "wall_s": 2.0,
-            "speedup_vs_seed": 1.7, "host": "ci"}]
+    def test_header_parsing(self):
+        text = perfbench_stdout("hackbench-wake", seed=3, sweep_wall_s=0.5)
+        assert parse_perfbench(text) == (
+            "hackbench-wake", 3,
+            {"setup_s": 0.5, "sweep_wall_s": 0.5, "cpu_s": 6.0})
 
-    def test_append_is_idempotent_per_measurement(self, tmp_path):
+    def test_not_a_report_is_refused(self):
+        with pytest.raises(ValueError, match="header"):
+            parse_perfbench('{"correct": true}\n')
+        with pytest.raises(ValueError, match="JSON result"):
+            parse_perfbench(perfbench_stdout() + "run: interrupted\n")
+
+    def test_entries_match_the_trajectory_schema(self, seed_ref):
+        entries = trajectory_entries([perfbench_stdout()], pr=17,
+                                     seed_reference=seed_ref)
+        schema = json.load(open("BENCH_trajectory.json"))["schema"]
+        assert [list(e) for e in entries] == [schema]
+        entry = entries[0]
+        assert (entry["pr"], entry["workload"], entry["seeds"]) == (
+            17, "configure-fork", [1])
+        assert "cpus, Python" in entry["host"] and entry["git_sha"]
+
+    def test_median_over_several_files(self, seed_ref):
+        texts = [perfbench_stdout(seed=s, sweep_wall_s=w)
+                 for s, w in ((2, 5.0), (1, 4.0), (3, 9.0))]
+        texts.append(perfbench_stdout("fuzz-verify", sweep_wall_s=3.0))
+        cf, fv = trajectory_entries(texts, pr=17, seed_reference=seed_ref)
+        assert cf["seeds"] == [1, 2, 3]
+        assert cf["metrics"]["sweep_wall_s"] == 5.0
+        assert cf["seed_over_current"] == {"sweep_wall_s": 2.4,
+                                           "cpu_s": 1.5}
+        # The seed tree cannot run fuzz-verify: no ratio, not a guess.
+        assert fv["workload"] == "fuzz-verify"
+        assert fv["seed_over_current"] is None
+
+    def test_missing_seed_reference_leaves_the_ratio_null(self, tmp_path):
+        (entry,) = trajectory_entries([perfbench_stdout()], pr=17,
+                                      seed_reference=tmp_path / "none")
+        assert entry["seed_over_current"] is None
+
+    def test_append_is_idempotent_per_measurement(self, tmp_path,
+                                                  seed_ref):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"entries": []}))
-        entries = trajectory_entries(TRAJ_RECORD, pr=7)
-        assert append_trajectory(path, entries) == 1
-        assert append_trajectory(path, entries) == 1   # replace, not dup
+        texts = [perfbench_stdout(w) for w in ("hackbench-wake",
+                                               "configure-fork")]
+        entries = trajectory_entries(texts, pr=17, seed_reference=seed_ref)
+        assert append_trajectory(path, entries) == 2
+        assert append_trajectory(path, entries[:1]) == 1  # replace, not dup
         doc = json.loads(path.read_text())
-        assert [e["engine"] for e in doc["entries"]] == ["ref"]
+        assert [e["workload"] for e in doc["entries"]] == [
+            "configure-fork", "hackbench-wake"]
 
-    def test_real_trajectory_file_roundtrips(self, tmp_path):
+    def test_real_trajectory_file_roundtrips(self, tmp_path, seed_ref):
         import shutil
-        src = "BENCH_trajectory.json"
         dst = tmp_path / "traj.json"
-        shutil.copy(src, dst)
-        before = json.loads(dst.read_text())["entries"]
-        append_trajectory(dst, trajectory_entries(TRAJ_RECORD, pr=99))
-        after = json.loads(dst.read_text())["entries"]
-        assert len(after) == len(before) + 1
-        # The pre-existing hand-written entries are untouched.
-        for entry in before:
-            assert entry in after
+        shutil.copy("BENCH_trajectory.json", dst)
+        before = json.loads(dst.read_text())
+        append_trajectory(dst, trajectory_entries(
+            [perfbench_stdout()], pr=99, seed_reference=seed_ref))
+        after = json.loads(dst.read_text())
+        assert len(after["entries"]) == len(before["entries"]) + 1
+        # The v1 records and every earlier v2 entry are untouched.
+        assert after["v1_entries"] == before["v1_entries"]
+        for entry in before["entries"]:
+            assert entry in after["entries"]
 
     def test_cli_export_appends(self, tmp_path, capsys):
-        record_path = tmp_path / "perf.json"
-        record_path.write_text(json.dumps(TRAJ_RECORD))
+        records = []
+        for seed in (1, 2):
+            records.append(tmp_path / f"configure-fork-seed{seed}.out")
+            records[-1].write_text(perfbench_stdout(seed=seed))
         traj = tmp_path / "traj.json"
         traj.write_text(json.dumps({"entries": []}))
-        assert main(["history", "export-trajectory",
-                     "--record", str(record_path), "--pr", "7",
-                     "--host", "ci", "--append", str(traj)]) == 0
+        argv = ["history", "export-trajectory", "--pr", "7",
+                "--record", *map(str, records)]
+        assert main(argv + ["--append", str(traj)]) == 0
         assert "merged 1 entry" in capsys.readouterr().out
         doc = json.loads(traj.read_text())
-        assert {e["host"] for e in doc["entries"]} == {"ci"}
+        assert [e["seeds"] for e in doc["entries"]] == [[1, 2]]
+        assert main(argv) == 0                # no --append: print them
+        assert json.loads(capsys.readouterr().out) == doc["entries"]
+
+    @pytest.mark.parametrize("text,reason", [
+        (perfbench_stdout(correct=False), "correctness gate"),
+        (perfbench_stdout(trace=1), "trace 1"),
+    ])
+    def test_cli_refuses_failed_and_traced_runs(self, tmp_path, capsys,
+                                                text, reason):
+        good, bad = tmp_path / "good.out", tmp_path / "bad.out"
+        good.write_text(perfbench_stdout())
+        bad.write_text(text)
+        traj = tmp_path / "traj.json"
+        traj.write_text(json.dumps({"entries": []}))
+        assert main(["history", "export-trajectory", "--pr", "7",
+                     "--record", str(good), str(bad),
+                     "--append", str(traj)]) == 2
+        assert reason in capsys.readouterr().err
+        assert json.loads(traj.read_text())["entries"] == []
 
 
 class TestDerivedMetricGate:

@@ -23,17 +23,15 @@ bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks -q -p no:cacheprovider
 
 ## Time the four BENCHMARK.json workloads end to end with perfbench; each
-## run's stdout goes to .perfbench/<workload>-seed<S>.out, the input of
+## run's stdout goes to .perfbench/<workload>.out, the input of
 ## `repro history export-trajectory`.  PERF_ARGS adds run.py flags, e.g.
-## `make perf PERF_ARGS="--seconds 2"`; PERF_SEEDS="1 2 3" repeats.
-PERF_WORKLOADS := configure-fork hackbench-wake fuzz-verify family-sweep
-PERF_SEEDS ?= 1
+## `make perf PERF_ARGS="--seconds 2"`.
 perf:
 	mkdir -p .perfbench
-	for w in $(PERF_WORKLOADS); do for s in $(PERF_SEEDS); do \
-	  $(PYTHON) perfbench/run.py --workload $$w --seed $$s --trace 0 \
-	    $(PERF_ARGS) > .perfbench/$$w-seed$$s.out || exit 1; \
-	done; done
+	for w in configure-fork hackbench-wake fuzz-verify family-sweep; do \
+	  $(PYTHON) perfbench/run.py --workload $$w --trace 0 $(PERF_ARGS) \
+	    > .perfbench/$$w.out || exit 1; \
+	done
 
 clean:
 	rm -rf .repro-cache .pytest_cache

@@ -369,20 +369,17 @@ def _trajectory_section(trajectory_path: Optional[Path]) -> str:
         doc = json.loads(Path(trajectory_path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return '<p class="muted">trajectory file unreadable</p>'
-    by_workload: Dict[str, List[Dict[str, Any]]] = {}
+    by_workload: Dict[str, List[tuple]] = {}
     for e in doc.get("entries", []):
-        if (e.get("metrics") or {}).get("sweep_wall_s") is not None:
-            by_workload.setdefault(e.get("workload", "?"), []).append(e)
+        wall = (e.get("metrics") or {}).get("sweep_wall_s")
+        if wall is not None:
+            by_workload.setdefault(e.get("workload", "?"), []).append(
+                (e.get("pr", 0), wall))
     parts = []
     for workload, series in sorted(by_workload.items()):
-        series.sort(key=lambda e: e.get("pr", 0))
-        walls = [e["metrics"]["sweep_wall_s"] for e in series]
-        prs = ", ".join(f"PR{e.get('pr')}: {e['metrics']['sweep_wall_s']:.3f}s"
-                        for e in series)
-        ratio = (series[-1].get("seed_over_current") or {}).get(
-            "sweep_wall_s")
-        if ratio:
-            prs += f" ({ratio:.2f}x faster than the seed tree)"
+        series.sort()
+        walls = [w for _, w in series]
+        prs = ", ".join(f"PR{pr}: {w:.3f}s" for pr, w in series)
         parts.append(
             f'<p><b>{_esc(workload)}</b> sweep_wall_s across PRs: '
             f'{_sparkline(walls, label=f"{workload} sweep_wall_s trajectory")} '

@@ -278,7 +278,7 @@ class HistoryStore:
                 raise KeyError(f"no sweep matches {ref!r}")
             rows = self._con.execute(
                 "SELECT * FROM sweeps ORDER BY id DESC LIMIT 1 OFFSET ?",
-                (back,)).fetchall()
+                (int(back),)).fetchall()
             row = rows[0] if rows else None
         elif ref.isdigit():
             row = self._con.execute("SELECT * FROM sweeps WHERE id = ?",
@@ -466,16 +466,13 @@ def trajectory_entries(texts: Sequence[str], pr: int,
     for text in texts:
         workload, seed, metrics = parse_perfbench(text)
         runs.setdefault(workload, []).append((seed, metrics))
-    try:
-        seeds = json.loads(Path(seed_reference).read_text())["workloads"]
-    except (OSError, ValueError, KeyError):
-        seeds = {}
+    seed_tree = json.loads(Path(seed_reference).read_text())["workloads"]
     sha, where = git_sha(), host()
     entries = []
     for workload, measured in sorted(runs.items()):
         medians = {name: float(f"{median(m[name] for _, m in measured):.6g}")
                    for name in measured[0][1]}
-        ref = seeds.get(workload)
+        ref = seed_tree.get(workload)
         entries.append({
             "pr": pr, "workload": workload, "git_sha": sha, "host": where,
             "seeds": sorted(seed for seed, _ in measured),

@@ -241,10 +241,9 @@ class TestExecutorIntegration:
 
 
 def perfbench_stdout(workload="configure-fork", seed=1, trace=0,
-                     correct=True, sweep_wall_s=6.0, **metrics):
+                     correct=True, sweep_wall_s=6.0):
     """A ``perfbench/run.py`` report: header line, detail, JSON last line."""
-    metrics = dict({"setup_s": 0.5, "sweep_wall_s": sweep_wall_s,
-                    "cpu_s": 6.0}, **metrics)
+    metrics = {"setup_s": 0.5, "sweep_wall_s": sweep_wall_s, "cpu_s": 6.0}
     result = {"correct": correct, "attempted": 40,
               "failed": 0 if correct else 1,
               "metrics": {k: {"value": v, "unit": "s"}
@@ -303,11 +302,6 @@ class TestTrajectoryExport:
         # The seed tree cannot run fuzz-verify: no ratio, not a guess.
         assert fv["workload"] == "fuzz-verify"
         assert fv["seed_over_current"] is None
-
-    def test_missing_seed_reference_leaves_the_ratio_null(self, tmp_path):
-        (entry,) = trajectory_entries([perfbench_stdout()], pr=17,
-                                      seed_reference=tmp_path / "none")
-        assert entry["seed_over_current"] is None
 
     def test_append_is_idempotent_per_measurement(self, tmp_path,
                                                   seed_ref):

@@ -34,6 +34,9 @@ class SchedutilGovernor(Governor):
         machine = self.kernel.machine
         self._min_mhz = machine.min_mhz
         self._max_mhz = machine.max_turbo_mhz
+        #: Each cpu's last computed request while the log is on (-1: none
+        #: yet); ``freq.request`` is logged only when it changes.
+        self._logged = [-1] * machine.topology.n_cpus
 
     def floor_mhz(self, cpu: int) -> int:
         return self._min_mhz
@@ -75,7 +78,8 @@ class SchedutilGovernor(Governor):
             mhz = self._max_mhz
         if mhz < self._min_mhz:
             mhz = self._min_mhz
-        if self._obs.enabled:
+        if self._obs.enabled and self._logged[cpu] != mhz:
+            self._logged[cpu] = mhz
             self._obs.emit(now, oev.FREQ_REQUEST, cpu=cpu, value=mhz)
         return mhz
 

@@ -290,14 +290,17 @@ class FreqModel:
                 st.mhz = jump
                 for fn in self._listeners:
                     fn(pc, jump)
-            self._reevaluate_socket(socket)
+            # On Speed Shift the jump *is* the core's target: nothing it
+            # reads changed since, so the re-arm reuses it.
+            self._reevaluate_socket(
+                socket, pc, jump if self._instant_pstate else None)
         elif was_active and not active:
             st.prev_active_since = st.active_since
             st.active_since = None
             st.idle_since = now
             socket = self._socket_of_pc[pc]
             self._socket_active[socket] -= 1
-            self._reevaluate_socket(socket)
+            self._reevaluate_socket(socket, pc)
         else:
             self._reevaluate(pc)
         return active
@@ -375,8 +378,14 @@ class FreqModel:
             target = cap
         return target
 
-    def _reevaluate_socket(self, socket: int) -> None:
+    def _reevaluate_socket(self, socket: int, changed: int,
+                           target: Optional[int] = None) -> None:
         """Re-price every core of a socket after its active count changed.
+
+        The socket-mates go first, in ascending order, and the ``changed``
+        core goes last, exactly once (with ``target`` if the caller has
+        already computed it): its ramp step then holds the newest sequence
+        number, which orders its same-time ``freq.step`` after theirs.
 
         Settled idle cores — inactive, already at the minimum frequency,
         with no ramp step pending — are skipped: their target is the
@@ -391,13 +400,18 @@ class FreqModel:
         min_mhz = self._min_mhz
         for pc in range(base, base + cps):
             st = cores[pc]
-            if (st.active_threads == 0 and st.spinning_threads == 0
+            if pc == changed or (
+                    st.active_threads == 0 and st.spinning_threads == 0
                     and st.step_event is None and st.mhz == min_mhz):
                 continue
             self._reevaluate(pc)
+        self._reevaluate(changed, target)
 
-    def _reevaluate(self, pc: int) -> None:
+    def _reevaluate(self, pc: int, target: Optional[int] = None) -> None:
         """Recompute the target and re-arm (or drop) the next ramp step.
+
+        A caller that has just computed the core's target at this instant,
+        with nothing it reads changed since, passes it as ``target``.
 
         A pending step is moved with :meth:`EventQueue.rearm`, which
         consumes the same sequence number as cancelling and rescheduling
@@ -411,7 +425,8 @@ class FreqModel:
                 and ev is None and st.mhz == self._min_mhz):
             return    # settled idle core: target == mhz == min
         now = self.engine.now
-        target = self._target_mhz(pc, now)
+        if target is None:
+            target = self._target_mhz(pc, now)
         delay = None
         if target == st.mhz:
             # If turbo reluctance is still capping us, wake up when it lifts.
@@ -455,7 +470,7 @@ class FreqModel:
             st.mhz = new
             for fn in self._listeners:
                 fn(pc, new)
-        self._reevaluate(pc)
+        self._reevaluate(pc, target)
 
     # ---- warm start -----------------------------------------------------
 

@@ -983,9 +983,11 @@ class Kernel:
         rq.currently_busy = busy
         active = self.freq.set_thread_state(cpu, busy, spinning)
         self.energy.set_core_active(self.pc_of[cpu], active, now)
+        # set_thread_state has just priced this core; only a governor
+        # whose request moves on the change needs it priced again.
         if self._gov_on_activity:
             self.governor.on_activity_change(cpu)
-        self.freq.notify_request_change(cpu)
+            self.freq.notify_request_change(cpu)
         # The paper's spin stops as soon as the hyperthread gets a task,
         # and the sibling's execution rate changes with this thread's state.
         sib = self.sibling_of[cpu]

@@ -1,5 +1,7 @@
 """Tests for the DVFS model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.hw.freqmodel import (FreqModel, PMParams, SPEED_SHIFT, SPEED_STEP)
@@ -20,6 +22,18 @@ class StubGovernor:
         return self.floor
 
     def request_mhz(self, cpu):
+        return self.request
+
+
+class CountingGovernor(StubGovernor):
+    """StubGovernor that counts the requests it is asked for, per cpu."""
+
+    def __init__(self, floor=1000, request=3900):
+        super().__init__(floor, request)
+        self.asked = Counter()
+
+    def request_mhz(self, cpu):
+        self.asked[cpu] += 1
         return self.request
 
 
@@ -215,3 +229,33 @@ class TestRampTimer:
         eng.run(until=last + SPEED_STEP.ramp_interval_us)
         assert steps == [(last + SPEED_STEP.ramp_interval_us, 0,
                           1000 + SPEED_STEP.ramp_up_step_mhz)]
+
+
+class TestPricingOrder:
+    """A core whose activity changed is priced once, after its socket-mates."""
+
+    def test_changed_core_steps_after_its_socket_mates(self):
+        eng, fm, _ = make(pm=SPEED_STEP, floor=1000, request=3900)
+        steps = []
+        fm.add_listener(lambda pc, mhz: steps.append((eng.now, pc)))
+        for cpu in (1, 2, 3):
+            fm.set_thread_state(cpu, busy=True, spinning=False)
+        eng.run(until=500)
+        fm.set_thread_state(0, busy=True, spinning=False)
+        seqs = [fm._cores[pc].step_event.seq for pc in range(4)]
+        assert max(seqs[1:]) < seqs[0]
+        # All four ramp steps fall due together; the tie goes by sequence.
+        due = 500 + SPEED_STEP.ramp_interval_us
+        eng.run(until=due)
+        assert [pc for t, pc in steps if t == due] == [1, 2, 3, 0]
+
+    def test_a_wake_asks_the_governor_once_per_thread(self):
+        eng = Engine()
+        gov = CountingGovernor(request=2500)
+        fm = FreqModel(eng, Topology(2, 16, 2), XEON_5218, SPEED_SHIFT, gov)
+        for cpu in (1, 2, 3):
+            fm.set_thread_state(cpu, busy=True, spinning=False)
+        gov.asked.clear()
+        fm.set_thread_state(0, busy=True, spinning=False)
+        # Core 0's wake jump is its target; each mate is re-priced once.
+        assert gov.asked == {cpu: 1 for cpu in (0, 1, 2, 3, 32, 33, 34, 35)}

@@ -483,3 +483,41 @@ class TestAccountingInvariants:
         kern.spawn(beh, "t")
         kern.run_until_idle()
         assert kern.energy.energy_joules > 0
+
+
+class TestActivityPricing:
+    """set_thread_state prices the changed core; the kernel prices it again
+    only for a governor whose request moves on the activity change."""
+
+    @staticmethod
+    def count_notifies(kern):
+        calls = []
+        notify = kern.freq.notify_request_change
+
+        def counting(cpu):
+            calls.append(cpu)
+            notify(cpu)
+
+        kern.freq.notify_request_change = counting
+        return calls
+
+    @pytest.mark.parametrize("governor", [SchedutilGovernor,
+                                          PerformanceGovernor])
+    def test_shipped_governors_are_not_asked_twice(self, governor):
+        eng, kern = make_kernel(governor=governor())
+        calls = self.count_notifies(kern)
+        kern._set_thread_activity(0, busy=True)
+        kern._set_thread_activity(0, busy=False)
+        assert calls == []
+
+    def test_activity_hook_gets_a_repricing(self):
+        seen = []
+
+        class Hooked(SchedutilGovernor):
+            def on_activity_change(self, cpu):
+                seen.append(cpu)
+
+        eng, kern = make_kernel(governor=Hooked())
+        calls = self.count_notifies(kern)
+        kern._set_thread_activity(1, busy=True)
+        assert seen == calls == [1]

@@ -56,6 +56,22 @@ class TestZeroOverheadWhenDisabled:
         assert times == sorted(times)
 
 
+class TestFreqRequestLog:
+    def test_request_logged_only_when_it_changes(self):
+        res = run_experiment(
+            make_workload("configure-llvm_ninja", scale=0.3),
+            get_machine("5218_2s"), "nest", "schedutil", seed=1,
+            collect_events=True)
+        last = {}
+        logged = 0
+        for ev in res.events:
+            if ev.kind == "freq.request":
+                assert last.get(ev.cpu) != ev.value, ev
+                last[ev.cpu] = ev.value
+                logged += 1
+        assert logged > 0
+
+
 class TestNestMetrics:
     def test_placement_identity_holds(self):
         """attach + primary + reserve + cfs == placements (§3.3 search)."""

@@ -14,6 +14,7 @@ down from the highest domain, picking the idlest group at each level (§2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from ..hw.topology import Topology
@@ -30,11 +31,11 @@ class Domain:
 
 
 class DomainHierarchy:
-    """Per-CPU domain stacks for one machine."""
+    """Per-CPU domain stacks for one machine (read-only once built)."""
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._per_cpu: Dict[int, List[Domain]] = {}
+        self._per_cpu: Dict[int, Tuple[Domain, ...]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -72,9 +73,9 @@ class DomainHierarchy:
                     name="NUMA", level=level, span=machine_span,
                     groups=numa_groups))
 
-            self._per_cpu[cpu] = stack
+            self._per_cpu[cpu] = tuple(stack)
 
-    def domains_of(self, cpu: int) -> List[Domain]:
+    def domains_of(self, cpu: int) -> Tuple[Domain, ...]:
         """Domain stack for ``cpu``, lowest level first."""
         return self._per_cpu[cpu]
 
@@ -90,3 +91,13 @@ class DomainHierarchy:
 
     def die_span(self, cpu: int) -> Tuple[int, ...]:
         return self.llc_domain(cpu).span
+
+
+@lru_cache(maxsize=64)
+def domain_hierarchy(topology: Topology) -> DomainHierarchy:
+    """The hierarchy of ``topology``, built once and shared by every kernel.
+
+    Sharing is safe: ``Topology`` is frozen and hashable, and the
+    hierarchy is only ever read.
+    """
+    return DomainHierarchy(topology)

@@ -39,7 +39,7 @@ from ..sim.clock import TICK_US
 from ..sim.engine import Engine, SimulationError
 from ..sim.events import EventKind
 from ..sim.trace import Tracer
-from .domains import DomainHierarchy
+from .domains import domain_hierarchy
 from .runqueue import RunQueue
 from .syscalls import (RT_GO, BarrierWait, Compute, Exit, Fork, Recv, RtSpec,
                        Send, Sleep, WaitChildren, WaitTask, Yield)
@@ -125,7 +125,7 @@ class Kernel:
         self.rqs: List[RunQueue] = [RunQueue(cpu, engine.now)
                                     for cpu in range(n)]
         self.cpus: List[_CpuState] = [_CpuState() for _ in range(n)]
-        self.domains = DomainHierarchy(self.topology)
+        self.domains = domain_hierarchy(self.topology)
         # Flattened topology maps for the per-event hot paths (the topology
         # is immutable, so these never go stale).
         self.sibling_of = tuple(self.topology.sibling_of(c) for c in range(n))
@@ -867,9 +867,11 @@ class Kernel:
             self._rt_on_exit(task)
 
         parent = task.parent
-        if parent is not None and parent.state is TaskState.BLOCKED:
-            if (parent.block_reason is BlockReason.CHILDREN
-                    and not parent.has_live_children):
+        if parent is not None:
+            parent.live_children -= 1
+            if (parent.state is TaskState.BLOCKED
+                    and parent.block_reason is BlockReason.CHILDREN
+                    and not parent.live_children):
                 self._place_wakeup(parent, cpu if cpu is not None else 0)
         waiter = task.waited_by
         if waiter is not None and waiter.state is TaskState.BLOCKED \

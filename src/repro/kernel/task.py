@@ -35,7 +35,7 @@ class Task:
     """
 
     __slots__ = (
-        "tid", "name", "generator", "parent", "children",
+        "tid", "name", "generator", "parent", "children", "live_children",
         "state", "block_reason", "cpu", "prev_cpu", "core_history",
         "impatience", "remaining_cycles", "vruntime", "pelt",
         "run_start_us", "run_freq_mhz", "last_ran_us", "enqueued_us",
@@ -60,8 +60,11 @@ class Task:
         self.generator = generator
         self.parent = parent
         self.children: Set["Task"] = set()
+        #: Children not yet exited (``Kernel._exit_task`` decrements it).
+        self.live_children = 0
         if parent is not None:
             parent.children.add(self)
+            parent.live_children += 1
 
         self.state = TaskState.NEW
         self.block_reason = BlockReason.NONE
@@ -138,11 +141,8 @@ class Task:
 
     @property
     def has_live_children(self) -> bool:
-        """Whether any child has not exited (stops at the first one)."""
-        for child in self.children:
-            if child.state is not TaskState.EXITED:
-                return True
-        return False
+        """Whether any child has not exited."""
+        return self.live_children > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task({self.tid}:{self.name} {self.state.value} cpu={self.cpu})"

@@ -201,6 +201,37 @@ class TestForkAndWait:
         assert next(iter(p.children)).parent is p
 
 
+class TestLiveChildren:
+    def test_parent_wakes_when_its_last_child_exits(self):
+        eng, kern = make_kernel(machine=BIG)
+        events = eng.obs.attach_memory()
+
+        def grandchild(api):
+            yield Compute(us_of_work(400))
+
+        def child(api, us, fork):
+            if fork:
+                yield Fork(grandchild)   # exits before its own child
+            yield Compute(us_of_work(us))
+
+        def parent(api):
+            for us, fork in ((300, False), (50, True), (900, False),
+                             (200, False)):
+                yield Fork(child, args=(us, fork))
+            yield WaitChildren()
+
+        p = kern.spawn(parent, "p")
+        kern.run_until_idle()
+        last_exit = max(c.exited_us for c in p.children)
+        assert len({c.exited_us for c in p.children}) == 4
+        # One wakeup, placed at the last child's exit.
+        assert [ev.t for ev in events if ev.kind == "sched.wakeup"
+                and ev.task == p.tid] == [last_exit]
+        assert p.state is TaskState.EXITED
+        assert len(kern.tasks) == 6
+        assert [t.live_children for t in kern.tasks.values()] == [0] * 6
+
+
 class TestChannels:
     def test_send_recv_roundtrip(self):
         eng, kern = make_kernel()

@@ -3,10 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.governors.performance import PerformanceGovernor
+from repro.hw.machines import get_machine
 from repro.hw.topology import Topology
-from repro.kernel.domains import DomainHierarchy
+from repro.kernel.domains import DomainHierarchy, domain_hierarchy
+from repro.kernel.scheduler_core import Kernel
 from repro.kernel.runqueue import RunQueue, SLEEPER_BONUS_US
 from repro.kernel.task import Task
+from repro.sched.cfs import CfsPolicy
+from repro.sim.engine import Engine
 
 
 def mk_task(tid, vruntime=0.0):
@@ -139,6 +144,14 @@ class TestDomains:
         for cpu in topo.all_cpus():
             assert set(h.die_span(cpu)) == \
                 set(topo.cpus_in_socket(topo.socket_of(cpu)))
+
+    def test_kernels_on_one_machine_share_one_hierarchy(self):
+        machine = get_machine("5218_2s")
+        a, b = (Kernel(Engine(seed), machine, CfsPolicy(),
+                       PerformanceGovernor()) for seed in (1, 2))
+        assert a.domains is b.domains
+        # Equal topologies are one cache key.
+        assert domain_hierarchy(Topology(2, 16, 2)) is a.domains
 
     def test_groups_partition_span(self):
         for topo in (Topology(2, 8, 2), Topology(4, 5, 2), Topology(1, 6, 1)):

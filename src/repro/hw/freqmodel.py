@@ -410,8 +410,9 @@ class FreqModel:
     def _reevaluate(self, pc: int, target: Optional[int] = None) -> None:
         """Recompute the target and re-arm (or drop) the next ramp step.
 
-        A caller that has just computed the core's target at this instant,
-        with nothing it reads changed since, passes it as ``target``.
+        A caller that has just computed the core's target at this instant
+        passes it as ``target``; stepping the core's frequency toward that
+        target in between leaves it unchanged.
 
         A pending step is moved with :meth:`EventQueue.rearm`, which
         consumes the same sequence number as cancelling and rescheduling

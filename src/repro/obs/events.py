@@ -59,7 +59,7 @@ SPIN_STOP = "spin.stop"
 
 # --- DVFS (§2.3) ---------------------------------------------------------
 FREQ_STEP = "freq.step"                # hardware stepped a physical core
-FREQ_REQUEST = "freq.request"          # schedutil computed a request
+FREQ_REQUEST = "freq.request"          # a cpu's schedutil request changed
 
 # --- injected faults (faults/) -------------------------------------------
 FAULT_CPU_OFFLINE = "fault.cpu_offline"    # hardware thread hotplugged out

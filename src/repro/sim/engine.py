@@ -21,7 +21,9 @@ from .rng import RngRegistry
 #: what a simulation *computes* (event ordering, timing, RNG use, metrics),
 #: not for pure refactors or speedups that keep runs bit-identical.  The
 #: run digests in ``tests/data/golden_digests.json`` tell the two apart:
-#: a speedup leaves them unchanged; a bump regenerates them.
+#: a speedup leaves them unchanged; a bump regenerates them.  They also
+#: pin the event log, which no cached result carries, so a change to what
+#: the log records alone regenerates them without a bump.
 ENGINE_VERSION = "1"
 
 

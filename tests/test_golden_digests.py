@@ -6,9 +6,11 @@ count and ``repr`` of the energy in clear, plus sha256 digests of the
 canonical result image (:func:`repro.verify.differential.canonical`)
 and of the event-log records.  A change that alters what a simulation
 computes changes a digest; a speedup or refactor must leave the file
-untouched.  Regenerate deliberately (and bump ``ENGINE_VERSION``) with
+untouched.  Regenerate deliberately with
 ``PYTHONPATH=src:tests python tests/golden_regen.py``, then review the
-diff.
+diff.  Bump ``ENGINE_VERSION`` in the same step when a cached result
+changes; a change to what the event log records alone does not need
+it, since no cached result carries a log.
 """
 
 import hashlib

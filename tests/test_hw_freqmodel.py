@@ -12,25 +12,16 @@ from repro.sim.events import EventKind
 
 
 class StubGovernor:
-    """Fixed floor/request governor for unit tests."""
+    """Fixed floor/request governor for unit tests; counts the requests
+    it is asked for, per cpu."""
 
     def __init__(self, floor=1000, request=3900):
         self.floor = floor
         self.request = request
+        self.asked = Counter()
 
     def floor_mhz(self, cpu):
         return self.floor
-
-    def request_mhz(self, cpu):
-        return self.request
-
-
-class CountingGovernor(StubGovernor):
-    """StubGovernor that counts the requests it is asked for, per cpu."""
-
-    def __init__(self, floor=1000, request=3900):
-        super().__init__(floor, request)
-        self.asked = Counter()
 
     def request_mhz(self, cpu):
         self.asked[cpu] += 1
@@ -250,9 +241,7 @@ class TestPricingOrder:
         assert [pc for t, pc in steps if t == due] == [1, 2, 3, 0]
 
     def test_a_wake_asks_the_governor_once_per_thread(self):
-        eng = Engine()
-        gov = CountingGovernor(request=2500)
-        fm = FreqModel(eng, Topology(2, 16, 2), XEON_5218, SPEED_SHIFT, gov)
+        eng, fm, gov = make(request=2500)
         for cpu in (1, 2, 3):
             fm.set_thread_state(cpu, busy=True, spinning=False)
         gov.asked.clear()

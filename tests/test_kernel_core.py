@@ -211,7 +211,7 @@ class TestLiveChildren:
 
         def child(api, us, fork):
             if fork:
-                yield Fork(grandchild)   # exits before its own child
+                yield Fork(grandchild)
             yield Compute(us_of_work(us))
 
         def parent(api):
@@ -224,6 +224,9 @@ class TestLiveChildren:
         kern.run_until_idle()
         last_exit = max(c.exited_us for c in p.children)
         assert len({c.exited_us for c in p.children}) == 4
+        forker = next(c for c in p.children if c.children)
+        orphan, = forker.children     # outlives the child that forked it
+        assert forker.exited_us < orphan.exited_us
         # One wakeup, placed at the last child's exit.
         assert [ev.t for ev in events if ev.kind == "sched.wakeup"
                 and ev.task == p.tid] == [last_exit]

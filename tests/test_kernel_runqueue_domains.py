@@ -7,8 +7,8 @@ from repro.governors.performance import PerformanceGovernor
 from repro.hw.machines import get_machine
 from repro.hw.topology import Topology
 from repro.kernel.domains import DomainHierarchy, domain_hierarchy
-from repro.kernel.scheduler_core import Kernel
 from repro.kernel.runqueue import RunQueue, SLEEPER_BONUS_US
+from repro.kernel.scheduler_core import Kernel
 from repro.kernel.task import Task
 from repro.sched.cfs import CfsPolicy
 from repro.sim.engine import Engine

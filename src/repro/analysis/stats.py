@@ -20,23 +20,6 @@ def stddev(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
-def relative_stddev(values: Sequence[float]) -> float:
-    """Stddev as a fraction of the mean (the paper's ±X% annotations)."""
-    m = mean(values)
-    if m == 0:
-        raise ValueError("zero mean")
-    return stddev(values) / abs(m)
-
-
-def speedup_of_means(baseline: Sequence[float], candidate: Sequence[float]) -> float:
-    """The paper's speedup: mean(baseline)/mean(candidate) - 1 (for
-    time-like metrics, where smaller is better)."""
-    b, c = mean(baseline), mean(candidate)
-    if c <= 0:
-        raise ValueError("non-positive candidate")
-    return b / c - 1.0
-
-
 def classify_speedup(speedup: float) -> str:
     """Table 4's banding of test outcomes."""
     if speedup < -0.20:

@@ -31,17 +31,6 @@ def pct(value: float, signed: bool = True) -> str:
     return f"{value:+.1%}" if signed else f"{value:.1%}"
 
 
-def render_speedup_table(title: str, row_names: Sequence[str],
-                         columns: Dict[str, Sequence[float]]) -> str:
-    """Figure 5/10/12/13-style table: rows = workloads, cols = schedulers,
-    cells = speedup vs CFS-schedutil."""
-    headers = ["workload"] + list(columns)
-    rows = []
-    for i, name in enumerate(row_names):
-        rows.append([name] + [pct(columns[c][i]) for c in columns])
-    return render_table(headers, rows, title=title)
-
-
 def render_band_table(title: str, per_config: Dict[str, Dict[str, int]]) -> str:
     """Table 4-style overview: rows = scheduler configs, cols = bands."""
     from .stats import SPEEDUP_BANDS

@@ -46,8 +46,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Bump when the cache *format* (not the engine) changes shape.
 #: 2: added the serialized observability metrics registry ("metrics").
 #: 3: added the nondeterministic "host" telemetry block (peak RSS, GC
-#:    deltas, tracemalloc peak) — dropped, like sim_wall_s, by every
-#:    determinism comparison.
+#:    deltas) — dropped, like sim_wall_s, by every determinism comparison.
 #: 4: dropped "policy_stats"; policy counters live only in "metrics".
 FORMAT_VERSION = 4
 
@@ -162,7 +161,6 @@ def result_to_jsonable(result: RunResult, machine_key: str) -> Dict[str, Any]:
             "rss_peak_kb": result.rss_peak_kb,
             "gc_collections": result.gc_collections,
             "gc_collected": result.gc_collected,
-            "alloc_peak_kb": result.alloc_peak_kb,
         },
     }
 
@@ -201,7 +199,6 @@ def result_from_jsonable(data: Dict[str, Any]) -> RunResult:
         rss_peak_kb=host.get("rss_peak_kb", 0),
         gc_collections=host.get("gc_collections", 0),
         gc_collected=host.get("gc_collected", 0),
-        alloc_peak_kb=host.get("alloc_peak_kb", 0),
     )
 
 

@@ -36,8 +36,8 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.params import NestParams
 from ..faults import FaultConfig
@@ -65,9 +65,12 @@ def default_jobs() -> int:
 class RunSpec:
     """A picklable description of one simulation.
 
-    Carries names rather than objects: the workload is rebuilt from the
+    The one description of a run: sweeps, the result cache, the fuzzer,
+    the shrinker and repro files all carry it.  Names rather than objects
+    for the workload and machine: the workload is rebuilt from the
     catalogue and the machine from its short key inside the worker, so a
-    spec crosses process boundaries with no engine state attached.
+    spec crosses process boundaries with no engine state attached, and
+    :meth:`to_dict` / :meth:`from_dict` round-trip it through JSON.
     """
 
     workload: str                  # catalogue name, e.g. "configure-gcc"
@@ -84,12 +87,43 @@ class RunSpec:
 
     @property
     def label(self) -> str:
-        return (f"{self.workload}/{self.machine}/"
-                f"{self.scheduler}-{self.governor}/s{self.seed}")
+        tags = []
+        if self.nest_params is not None:
+            tags.append("params")
+        if self.faults is not None:
+            tags.append("faults")
+        if self.max_us is not None:
+            tags.append(f"cap{self.max_us}")
+        suffix = f" [{','.join(tags)}]" if tags else ""
+        return (f"{self.workload}@{self.scale}/{self.machine}/"
+                f"{self.scheduler}-{self.governor}/s{self.seed}{suffix}")
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
+        """Inverse of :meth:`to_dict`; keys left out take their defaults
+        (repro files written before ``kernel_config`` and
+        ``record_trace`` were spec fields lack both)."""
+        fields = dict(data)
+        for key, kind in (("nest_params", NestParams),
+                          ("kernel_config", KernelConfig),
+                          ("faults", FaultConfig)):
+            if fields.get(key) is not None:
+                fields[key] = kind(**fields[key])
+        return cls(**fields)
 
 
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec to completion (this is the pool's worker function).
+def execute_spec(spec: RunSpec, collect_events: bool = False,
+                 policy_probe: Optional[Callable[[Any], None]] = None
+                 ) -> RunResult:
+    """Run one spec to completion (this is the pool's worker function,
+    and the one place a spec becomes a :func:`run_experiment` call).
+
+    ``collect_events`` and ``policy_probe`` pass through to
+    :func:`run_experiment` for in-process callers (the CLI, the oracle);
+    they are not spec fields, so they never reach the cache key.
 
     When this process carries a telemetry emitter (pool workers get one
     from :meth:`TelemetryHub.pool_init`; the parent gets one for
@@ -113,7 +147,9 @@ def execute_spec(spec: RunSpec) -> RunResult:
             record_trace=spec.record_trace,
             max_us=spec.max_us,
             kernel_config=spec.kernel_config,
+            collect_events=collect_events,
             faults=spec.faults,
+            policy_probe=policy_probe,
             telemetry=telemetry,
         )
     except BaseException as exc:

@@ -2,8 +2,10 @@
 
 Each entry maps a paper artefact (table or figure) to the workloads,
 machines and scheduler/governor combinations that regenerate it, and to the
-benchmark module that prints it.  ``benchmarks/`` imports this registry so
-the index cannot drift from the code.
+benchmark module that prints it.  The CLI's ``list``, ``describe``,
+``sweep``, ``trace`` and ``obs`` commands read it.  The ``benchmarks/``
+modules do not import it: they hard-code their own machines and scales,
+and an entry's ``bench`` field is the only link between the two.
 """
 
 from __future__ import annotations

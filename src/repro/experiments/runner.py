@@ -10,8 +10,6 @@ plotted in Figures 5-13.
 
 from __future__ import annotations
 
-import gc
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -28,6 +26,7 @@ from ..metrics.freqdist import FreqDistribution
 from ..metrics.summary import (RunResult, energy_savings, improvement_stddev,
                                speedup)
 from ..metrics.underload import UnderloadTracker
+from ..obs.telemetry.hub import gc_totals, rss_peak_kb
 from ..sched.base import SelectionPolicy
 from ..sched.registry import make_registered_policy
 from ..sim.engine import Engine
@@ -54,46 +53,17 @@ def make_policy(name: str, nest_params: Optional[NestParams] = None) -> Selectio
     return make_registered_policy(name, nest_params)
 
 
-def _gc_totals() -> Tuple[int, int]:
-    """(collections, objects collected) summed over all GC generations."""
-    stats = gc.get_stats()
-    return (sum(s.get("collections", 0) for s in stats),
-            sum(s.get("collected", 0) for s in stats))
-
-
-def _maybe_start_tracemalloc() -> bool:
-    """Start tracemalloc for this run iff ``$REPRO_TRACEMALLOC`` asks.
-
-    Off by default: tracing allocations costs 2-4x wall time, which would
-    poison every timing number in the sweep.  Returns True when *this*
-    call started tracing (and therefore owns stopping it).
-    """
-    if os.environ.get("REPRO_TRACEMALLOC", "") not in ("1", "true", "yes"):
-        return False
-    import tracemalloc
-    if tracemalloc.is_tracing():
-        return False
-    tracemalloc.start()
-    return True
-
-
-def _attach_memory_stats(result: RunResult, gc_base: Tuple[int, int],
-                         tracing_allocs: bool) -> None:
+def _attach_memory_stats(result: RunResult, gc_base: Tuple[int, int]) -> None:
     """Fill the host-side memory fields of a finished RunResult.
 
     Reads only (``getrusage``, ``gc.get_stats``) — the simulation is
     already over, and nothing here feeds back into engine state, so the
     deterministic result surface is untouched.
     """
-    from ..obs.telemetry.hub import rss_peak_kb
     result.rss_peak_kb = rss_peak_kb()
-    collections, collected = _gc_totals()
+    collections, collected = gc_totals()
     result.gc_collections = collections - gc_base[0]
     result.gc_collected = collected - gc_base[1]
-    if tracing_allocs:
-        import tracemalloc
-        result.alloc_peak_kb = tracemalloc.get_traced_memory()[1] // 1024
-        tracemalloc.stop()
 
 
 def make_governor(name: str) -> Governor:
@@ -146,8 +116,7 @@ def run_experiment(
     run.
     """
     wall_start = time.perf_counter()
-    gc_base = _gc_totals()
-    tracing_allocs = _maybe_start_tracemalloc()
+    gc_base = gc_totals()
     engine = Engine(seed)
     policy = make_policy(scheduler, nest_params)
     events = engine.obs.attach_memory() if collect_events else None
@@ -203,7 +172,7 @@ def run_experiment(
         sim_wall_s=time.perf_counter() - wall_start,
         events_processed=engine.events_processed,
     )
-    _attach_memory_stats(result, gc_base, tracing_allocs)
+    _attach_memory_stats(result, gc_base)
     if injector is not None:
         result.extra["faults_injected"] = float(len(injector.plan))
     if record_trace:
@@ -241,10 +210,6 @@ class ComboStats:
     @property
     def mean_underload_per_s(self) -> float:
         return sum(self.underload_per_s) / len(self.underload_per_s)
-
-    @property
-    def mean_top_freq(self) -> float:
-        return sum(self.top_freq_fraction) / len(self.top_freq_fraction)
 
 
 @dataclass

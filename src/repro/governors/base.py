@@ -38,14 +38,6 @@ class Governor:
         """Frequency the governor suggests for ``cpu``."""
         raise NotImplementedError
 
-    # ---- notifications from the kernel ------------------------------------
-
-    def on_tick(self, cpu: int) -> None:
-        """Scheduler tick on a busy cpu."""
-
-    def on_activity_change(self, cpu: int) -> None:
-        """A task started or stopped running on ``cpu``."""
-
     @property
     def name(self) -> str:
         return type(self).__name__.replace("Governor", "").lower()

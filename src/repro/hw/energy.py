@@ -136,22 +136,3 @@ class EnergyMeter:
     def samples(self) -> List[tuple[int, float]]:
         return list(self._samples)
 
-    def energy_between(self, t0: int, t1: int) -> float:
-        """Energy accumulated between two sampled instants (interpolated)."""
-        if t1 < t0:
-            raise ValueError("t1 < t0")
-
-        def at(t: int) -> float:
-            pts = self._samples
-            if not pts:
-                return 0.0
-            if t <= pts[0][0]:
-                return pts[0][1]
-            for (ta, ea), (tb, eb) in zip(pts, pts[1:]):
-                if ta <= t <= tb:
-                    if tb == ta:
-                        return ea
-                    return ea + (eb - ea) * (t - ta) / (tb - ta)
-            return pts[-1][1]
-
-        return at(t1) - at(t0)

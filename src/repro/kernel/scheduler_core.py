@@ -176,10 +176,6 @@ class Kernel:
         policy.bind(self)
         # Hooks whose body is the base-class no-op are not called at all;
         # skipping an empty call cannot change a run.
-        cls = type(governor)
-        self._gov_on_tick = cls.on_tick is not Governor.on_tick
-        self._gov_on_activity = (cls.on_activity_change
-                                 is not Governor.on_activity_change)
         cls = type(policy)
         self._pol_on_tick = cls.on_tick is not SelectionPolicy.on_tick
         self._pol_on_enqueue = cls.on_enqueue is not SelectionPolicy.on_enqueue
@@ -985,11 +981,6 @@ class Kernel:
         rq.currently_busy = busy
         active = self.freq.set_thread_state(cpu, busy, spinning)
         self.energy.set_core_active(self.pc_of[cpu], active, now)
-        # set_thread_state has just priced this core; only a governor
-        # whose request moves on the change needs it priced again.
-        if self._gov_on_activity:
-            self.governor.on_activity_change(cpu)
-            self.freq.notify_request_change(cpu)
         # The paper's spin stops as soon as the hyperthread gets a task,
         # and the sibling's execution rate changes with this thread's state.
         sib = self.sibling_of[cpu]
@@ -1039,8 +1030,6 @@ class Kernel:
         if curr is None:
             return
         self._account_current(cpu)
-        if self._gov_on_tick:
-            self.governor.on_tick(cpu)
         self.freq.notify_request_change(cpu)
         if self._pol_on_tick:
             self.policy.on_tick(cpu, self.freq.freq_mhz(cpu))

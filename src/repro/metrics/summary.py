@@ -42,15 +42,13 @@ class RunResult:
     events_processed: int = 0
     #: Memory telemetry of the executing process, host-side like
     #: ``sim_wall_s``: peak RSS in KiB (process-lifetime high-water mark —
-    #: in a pool worker that ran several specs it is "peak so far"), GC
-    #: collection/collected-object deltas across the run, and — only when
-    #: ``$REPRO_TRACEMALLOC=1`` — the tracemalloc peak in KiB.  All four
+    #: in a pool worker that ran several specs it is "peak so far") and
+    #: GC collection/collected-object deltas across the run.  All three
     #: serialize under the cache entry's ``"host"`` block, which every
     #: determinism comparison drops alongside ``sim_wall_s``.
     rss_peak_kb: int = 0
     gc_collections: int = 0
     gc_collected: int = 0
-    alloc_peak_kb: int = 0
 
     @property
     def events_per_sec(self) -> float:

@@ -1,6 +1,6 @@
-"""Discrete-event simulation engine (clock, events, queue, tracing)."""
+"""Discrete-event simulation engine (time units, events, queue, tracing)."""
 
-from .clock import Clock, TICK_US, US_PER_MS, US_PER_SEC, sec_from_us, ticks_to_us, us_from_ms, us_from_sec
+from .clock import TICK_US, US_PER_MS, US_PER_SEC
 from .engine import Engine, SimulationError
 from .events import Event, EventKind
 from .queue import EventQueue
@@ -8,8 +8,7 @@ from .rng import RngRegistry
 from .trace import Segment, Tracer
 
 __all__ = [
-    "Clock", "TICK_US", "US_PER_MS", "US_PER_SEC",
-    "sec_from_us", "ticks_to_us", "us_from_ms", "us_from_sec",
+    "TICK_US", "US_PER_MS", "US_PER_SEC",
     "Engine", "SimulationError",
     "Event", "EventKind", "EventQueue",
     "RngRegistry",

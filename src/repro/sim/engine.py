@@ -1,6 +1,7 @@
 """The discrete-event simulation driver.
 
-The engine owns the clock and the event queue and runs the main loop.  All
+The engine owns simulated time (``now``, integer microseconds) and the
+event queue, and runs the main loop.  All
 other components (frequency model, kernel, workloads, metrics) schedule
 callbacks through it.  The engine knows nothing about scheduling semantics.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..obs.log import EventLog
-from .clock import Clock
 from .events import Event, EventKind
 from .queue import EventQueue
 from .rng import RngRegistry
@@ -35,7 +35,6 @@ class Engine:
     """Event loop: pops events in time order and dispatches their callbacks."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.clock = Clock()
         self.queue = EventQueue()
         self.rng = RngRegistry(seed)
         self.events_processed = 0
@@ -45,9 +44,10 @@ class Engine:
         #: through it behind an ``if obs.enabled:`` guard, so a run with no
         #: sinks allocates no event records.
         self.obs = EventLog()
-        #: Mirror of ``clock.now``, kept in sync by the run loop.  A plain
-        #: attribute: ``engine.now`` is the single hottest read in the
-        #: simulator and a property call per read showed up in profiles.
+        #: Simulated time in µs.  Only the run loop writes it, and never
+        #: backwards.  A plain attribute: ``engine.now`` is the single
+        #: hottest read in the simulator and a property call per read
+        #: showed up in profiles.
         self.now = 0
         self._stopped = False
         self._stop_reason: Optional[str] = None
@@ -60,9 +60,9 @@ class Engine:
         args: tuple[Any, ...] = (),
     ) -> Event:
         """Schedule ``callback`` at absolute time ``time``."""
-        if time < self.clock.now:
+        if time < self.now:
             raise SimulationError(
-                f"scheduling into the past: {time} < {self.clock.now}")
+                f"scheduling into the past: {time} < {self.now}")
         return self.queue.schedule(time, kind, callback, args)
 
     def after(
@@ -75,7 +75,7 @@ class Engine:
         """Schedule ``callback`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.queue.schedule(self.clock.now + delay, kind, callback, args)
+        return self.queue.schedule(self.now + delay, kind, callback, args)
 
     def cancel(self, ev: Event) -> None:
         self.queue.cancel(ev)
@@ -97,14 +97,12 @@ class Engine:
         self._stopped = False
         self._stop_reason = None
         queue = self.queue
-        clock = self.clock
         processed = 0
         while not self._stopped:
             if until is not None:
                 nxt = queue.peek_time()
                 if nxt is None or nxt > until:
-                    clock.advance_to(max(until, clock.now))
-                    self.now = clock.now
+                    self.now = max(until, self.now)
                     self._stop_reason = "until"
                     break
             ev = queue.pop()
@@ -112,13 +110,8 @@ class Engine:
                 self._stop_reason = "drained"
                 break
             t = ev.time
-            if t != clock.now:
-                # Clock.advance_to inlined: events at one timestamp share
-                # a single clock update.
-                if t < clock.now:
-                    raise ValueError(
-                        f"clock moving backwards: {t} < {clock.now}")
-                clock.now = t
+            if t < self.now:
+                raise ValueError(f"clock moving backwards: {t} < {self.now}")
             self.now = t
             ev.callback(*ev.args)
             processed += 1
@@ -126,4 +119,4 @@ class Engine:
                 raise SimulationError(
                     f"exceeded max_events={max_events}; possible livelock")
         self.events_processed += processed
-        return clock.now
+        return self.now

@@ -15,45 +15,31 @@ differential layer checks runs against *each other*:
 * **nest vs CFS** — scheduling policy affects *when* work runs, never
   *how much*: both schedulers must create the same task population.
 
-Each check takes a :class:`Scenario` and returns ``Violation``\\ s using
-``diff.*`` invariant names, so fuzz reports, shrinking and repro files
-treat differential failures exactly like oracle failures.
+Each check takes a scenario (a :class:`RunSpec`) and returns
+``Violation``\\ s using ``diff.*`` invariant names, so fuzz reports,
+shrinking and repro files treat differential failures exactly like
+oracle failures; :func:`check_scenario` runs the oracle plus any named
+subset of them.
 """
 
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Collection, Dict, Iterable, List, Tuple
 
 from ..experiments.cache import (ResultCache, result_from_jsonable,
                                  result_to_jsonable)
 from ..experiments.parallel import RunSpec, SweepExecutor, execute_spec
 from ..faults.plan import FaultConfig
-from .generate import Scenario
-from .oracle import Violation
+from .execute import run_scenario
+from .oracle import Violation, check_run
 
 #: A rate this low rounds to zero planned faults over any sane horizon,
 #: while still flipping ``FaultConfig.enabled`` on — the injector is
 #: installed but must be a pure bystander.
 EPSILON_RATE = 1e-9
-
-
-def spec_of(scenario: Scenario, **overrides: Any) -> RunSpec:
-    """Express a scenario as a picklable sweep spec."""
-    fields: Dict[str, Any] = dict(
-        workload=scenario.workload,
-        machine=scenario.machine,
-        scheduler=scenario.scheduler,
-        governor=scenario.governor,
-        seed=scenario.seed,
-        scale=scenario.scale,
-        nest_params=scenario.nest_params_obj(),
-        max_us=scenario.max_us,
-        faults=scenario.faults_obj(),
-    )
-    fields.update(overrides)
-    return RunSpec(**fields)
 
 
 def canonical(result, machine_key: str,
@@ -82,9 +68,9 @@ def _diff_fields(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_serial_vs_parallel(scenario: Scenario) -> Iterable[Violation]:
+def check_serial_vs_parallel(scenario: RunSpec) -> Iterable[Violation]:
     """PR-1 determinism: pool workers must equal an in-process loop."""
-    specs = [spec_of(scenario, seed=scenario.seed + i) for i in range(3)]
+    specs = [replace(scenario, seed=scenario.seed + i) for i in range(3)]
     serial = [execute_spec(s) for s in specs]
     parallel = SweepExecutor(jobs=2, cache=None).run(specs)
     for spec, s_res, p_res in zip(specs, serial, parallel):
@@ -97,15 +83,14 @@ def check_serial_vs_parallel(scenario: Scenario) -> Iterable[Violation]:
                 f"in-process result on {_diff_fields(a, b)}")
 
 
-def check_cached_roundtrip(scenario: Scenario) -> Iterable[Violation]:
+def check_cached_roundtrip(scenario: RunSpec) -> Iterable[Violation]:
     """Fresh run == JSON round-trip == re-run served alongside the cache."""
-    spec = spec_of(scenario)
-    fresh = execute_spec(spec)
+    fresh = execute_spec(scenario)
     image = canonical(fresh, scenario.machine)
     with tempfile.TemporaryDirectory(prefix="verify-cache-") as tmp:
         cache = ResultCache(root=Path(tmp))
-        cache.put_spec(spec, fresh)
-        cached = cache.get_spec(spec)
+        cache.put_spec(scenario, fresh)
+        cached = cache.get_spec(scenario)
     if cached is None:
         yield Violation("diff.cached_roundtrip",
                         "stored result did not come back from the cache")
@@ -115,7 +100,7 @@ def check_cached_roundtrip(scenario: Scenario) -> Iterable[Violation]:
         yield Violation(
             "diff.cached_roundtrip",
             f"cache round-trip changed {_diff_fields(image, back)}")
-    rerun = canonical(execute_spec(spec), scenario.machine)
+    rerun = canonical(execute_spec(scenario), scenario.machine)
     if rerun != image:
         yield Violation(
             "diff.cached_roundtrip",
@@ -131,13 +116,13 @@ def check_cached_roundtrip(scenario: Scenario) -> Iterable[Violation]:
             f"jsonable cycle changed {_diff_fields(image, cycled)}")
 
 
-def check_empty_fault_plan(scenario: Scenario) -> Iterable[Violation]:
+def check_empty_fault_plan(scenario: RunSpec) -> Iterable[Violation]:
     """An armed injector with nothing planned must change nothing."""
     if scenario.faults is not None:
         return  # only meaningful against a clean baseline
-    clean = execute_spec(spec_of(scenario))
+    clean = execute_spec(scenario)
     empty = FaultConfig(hotplug_rate_per_s=EPSILON_RATE)
-    faulted = execute_spec(spec_of(scenario, faults=empty))
+    faulted = execute_spec(replace(scenario, faults=empty))
     injected = faulted.extra.get("faults_injected", 0.0)
     if injected:
         yield Violation("diff.empty_fault_plan",
@@ -162,13 +147,12 @@ def check_empty_fault_plan(scenario: Scenario) -> Iterable[Violation]:
             f"a zero-fault plan perturbed {_diff_fields(a, b)}")
 
 
-def check_nest_vs_cfs(scenario: Scenario) -> Iterable[Violation]:
+def check_nest_vs_cfs(scenario: RunSpec) -> Iterable[Violation]:
     """Policies place work; they must not create or destroy it."""
     if scenario.scheduler != "nest" or scenario.max_us is not None:
         return  # a horizon cap truncates forks differently per policy
-    nest = execute_spec(spec_of(scenario))
-    cfs = execute_spec(spec_of(scenario, scheduler="cfs",
-                               nest_params=None))
+    nest = execute_spec(scenario)
+    cfs = execute_spec(replace(scenario, scheduler="cfs", nest_params=None))
     if nest.n_tasks != cfs.n_tasks:
         yield Violation(
             "diff.nest_vs_cfs",
@@ -185,3 +169,15 @@ DIFF_CHECKS: Tuple[Tuple[str, Any], ...] = (
     ("diff.nest_vs_cfs", check_nest_vs_cfs),
     ("diff.serial_vs_parallel", check_serial_vs_parallel),
 )
+
+
+def check_scenario(scenario: RunSpec,
+                   diff_names: Collection[str] = ()) -> List[Violation]:
+    """Run ``scenario`` through the oracle, then through the differential
+    checks named in ``diff_names`` (what a shrink step or a repro replay
+    re-checks: only what can re-fail)."""
+    violations = list(check_run(run_scenario(scenario)))
+    for name, fn in DIFF_CHECKS:
+        if name in diff_names:
+            violations.extend(fn(scenario))
+    return violations

@@ -1,7 +1,9 @@
-"""Run one generated scenario and gather everything the oracle inspects.
+"""Run one scenario and gather everything the oracle inspects.
 
-The oracle deliberately sees *more* than a cached :class:`RunResult`:
-the full structured event log (for replay checks) and a snapshot of the
+A scenario is a :class:`~repro.experiments.parallel.RunSpec`, run by
+:func:`~repro.experiments.parallel.execute_spec` like any sweep's.  The
+oracle deliberately sees *more* than a cached :class:`RunResult`: the
+full structured event log (for replay checks) and a snapshot of the
 final nest membership taken through ``run_experiment``'s policy probe
 (primary/reserve sets never reach the serialized result).  A crash
 inside the simulator is not propagated — it comes back as
@@ -14,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..experiments.runner import run_experiment
+from ..experiments.parallel import RunSpec, execute_spec
 from ..hw.machines import Machine, get_machine
 from ..metrics.summary import RunResult
 from ..obs.events import SchedEvent
-from ..workloads.catalog import make_workload
-from .generate import Scenario
 from .oracle import NestSnapshot
 
 
@@ -27,7 +27,7 @@ from .oracle import NestSnapshot
 class RunArtifacts:
     """Everything one scenario run produced, for the oracle."""
 
-    scenario: Scenario
+    scenario: RunSpec
     machine: Machine
     result: Optional[RunResult] = None
     events: List[SchedEvent] = field(default_factory=list)
@@ -36,7 +36,7 @@ class RunArtifacts:
     error: Optional[str] = None
 
 
-def run_scenario(scenario: Scenario, collect_events: bool = True,
+def run_scenario(scenario: RunSpec, collect_events: bool = True,
                  probe: bool = True) -> RunArtifacts:
     """Execute ``scenario``; never raises on simulator failure."""
     machine = get_machine(scenario.machine)
@@ -54,18 +54,8 @@ def run_scenario(scenario: Scenario, collect_events: bool = True,
             ))
 
     try:
-        result = run_experiment(
-            make_workload(scenario.workload, scale=scenario.scale),
-            machine,
-            scenario.scheduler,
-            scenario.governor,
-            seed=scenario.seed,
-            nest_params=scenario.nest_params_obj(),
-            max_us=scenario.max_us,
-            collect_events=collect_events,
-            faults=scenario.faults_obj(),
-            policy_probe=policy_probe if probe else None,
-        )
+        result = execute_spec(scenario, collect_events=collect_events,
+                              policy_probe=policy_probe if probe else None)
     except Exception as exc:
         art.error = f"{type(exc).__name__}: {exc}"
         return art

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from .differential import DIFF_CHECKS
+from ..experiments.parallel import RunSpec
+from .differential import DIFF_CHECKS, check_scenario
 from .execute import run_scenario
-from .generate import Scenario, ScenarioGenerator
-from .oracle import Violation, check_run
+from .generate import ScenarioGenerator
+from .oracle import Violation
 from .repro import save_repro
 from .shrink import shrink
 
@@ -52,9 +53,9 @@ class Failure:
     """One failing scenario, as found and as shrunk."""
 
     index: int
-    scenario: Scenario
+    scenario: RunSpec
     violations: List[Violation]
-    shrunk: Scenario
+    shrunk: RunSpec
     shrunk_violations: List[Violation]
     repro_path: Optional[Path] = None
 
@@ -110,7 +111,7 @@ class FuzzReport:
                 f"[{self.elapsed_s:.1f}s, seed {self.config.base_seed}]")
 
 
-def _diff_violations(scenario: Scenario, index: int,
+def _diff_violations(scenario: RunSpec, index: int,
                      config: FuzzConfig) -> List[Violation]:
     """The differential checks due at this index, cheapest first."""
     out: List[Violation] = []
@@ -122,19 +123,7 @@ def _diff_violations(scenario: Scenario, index: int,
     return out
 
 
-def _make_checker(diff_names: set) -> Callable[[Scenario], List[Violation]]:
-    """A shrink-time re-checker covering the oracle plus the differential
-    checks that originally failed (replaying only what can re-fail)."""
-    def run_checks(scenario: Scenario) -> List[Violation]:
-        violations = list(check_run(run_scenario(scenario)))
-        for name, fn in DIFF_CHECKS:
-            if name in diff_names:
-                violations.extend(fn(scenario))
-        return violations
-    return run_checks
-
-
-def _shrunk_analysis(scenario: Scenario) -> Optional[Dict[str, Any]]:
+def _shrunk_analysis(scenario: RunSpec) -> Optional[Dict[str, Any]]:
     """Trace-analysis digest of the shrunk failing run, for the repro.
 
     Costs one extra (small, already-shrunk) simulation per failure and
@@ -159,8 +148,7 @@ def fuzz(config: FuzzConfig, log: Optional[LogFn] = None) -> FuzzReport:
 
     for i in range(config.runs):
         scenario = gen.generate(i)
-        art = run_scenario(scenario)
-        violations = list(check_run(art))
+        violations = check_scenario(scenario)
 
         run_diffs = (config.diff_every and i % config.diff_every == 0
                      and not violations)
@@ -174,11 +162,11 @@ def fuzz(config: FuzzConfig, log: Optional[LogFn] = None) -> FuzzReport:
 
         names = sorted({v.invariant for v in violations})
         say(f"[{i}] FAIL {scenario.label}: {', '.join(names)}")
-        checker = _make_checker({n for n in names if n.startswith("diff.")})
+        diff_names = {n for n in names if n.startswith("diff.")}
         if config.shrink_budget > 0:
             small, small_violations = shrink(
-                scenario, checker, violations=violations,
-                budget=config.shrink_budget)
+                scenario, lambda sc: check_scenario(sc, diff_names),
+                violations=violations, budget=config.shrink_budget)
             if small != scenario:
                 say(f"[{i}]   shrunk to {small.label}")
         else:

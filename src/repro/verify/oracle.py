@@ -406,7 +406,7 @@ class FeatureLegality(_Replay):
     needs_log = True
 
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
-        p = self.art.scenario.nest_params_obj() or DEFAULT_PARAMS
+        p = self.art.scenario.nest_params or DEFAULT_PARAMS
         rules = (
             (p.attachment_enabled, oev.PLACE_ATTACH, "attachment"),
             (p.reserve_enabled, oev.PLACE_RESERVE, "reserve"),
@@ -572,12 +572,12 @@ class FaultConsistency(_Replay):
 
     @classmethod
     def applies(cls, art: "RunArtifacts") -> bool:
-        config = art.scenario.faults_obj()
+        config = art.scenario.faults
         return config is not None and config.enabled
 
     def finish(self, ctx: AnalysisContext) -> List[Violation]:
         art = self.art
-        config = art.scenario.faults_obj()
+        config = art.scenario.faults
         m = art.result.metrics
         machine = art.machine
         plan = FaultPlan.generate(config, machine.n_cpus,

@@ -17,16 +17,16 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..experiments.cache import atomic_write_json
-from .execute import run_scenario
-from .generate import Scenario
-from .oracle import Violation, check_run
+from ..experiments.parallel import RunSpec
+from .differential import check_scenario
+from .oracle import Violation
 
 FORMAT = 1
 
 
 def save_repro(
     path: Path,
-    scenario: Scenario,
+    scenario: RunSpec,
     violations: List[Violation],
     origin: Optional[Dict[str, Any]] = None,
     analysis: Optional[Dict[str, Any]] = None,
@@ -75,13 +75,6 @@ def replay_repro(path: Path) -> List[Violation]:
     reproduces.
     """
     data = load_repro(path)
-    scenario = Scenario.from_dict(data["scenario"])
-    violations = list(check_run(run_scenario(scenario)))
     diff_names = {name for name in data["expect"]
                   if name.startswith("diff.")}
-    if diff_names:
-        from .differential import DIFF_CHECKS
-        for name, fn in DIFF_CHECKS:
-            if name in diff_names:
-                violations.extend(fn(scenario))
-    return violations
+    return check_scenario(RunSpec.from_dict(data["scenario"]), diff_names)

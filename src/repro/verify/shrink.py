@@ -16,14 +16,14 @@ than the last.
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .generate import Scenario
+from ..experiments.parallel import RunSpec
 from .oracle import Violation
 
 #: A check function re-runs a scenario and reports what failed.
-CheckFn = Callable[[Scenario], List[Violation]]
+CheckFn = Callable[[RunSpec], List[Violation]]
 
 #: The cheapest catalogued workload; the final simplification target.
 SIMPLEST_WORKLOAD = ("configure-gcc", 0.1)
@@ -31,43 +31,39 @@ SIMPLEST_MACHINE = "ryzen_4650g"
 MIN_SCALE = 0.1
 
 
-def _replace(sc: Scenario, **kw) -> Scenario:
-    return dataclasses.replace(sc, **kw)
-
-
-def _candidates(sc: Scenario) -> Sequence[Tuple[str, Scenario]]:
+def _candidates(sc: RunSpec) -> Sequence[Tuple[str, RunSpec]]:
     """The simplification ladder, most-impactful first."""
-    out: List[Tuple[str, Scenario]] = []
+    out: List[Tuple[str, RunSpec]] = []
     if sc.faults is not None:
-        out.append(("drop faults", _replace(sc, faults=None)))
+        out.append(("drop faults", replace(sc, faults=None)))
     if sc.max_us is not None:
-        out.append(("drop max_us", _replace(sc, max_us=None)))
+        out.append(("drop max_us", replace(sc, max_us=None)))
     if sc.scale > MIN_SCALE:
         halved = max(MIN_SCALE, round(sc.scale / 2, 2))
         out.append((f"scale {sc.scale} -> {halved}",
-                    _replace(sc, scale=halved)))
+                    replace(sc, scale=halved)))
     if sc.machine != SIMPLEST_MACHINE:
-        out.append(("simplify machine", _replace(sc, machine=SIMPLEST_MACHINE)))
+        out.append(("simplify machine", replace(sc, machine=SIMPLEST_MACHINE)))
     if sc.nest_params is not None:
-        out.append(("drop nest_params", _replace(sc, nest_params=None)))
+        out.append(("drop nest_params", replace(sc, nest_params=None)))
     if sc.governor != "schedutil":
         out.append(("governor -> schedutil",
-                    _replace(sc, governor="schedutil")))
+                    replace(sc, governor="schedutil")))
     wl, scale = SIMPLEST_WORKLOAD
     if sc.workload != wl:
         out.append(("simplify workload",
-                    _replace(sc, workload=wl, scale=scale)))
+                    replace(sc, workload=wl, scale=scale)))
     if sc.seed != 1:
-        out.append(("seed -> 1", _replace(sc, seed=1)))
+        out.append(("seed -> 1", replace(sc, seed=1)))
     return out
 
 
 def shrink(
-    scenario: Scenario,
+    scenario: RunSpec,
     check: CheckFn,
     violations: Optional[List[Violation]] = None,
     budget: int = 40,
-) -> Tuple[Scenario, List[Violation]]:
+) -> Tuple[RunSpec, List[Violation]]:
     """Minimize ``scenario`` while it keeps failing the same invariants.
 
     ``check`` re-runs a candidate and returns its violations;

@@ -1,6 +1,6 @@
 """Workload generators standing in for the paper's benchmark suites."""
 
-from .base import BehaviourWorkload, Workload, jittered, ms_of_work, us_of_work
+from .base import Workload, jittered, ms_of_work, us_of_work
 from .configure import CONFIGURE_PROFILES, ConfigureWorkload, configure_names
 from .dacapo import (DACAPO_PROFILES, DacapoWorkload, HIGH_UNDERLOAD_APPS,
                      dacapo_names)
@@ -13,7 +13,7 @@ from .servers import (KeyValueStoreWorkload, ServerWorkload, apache_siege,
                       leveldb, nginx, redis)
 
 __all__ = [
-    "Workload", "BehaviourWorkload", "jittered", "ms_of_work", "us_of_work",
+    "Workload", "jittered", "ms_of_work", "us_of_work",
     "ConfigureWorkload", "CONFIGURE_PROFILES", "configure_names",
     "DacapoWorkload", "DACAPO_PROFILES", "HIGH_UNDERLOAD_APPS", "dacapo_names",
     "HackbenchWorkload", "SchbenchWorkload",

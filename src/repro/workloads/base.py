@@ -14,8 +14,6 @@ quantity the paper measures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
 
 from ..kernel.scheduler_core import Kernel
 from ..kernel.task import Task
@@ -50,23 +48,6 @@ class Workload:
 
     def describe(self) -> str:
         return self.name
-
-
-@dataclass
-class BehaviourWorkload(Workload):
-    """Wrap a single root behaviour generator function as a workload."""
-
-    behaviour: Callable[..., Any]
-    workload_name: str = "behaviour"
-    on_cpu: int = 0
-    args: tuple = ()
-
-    def __post_init__(self) -> None:
-        self.name = self.workload_name
-
-    def start(self, kernel: Kernel) -> Task:
-        return kernel.spawn(self.behaviour, name=self.name,
-                            on_cpu=self.on_cpu, args=self.args)
 
 
 def jittered(rng: random.Random, mean: float, rel_sigma: float = 0.15,

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from repro.analysis.plots import (render_bars, render_core_trace,
                                   render_distribution)
 from repro.analysis.stats import (SPEEDUP_BANDS, band_counts,
-                                  classify_speedup, mean, relative_stddev,
-                                  speedup_of_means, stddev)
-from repro.analysis.tables import (pct, render_band_table,
-                                   render_speedup_table, render_table)
+                                  classify_speedup, mean, stddev)
+from repro.analysis.tables import pct, render_band_table, render_table
 from repro.sim.trace import Segment
 
 
@@ -20,12 +18,6 @@ class TestStats:
     def test_stddev(self):
         assert stddev([2, 2, 2]) == 0
         assert stddev([0, 2]) == 1
-
-    def test_relative_stddev(self):
-        assert relative_stddev([90, 110]) == pytest.approx(0.1)
-
-    def test_speedup_of_means(self):
-        assert speedup_of_means([100], [80]) == pytest.approx(0.25)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -66,11 +58,6 @@ class TestTables:
     def test_pct(self):
         assert pct(0.123) == "+12.3%"
         assert pct(-0.05) == "-5.0%"
-
-    def test_speedup_table(self):
-        out = render_speedup_table("t", ["w1", "w2"],
-                                   {"nest": [0.1, 0.2], "cfs": [0.0, 0.0]})
-        assert "w1" in out and "+10.0%" in out
 
     def test_band_table(self):
         out = render_band_table("t", {"nest": {"same": 3,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.nest import NestPolicy
 from repro.core.params import NestParams
-from repro.experiments.configs import FAST, FULL, STANDARD
 from repro.experiments.registry import (EXPERIMENTS, all_experiments,
                                         get_experiment)
 from repro.experiments.runner import (BASELINE, STANDARD_COMBOS, compare,
@@ -132,13 +131,3 @@ class TestRegistry:
         assert get_experiment("fig5").artefact == "Figure 5"
         with pytest.raises(KeyError):
             get_experiment("fig99")
-
-
-class TestConfigs:
-    def test_fast_is_smaller_than_full(self):
-        assert len(FAST.seeds) < len(FULL.seeds)
-        assert FAST.workload_scale <= FULL.workload_scale
-
-    def test_standard_covers_paper_machines(self):
-        assert set(STANDARD.machines) == {"6130_2s", "6130_4s", "5218_2s",
-                                          "e78870_4s"}

@@ -405,11 +405,11 @@ class TestCorrelatedFailureRuns:
     def test_plan_rederivation_reconciles(self):
         """The oracle re-derives the corefail plan from (seed, config,
         machine shape) and reconciles it against the run's counters."""
-        from repro.verify import Scenario, check_run, run_scenario
-        from repro.verify.generate import freeze_faults
-        sc = Scenario(workload="deadline-periodic", machine="ryzen_4650g",
-                      scheduler="ftrt", governor="schedutil", seed=2,
-                      scale=1.0, faults=freeze_faults(COREFAIL_DENSE))
+        from repro.experiments.parallel import RunSpec
+        from repro.verify import check_run, run_scenario
+        sc = RunSpec(workload="deadline-periodic", machine="ryzen_4650g",
+                     scheduler="ftrt", governor="schedutil", seed=2,
+                     scale=1.0, faults=COREFAIL_DENSE)
         assert check_run(run_scenario(sc)) == []
 
     def test_corefail_skip_guard_counts(self):

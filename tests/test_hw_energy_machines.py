@@ -74,13 +74,9 @@ class TestPowerModel:
         m.sample(1_000_000)
         m.sample(2_000_000)
         total = m.energy_joules
-        assert m.energy_between(0, 2_000_000) == pytest.approx(total)
-        assert m.energy_between(500_000, 1_500_000) == pytest.approx(total / 2)
-
-    def test_energy_between_rejects_reversed(self):
-        m = EnergyMeter(Topology(1, 1, 2))
-        with pytest.raises(ValueError):
-            m.energy_between(10, 5)
+        assert [t for t, _ in m.samples] == [0, 1_000_000, 2_000_000]
+        assert m.samples[-1][1] == pytest.approx(total)
+        assert m.samples[1][1] == pytest.approx(total / 2)
 
 
 class TestMachines:

@@ -520,8 +520,8 @@ class TestAccountingInvariants:
 
 
 class TestActivityPricing:
-    """set_thread_state prices the changed core; the kernel prices it again
-    only for a governor whose request moves on the activity change."""
+    """set_thread_state prices the changed core; the kernel does not price
+    it a second time."""
 
     @staticmethod
     def count_notifies(kern):
@@ -543,15 +543,3 @@ class TestActivityPricing:
         kern._set_thread_activity(0, busy=True)
         kern._set_thread_activity(0, busy=False)
         assert calls == []
-
-    def test_activity_hook_gets_a_repricing(self):
-        seen = []
-
-        class Hooked(SchedutilGovernor):
-            def on_activity_change(self, cpu):
-                seen.append(cpu)
-
-        eng, kern = make_kernel(governor=Hooked())
-        calls = self.count_notifies(kern)
-        kern._set_thread_activity(1, busy=True)
-        assert seen == calls == [1]

@@ -48,7 +48,7 @@ class TestRunSpec:
 
     def test_label(self):
         assert SPECS[0].label == \
-            "phoronix-libavif-avifenc-1/5218_2s/cfs-schedutil/s1"
+            "phoronix-libavif-avifenc-1@0.3/5218_2s/cfs-schedutil/s1"
 
     def test_execute_spec_matches_direct_run(self):
         from repro.experiments.runner import run_experiment

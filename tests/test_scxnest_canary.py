@@ -11,14 +11,15 @@ have teeth of their own.
 
 from unittest import mock
 
+from repro.experiments.parallel import RunSpec
 from repro.obs import events as oev
 from repro.sched.scxnest import NestMasks, ScxNestPolicy
-from repro.verify import Scenario, check_run, run_scenario
+from repro.verify import check_run, run_scenario
 
 #: dacapo-h2 on the small box compacts and promotes continually (see
 #: tests/test_scxnest.py's end-to-end counters), so both mutated
 #: branches are guaranteed to execute.
-CANARY_SCENARIO = Scenario(
+CANARY_SCENARIO = RunSpec(
     workload="dacapo-h2", machine="ryzen_4650g", scheduler="scxnest",
     governor="schedutil", seed=3, scale=0.1)
 

@@ -1,63 +1,12 @@
 """Tests for repro.sim.clock."""
 
-import pytest
-
-from repro.sim.clock import (Clock, TICK_US, US_PER_MS, US_PER_SEC,
-                             sec_from_us, ticks_to_us, us_from_ms,
-                             us_from_sec)
+from repro.sim.clock import TICK_US, US_PER_MS, US_PER_SEC
 
 
 class TestConversions:
-    def test_ms_to_us(self):
-        assert us_from_ms(1) == 1_000
-
-    def test_ms_to_us_fractional_rounds(self):
-        assert us_from_ms(1.5) == 1_500
-        assert us_from_ms(0.0004) == 0
-
-    def test_sec_to_us(self):
-        assert us_from_sec(2) == 2_000_000
-
-    def test_us_to_sec(self):
-        assert sec_from_us(1_500_000) == pytest.approx(1.5)
-
-    def test_roundtrip(self):
-        assert sec_from_us(us_from_sec(3.25)) == pytest.approx(3.25)
-
     def test_tick_is_4ms(self):
         # The paper's machines run at 250 Hz: one tick = 4 ms.
         assert TICK_US == 4 * US_PER_MS
 
-    def test_ticks_to_us(self):
-        assert ticks_to_us(2) == 8_000
-        assert ticks_to_us(0.5) == 2_000
-
     def test_units_consistent(self):
         assert US_PER_SEC == 1000 * US_PER_MS
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert Clock().now == 0
-
-    def test_custom_start(self):
-        assert Clock(100).now == 100
-
-    def test_advance(self):
-        c = Clock()
-        c.advance_to(50)
-        assert c.now == 50
-
-    def test_advance_to_same_time_ok(self):
-        c = Clock(10)
-        c.advance_to(10)
-        assert c.now == 10
-
-    def test_no_time_travel(self):
-        c = Clock(10)
-        with pytest.raises(ValueError):
-            c.advance_to(9)
-
-    def test_now_sec(self):
-        c = Clock(2_500_000)
-        assert c.now_sec == pytest.approx(2.5)

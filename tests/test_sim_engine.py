@@ -46,6 +46,18 @@ class TestEngine:
         assert eng.now == 20
         assert eng.stop_reason == "until"
 
+    def test_time_never_moves_backwards(self):
+        eng = Engine()
+        eng.at(10, EventKind.IO, lambda: None)
+        eng.run()
+        eng.run(until=3)      # an earlier horizon does not rewind the clock
+        assert eng.now == 10
+        # Straight onto the queue, past at()'s own check: the run loop
+        # still refuses to step back in time.
+        eng.queue.schedule(5, EventKind.IO, lambda: None, ())
+        with pytest.raises(ValueError, match="backwards"):
+            eng.run()
+
     def test_until_resumable(self):
         eng = Engine()
         seen = []

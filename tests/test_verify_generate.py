@@ -1,17 +1,32 @@
 """Generator layer: seeded, order-independent, JSON-round-trippable."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.params import NestParams
+from repro.experiments.parallel import RunSpec
 from repro.faults.plan import FaultConfig
 from repro.hw.machines import ALL_MACHINES
 from repro.verify.generate import (ABLATABLE_FEATURES, MACHINE_POOL,
-                                   SCHEDULER_POOL, WORKLOAD_POOL, Scenario,
-                                   ScenarioGenerator, freeze_faults,
-                                   freeze_params)
+                                   SCHEDULER_POOL, WORKLOAD_POOL,
+                                   ScenarioGenerator)
 from repro.workloads.catalog import workload_names
+
+REPRO_DIR = Path(__file__).parent / "repros"
+
+#: The fields a generated scenario draws (a RunSpec's other fields keep
+#: their defaults).
+DRAWN_KEYS = ("workload", "machine", "scheduler", "governor", "seed",
+              "scale", "nest_params", "faults", "max_us")
+
+#: sha256 of the seed-1 corpus (scenarios 0-299, drawn fields only) as
+#: compact sorted-key JSON.  Any change to a pool, a draw or its order
+#: moves it, and with it every fuzz verdict and repro origin.
+SEED1_CORPUS_SHA256 = \
+    "607f5d13b4b993c1c3daca99d9bbb3958f363c6465f092af6d828d29c9d381e6"
 
 
 def test_same_seed_same_scenarios():
@@ -58,11 +73,24 @@ def test_generator_covers_the_interesting_space():
     assert len({s.workload for s in scenarios}) == len(WORKLOAD_POOL)
 
 
+def test_seed1_corpus_is_pinned():
+    gen = ScenarioGenerator(1)
+    corpus = [{k: v for k, v in gen.generate(i).to_dict().items()
+               if k in DRAWN_KEYS} for i in range(300)]
+    text = json.dumps(corpus, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED1_CORPUS_SHA256
+
+
 def test_scenario_json_roundtrip():
     gen = ScenarioGenerator(11)
-    for i in range(40):
-        sc = gen.generate(i)
-        cycled = Scenario.from_dict(json.loads(json.dumps(sc.to_dict())))
+    scenarios = [gen.generate(i) for i in range(40)]
+    # Repro files written before kernel_config and record_trace were
+    # spec fields lack both keys; they must still load.
+    scenarios += [RunSpec.from_dict(json.loads(p.read_text())["scenario"])
+                  for p in sorted(REPRO_DIR.glob("*.json"))]
+    assert len(scenarios) > 40
+    for sc in scenarios:
+        cycled = RunSpec.from_dict(json.loads(json.dumps(sc.to_dict())))
         assert cycled == sc
         assert hash(cycled) == hash(sc)
 
@@ -70,17 +98,19 @@ def test_scenario_json_roundtrip():
 def test_scenario_object_views():
     params = NestParams(r_max=2, r_impatient=1)
     faults = FaultConfig(hotplug_rate_per_s=25.0)
-    sc = Scenario(workload="configure-gcc", machine="ryzen_4650g",
-                  scheduler="nest", governor="schedutil", seed=5,
-                  nest_params=freeze_params(params),
-                  faults=freeze_faults(faults))
-    assert sc.nest_params_obj() == params
-    assert sc.faults_obj() == faults
-    assert "params" in sc.label and "faults" in sc.label
-    clean = Scenario(workload="redis", machine="5218_2s", scheduler="cfs",
-                     governor="performance", seed=1)
-    assert clean.nest_params_obj() is None
-    assert clean.faults_obj() is None
+    sc = RunSpec(workload="configure-gcc", machine="ryzen_4650g",
+                 scheduler="nest", governor="schedutil", seed=5,
+                 nest_params=params, faults=faults, max_us=9_000)
+    back = RunSpec.from_dict(json.loads(json.dumps(sc.to_dict())))
+    assert back.nest_params == params
+    assert back.faults == faults
+    assert sc.label == ("configure-gcc@1.0/ryzen_4650g/nest-schedutil/s5 "
+                        "[params,faults,cap9000]")
+    clean = RunSpec(workload="redis", machine="5218_2s", scheduler="cfs",
+                    governor="performance", seed=1)
+    assert RunSpec.from_dict(clean.to_dict()).nest_params is None
+    assert RunSpec.from_dict(clean.to_dict()).faults is None
+    assert "[" not in clean.label
 
 
 def test_generated_fault_configs_are_enabled():
@@ -88,7 +118,7 @@ def test_generated_fault_configs_are_enabled():
     faulted = [s for i in range(300) if (s := gen.generate(i)).faults]
     assert faulted
     for sc in faulted:
-        assert sc.faults_obj().enabled
+        assert sc.faults.enabled
 
 
 def test_scenario_strategy_needs_hypothesis():
@@ -103,7 +133,7 @@ def test_scenario_strategy_needs_hypothesis():
     @given(strategy)
     def probe(scenario):
         seen.append(scenario)
-        assert isinstance(scenario, Scenario)
+        assert isinstance(scenario, RunSpec)
 
     probe()
     assert seen

@@ -105,14 +105,18 @@ class RunSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
         """Inverse of :meth:`to_dict`; keys left out take their defaults
         (repro files written before ``kernel_config`` and
-        ``record_trace`` were spec fields lack both)."""
+        ``record_trace`` were spec fields lack both).  Raises
+        ``ValueError`` on a key no spec or config has."""
         fields = dict(data)
-        for key, kind in (("nest_params", NestParams),
-                          ("kernel_config", KernelConfig),
-                          ("faults", FaultConfig)):
-            if fields.get(key) is not None:
-                fields[key] = kind(**fields[key])
-        return cls(**fields)
+        try:
+            for key, kind in (("nest_params", NestParams),
+                              ("kernel_config", KernelConfig),
+                              ("faults", FaultConfig)):
+                if fields.get(key) is not None:
+                    fields[key] = kind(**fields[key])
+            return cls(**fields)
+        except TypeError as exc:
+            raise ValueError(f"not a run spec: {exc}") from None
 
 
 def execute_spec(spec: RunSpec, collect_events: bool = False,

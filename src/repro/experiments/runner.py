@@ -26,7 +26,6 @@ from ..metrics.freqdist import FreqDistribution
 from ..metrics.summary import (RunResult, energy_savings, improvement_stddev,
                                speedup)
 from ..metrics.underload import UnderloadTracker
-from ..obs.telemetry.hub import gc_totals, rss_peak_kb
 from ..sched.base import SelectionPolicy
 from ..sched.registry import make_registered_policy
 from ..sim.engine import Engine
@@ -51,19 +50,6 @@ STANDARD_COMBOS: Tuple[Tuple[str, str], ...] = (
 def make_policy(name: str, nest_params: Optional[NestParams] = None) -> SelectionPolicy:
     """Instantiate a selection policy by short name (sched/registry.py)."""
     return make_registered_policy(name, nest_params)
-
-
-def _attach_memory_stats(result: RunResult, gc_base: Tuple[int, int]) -> None:
-    """Fill the host-side memory fields of a finished RunResult.
-
-    Reads only (``getrusage``, ``gc.get_stats``) — the simulation is
-    already over, and nothing here feeds back into engine state, so the
-    deterministic result surface is untouched.
-    """
-    result.rss_peak_kb = rss_peak_kb()
-    collections, collected = gc_totals()
-    result.gc_collections = collections - gc_base[0]
-    result.gc_collected = collected - gc_base[1]
 
 
 def make_governor(name: str) -> Governor:
@@ -115,6 +101,9 @@ def run_experiment(
     state — a telemetry-on run stays bit-identical to a telemetry-off
     run.
     """
+    # Imported here: the telemetry hub pulls in multiprocessing, which
+    # importing the runner alone should not pay for.
+    from ..obs.telemetry.hub import gc_totals, rss_peak_kb
     wall_start = time.perf_counter()
     gc_base = gc_totals()
     engine = Engine(seed)
@@ -172,7 +161,13 @@ def run_experiment(
         sim_wall_s=time.perf_counter() - wall_start,
         events_processed=engine.events_processed,
     )
-    _attach_memory_stats(result, gc_base)
+    # Host-side memory telemetry.  Reads only (``getrusage``,
+    # ``gc.get_stats``) after the run, so the deterministic result
+    # surface is untouched.
+    result.rss_peak_kb = rss_peak_kb()
+    collections, collected = gc_totals()
+    result.gc_collections = collections - gc_base[0]
+    result.gc_collected = collected - gc_base[1]
     if injector is not None:
         result.extra["faults_injected"] = float(len(injector.plan))
     if record_trace:

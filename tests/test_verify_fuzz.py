@@ -7,6 +7,8 @@ fuzz loop and repro replay run the real thing on small budgets.
 import dataclasses
 import json
 
+import pytest
+
 from repro.verify.differential import (DIFF_CHECKS, canonical,
                                        check_cached_roundtrip,
                                        check_empty_fault_plan,
@@ -207,6 +209,15 @@ def test_repro_roundtrip_and_replay(tmp_path):
     assert "analysis" not in data   # optional key: omitted when not given
     # The captured "bug" does not exist -> replay comes back clean.
     assert replay_repro(path) == []
+
+
+def test_replay_rejects_an_unknown_scenario_key(tmp_path):
+    path = save_repro(tmp_path / "r.json", MINIMAL, [])
+    data = json.loads(path.read_text())
+    data["scenario"]["engine"] = "fast"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="not a run spec"):
+        replay_repro(path)
 
 
 def test_repro_carries_optional_analysis_digest(tmp_path):

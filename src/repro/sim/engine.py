@@ -1,9 +1,9 @@
 """The discrete-event simulation driver.
 
 The engine owns simulated time (``now``, integer microseconds) and the
-event queue, and runs the main loop.  All
-other components (frequency model, kernel, workloads, metrics) schedule
-callbacks through it.  The engine knows nothing about scheduling semantics.
+event queue, and runs the main loop.  All other components (frequency
+model, kernel, workloads, metrics) schedule callbacks through it.  The
+engine knows nothing about scheduling semantics.
 """
 
 from __future__ import annotations

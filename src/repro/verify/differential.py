@@ -174,8 +174,9 @@ DIFF_CHECKS: Tuple[Tuple[str, Any], ...] = (
 def check_scenario(scenario: RunSpec,
                    diff_names: Collection[str] = ()) -> List[Violation]:
     """Run ``scenario`` through the oracle, then through the differential
-    checks named in ``diff_names`` (what a shrink step or a repro replay
-    re-checks: only what can re-fail)."""
+    checks named in ``diff_names``.  The fuzz loop names none; a shrink
+    step or a repro replay names the ones the failure tripped, so it
+    re-checks only what can re-fail."""
     violations = list(check_run(run_scenario(scenario)))
     for name, fn in DIFF_CHECKS:
         if name in diff_names:

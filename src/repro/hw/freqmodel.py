@@ -161,7 +161,6 @@ class FreqModel:
         governor: GovernorProtocol,
     ) -> None:
         self.engine = engine
-        self._queue = engine.queue
         self.topology = topology
         self.turbo = turbo
         self.pm = pm
@@ -380,19 +379,20 @@ class FreqModel:
 
     def _reevaluate_socket(self, socket: int, changed: int,
                            target: Optional[int] = None) -> None:
-        """Re-price every core of a socket after its active count changed.
+        """Re-price a socket's cores after its active-core count changed.
 
         The socket-mates go first, in ascending order, and the ``changed``
         core goes last, exactly once (with ``target`` if the caller has
         already computed it): its ramp step then holds the newest sequence
         number, which orders its same-time ``freq.step`` after theirs.
 
-        Settled idle cores — inactive, already at the minimum frequency,
-        with no ramp step pending — are skipped: their target is the
-        minimum regardless of the socket's active-core count, so
-        re-evaluating them is always a no-op.  This turns the per-socket
-        sweep from O(cores) target computations into O(non-settled cores),
-        the "batched re-pricing" fast path.
+        Re-pricing is lazy.  A socket-mate with a ramp step pending is
+        skipped: the step re-reads the target when it fires, and a
+        re-evaluation could only keep it or move it earlier.  A settled
+        idle core (inactive, at the minimum frequency) is skipped too: its
+        target is the minimum whatever the active-core count.  The mates
+        left are the ones with no step pending, such as sustained cores
+        whose turbo ceiling just moved.
         """
         cps = self._cores_per_socket
         base = socket * cps
@@ -400,25 +400,26 @@ class FreqModel:
         min_mhz = self._min_mhz
         for pc in range(base, base + cps):
             st = cores[pc]
-            if pc == changed or (
+            if pc == changed or st.step_event is not None or (
                     st.active_threads == 0 and st.spinning_threads == 0
-                    and st.step_event is None and st.mhz == min_mhz):
+                    and st.mhz == min_mhz):
                 continue
             self._reevaluate(pc)
         self._reevaluate(changed, target)
 
     def _reevaluate(self, pc: int, target: Optional[int] = None) -> None:
-        """Recompute the target and re-arm (or drop) the next ramp step.
+        """Recompute the target and arm (or drop) the next ramp step.
 
         A caller that has just computed the core's target at this instant
         passes it as ``target``; stepping the core's frequency toward that
         target in between leaves it unchanged.
 
-        A pending step is moved with :meth:`EventQueue.rearm`, which
-        consumes the same sequence number as cancelling and rescheduling
-        it but leaves no tombstone in the event heap: a busy socket
-        re-prices its cores on every activity change, far more often than
-        steps fire.
+        A pending step may move earlier, never later: it is kept when it
+        falls due at or before ``now + delay``, since it re-reads the
+        target when it fires.  Moving it later on every re-pricing would
+        starve it on a busy socket, where activity changes come faster
+        than ramp intervals.  An earlier step is a cancel plus a fresh
+        ``after``, which consumes one sequence number.
         """
         st = self._cores[pc]
         ev = st.step_event
@@ -452,8 +453,10 @@ class FreqModel:
         elif ev is None:
             st.step_event = self.engine.after(
                 delay, EventKind.FREQ, self._step, (pc,))
-        else:
-            st.step_event = self._queue.rearm(ev, now + delay)
+        elif ev.time > now + delay:
+            self.engine.cancel(ev)
+            st.step_event = self.engine.after(
+                delay, EventKind.FREQ, self._step, (pc,))
 
     def _step(self, pc: int) -> None:
         """One ramp step: move the frequency toward the current target."""
@@ -463,9 +466,13 @@ class FreqModel:
         target = self._target_mhz(pc, now)
         if target > st.mhz:
             new = min(st.mhz + self._ramp_up_step, target)
-        elif target < st.mhz:
+        elif target < st.mhz and (st.idle_since is None
+                                  or now - st.idle_since >= self._idle_hold):
             new = max(st.mhz - self._decay_step, target)
         else:
+            # At the target, or idle and still within the hold: a step
+            # armed before the core went idle does not cut the hold short,
+            # and the re-evaluation below re-arms it for the hold's end.
             new = st.mhz
         if new != st.mhz:
             st.mhz = new

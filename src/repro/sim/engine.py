@@ -24,7 +24,7 @@ from .rng import RngRegistry
 #: a speedup leaves them unchanged; a bump regenerates them.  They also
 #: pin the event log, which no cached result carries, so a change to what
 #: the log records alone regenerates them without a bump.
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 
 class SimulationError(RuntimeError):

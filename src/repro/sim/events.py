@@ -31,11 +31,8 @@ class EventKind(enum.IntEnum):
 class Event:
     """A schedulable callback.
 
-    ``(time, kind, seq)`` is the event's current key.  The queue holds
-    exactly one heap entry per pending event (see :mod:`repro.sim.queue`);
-    that entry's key may lag behind the event's after a re-arm, never lead
-    it.  Cancellation is by flag: cancelled events stay in the heap and
-    are skipped when popped, which is O(1) and keeps the heap simple.
+    Cancellation is by flag: cancelled events stay in the heap and are
+    skipped when popped, which is O(1) and keeps the heap simple.
     """
 
     __slots__ = ("time", "kind", "seq", "callback", "args", "cancelled")

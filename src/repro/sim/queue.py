@@ -1,4 +1,4 @@
-"""Binary-heap event queue with O(1) cancellation and in-place re-arming.
+"""Binary-heap event queue with O(1) cancellation.
 
 The heap stores flat ``(time, kind, seq, event)`` tuples rather than the
 :class:`Event` objects themselves.  The sequence number is unique, so heap
@@ -6,19 +6,11 @@ comparisons always resolve within the first three integers and never fall
 through to the event object — every sift comparison is a C-level int
 compare instead of a Python-level ``Event.__lt__`` call, which is the
 single hottest operation of a simulation.
-
-Invariant: every scheduled event has exactly one heap entry, until that
-entry is popped.  The entry's key is never later than the event's current
-``(time, kind, seq)``: :meth:`EventQueue.rearm` moves an event later by
-updating the event alone, and :meth:`pop` / :meth:`peek_time` re-push an
-entry whose ``seq`` no longer matches its event with the event's current
-key when it reaches the top.  Because no entry's key exceeds its event's,
-an up-to-date entry at the top is the true next event.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from .events import Event, EventKind
@@ -72,60 +64,22 @@ class EventQueue:
             ev.cancelled = True
             self._live -= 1
 
-    def rearm(self, ev: Event, time: int) -> Event:
-        """Move ``ev`` to ``time``; returns the event now pending.
-
-        Same result as ``cancel(ev)`` followed by ``schedule(time, ev.kind,
-        ev.callback, ev.args)``: it consumes one sequence number, so
-        same-time ties, and every result, are unchanged.  A move to a time
-        not earlier than ``ev.time`` updates ``ev.time`` and ``ev.seq`` in
-        place and returns ``ev``; its heap entry keeps the old key until
-        it reaches the top.  An earlier time (or a cancelled ``ev``)
-        cancels ``ev`` and returns a fresh event, so callers must keep the
-        returned handle.  ``ev`` must not have been popped.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        if not ev.cancelled:
-            if time >= ev.time:
-                ev.time = time
-                ev.seq = seq
-                return ev
-            ev.cancelled = True
-            self._live -= 1
-        fresh = Event(time, ev.kind, seq, ev.callback, ev.args)
-        heappush(self._heap, (time, int(ev.kind), seq, fresh))
-        self._live += 1
-        return fresh
-
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None if empty."""
         heap = self._heap
         while heap:
-            entry = heappop(heap)
-            ev = entry[3]
-            if ev.cancelled:
-                continue
-            if ev.seq != entry[2]:      # re-armed later: re-key the entry
-                heappush(heap, (ev.time, entry[1], ev.seq, ev))
-                continue
-            self._live -= 1
-            return ev
+            ev = heappop(heap)[3]
+            if not ev.cancelled:
+                self._live -= 1
+                return ev
         return None
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event without removing it."""
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            ev = entry[3]
-            if ev.cancelled:
-                heappop(heap)
-            elif ev.seq != entry[2]:
-                heapreplace(heap, (ev.time, entry[1], ev.seq, ev))
-            else:
-                return entry[0]
-        return None
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def clear(self) -> None:
         """Drop every pending event."""

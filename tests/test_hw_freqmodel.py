@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hw.freqmodel import (FreqModel, PMParams, SPEED_SHIFT, SPEED_STEP)
 from repro.hw.topology import Topology
@@ -195,10 +196,24 @@ class TestListeners:
         assert fm.core_freq_mhz(3) == 2222
 
 
+def toggle_every(eng, fm, cpu, period_us):
+    """Flip ``cpu`` between busy and idle every ``period_us``."""
+    busy = False
+
+    def flip():
+        nonlocal busy
+        busy = not busy
+        fm.set_thread_state(cpu, busy=busy, spinning=False)
+        eng.after(period_us, EventKind.CONTROL, flip)
+
+    eng.after(period_us, EventKind.CONTROL, flip)
+
+
 class TestRampTimer:
     def test_reevaluation_rearms_the_pending_step_in_place(self):
-        """Re-pricing a ramping core moves its pending step instead of
-        leaving a cancelled step in the heap per re-evaluation."""
+        """Re-pricing a ramping core keeps its pending step where it is:
+        the step fires on its interval however often the core is
+        re-priced, and no cancelled step piles up in the heap."""
         eng, fm, _ = make(pm=SPEED_STEP, floor=1000, request=3900)
         steps = []
         fm.add_listener(lambda pc, mhz: steps.append((eng.now, pc, mhz)))
@@ -216,35 +231,131 @@ class TestRampTimer:
         eng.at(1, EventKind.CONTROL, reprice)
         eng.run(until=last)
         assert peak <= 2          # the next re-pricing and the ramp step
-        assert steps == []
-        eng.run(until=last + SPEED_STEP.ramp_interval_us)
-        assert steps == [(last + SPEED_STEP.ramp_interval_us, 0,
-                          1000 + SPEED_STEP.ramp_up_step_mhz)]
+        # Up from the floor to the pre-sustain (nominal) cap, one step per
+        # ramp interval.
+        ramp = SPEED_STEP.ramp_interval_us
+        cap = XEON_5218.nominal_mhz
+        assert steps == [
+            (k * ramp, 0, min(1000 + k * SPEED_STEP.ramp_up_step_mhz, cap))
+            for k in range(1, 7)]
+
+
+class TestStepTiming:
+    """A pending ramp or decay step never moves later, so activity
+    elsewhere on the socket cannot starve it."""
+
+    def test_ramp_completes_while_a_socket_mate_toggles(self):
+        # 2250 MHz is below the 2300 MHz pre-sustain cap, so the target
+        # stays put while core 0 is short of turbo latency.
+        eng, fm, _ = make(pm=SPEED_STEP, floor=1000, request=2250)
+        fm.set_thread_state(0, busy=True, spinning=False)
+        assert fm.freq_mhz(0) == 1000
+        toggle_every(eng, fm, 1, 100)
+        intervals = -(-(2250 - 1000) // SPEED_STEP.ramp_up_step_mhz)
+        eng.run(until=intervals * SPEED_STEP.ramp_interval_us)
+        assert fm.freq_mhz(0) == 2250
+
+    def test_idle_core_decays_while_its_socket_stays_busy(self):
+        eng, fm, _ = make(request=2500)
+        for cpu in (0, 2, 3):
+            fm.set_thread_state(cpu, busy=True, spinning=False)
+        start = fm.freq_mhz(0)
+        assert start == 2500
+        fm.set_thread_state(0, busy=False, spinning=False)
+        toggle_every(eng, fm, 1, 100)
+        delta = start - XEON_5218.min_mhz
+        eng.run(until=SPEED_SHIFT.idle_hold_us - 1)
+        assert fm.freq_mhz(0) == start         # still within the hold
+        intervals = -(-delta // SPEED_SHIFT.decay_step_mhz)
+        eng.run(until=SPEED_SHIFT.idle_hold_us
+                + intervals * SPEED_SHIFT.decay_interval_us)
+        assert fm.freq_mhz(0) == XEON_5218.min_mhz
+
+    @given(pm=st.sampled_from([SPEED_SHIFT, SPEED_STEP]),
+           ops=st.lists(st.tuples(
+               st.integers(0, 15),
+               st.sampled_from(["busy", "spin", "idle", "cap", "uncap"]),
+               st.integers(0, 2_000)), min_size=1, max_size=60))
+    def test_steps_never_move_later_nor_rise_above_a_ceiling(self, pm, ops):
+        """Property, over random activity toggles and thermal caps on two
+        sockets: a pending step's time never increases, and no upward step
+        lands above the Table 3 ceiling for the socket's active-core
+        count or above the core's thermal cap."""
+        topo = Topology(2, 4, 2)
+        eng, fm, _ = make(pm=pm, request=3900, topo=topo)
+        mhz = [fm.core_freq_mhz(pc) for pc in range(topo.n_physical_cores)]
+
+        def on_change(pc, new):
+            if new > mhz[pc]:
+                socket = pc // topo.cores_per_socket
+                assert new <= XEON_5218.ceiling(
+                    fm.active_physical_cores(socket))
+                cap = fm.thermal_cap(pc)
+                assert cap is None or new <= cap
+            mhz[pc] = new
+
+        fm.add_listener(on_change)
+        for cpu, what, gap in ops:
+            eng.run(until=eng.now + gap)
+            due = [None if core.step_event is None else core.step_event.time
+                   for core in fm._cores]
+            pc = topo.physical_core_of(cpu)
+            if what == "cap":
+                fm.set_thermal_cap(pc, 2000)
+            elif what == "uncap":
+                fm.set_thermal_cap(pc, None)
+            else:
+                fm.set_thread_state(cpu, busy=what == "busy",
+                                    spinning=what == "spin")
+            for before, core in zip(due, fm._cores):
+                if before is not None and core.step_event is not None:
+                    assert core.step_event.time <= before
+
+
+#: Ramp and decay share one interval, so the steps a wake arms on the
+#: socket-mates and on the waking core fall due together.
+EVEN = PMParams(name="even", ramp_up_step_mhz=1000, ramp_interval_us=1000,
+                decay_step_mhz=1000, decay_interval_us=1000, idle_hold_us=0,
+                turbo_latency_us=0, gap_forgiveness_us=0,
+                presustain_cap="allcore", instant_pstate=False)
 
 
 class TestPricingOrder:
-    """A core whose activity changed is priced once, after its socket-mates."""
+    """A core whose activity changed is priced once, after the socket-mates
+    that have no step pending."""
 
     def test_changed_core_steps_after_its_socket_mates(self):
-        eng, fm, _ = make(pm=SPEED_STEP, floor=1000, request=3900)
+        eng, fm, _ = make(pm=EVEN, floor=1000, request=3900)
         steps = []
         fm.add_listener(lambda pc, mhz: steps.append((eng.now, pc)))
-        for cpu in (1, 2, 3):
+        for cpu in (1, 2, 3, 4):
             fm.set_thread_state(cpu, busy=True, spinning=False)
-        eng.run(until=500)
+        eng.run(until=5_000)
+        # Sustained at the four-core ceiling, with no step pending.
+        assert [fm.core_freq_mhz(pc) for pc in (1, 2, 3, 4)] == \
+            [XEON_5218.ceiling(4)] * 4
+        assert all(fm._cores[pc].step_event is None for pc in (1, 2, 3, 4))
         fm.set_thread_state(0, busy=True, spinning=False)
-        seqs = [fm._cores[pc].step_event.seq for pc in range(4)]
-        assert max(seqs[1:]) < seqs[0]
-        # All four ramp steps fall due together; the tie goes by sequence.
-        due = 500 + SPEED_STEP.ramp_interval_us
+        # The fifth active core lowers the mates' ceiling, so each gets a
+        # decay step; the waking core gets its ramp step last.
+        assert XEON_5218.ceiling(5) < XEON_5218.ceiling(4)
+        seqs = [fm._cores[pc].step_event.seq for pc in range(5)]
+        assert seqs[1:] == sorted(seqs[1:]) and max(seqs[1:]) < seqs[0]
+        # All five steps fall due together; the tie goes by sequence.
+        due = 5_000 + EVEN.ramp_interval_us
         eng.run(until=due)
-        assert [pc for t, pc in steps if t == due] == [1, 2, 3, 0]
+        assert [pc for t, pc in steps if t == due] == [1, 2, 3, 4, 0]
 
     def test_a_wake_asks_the_governor_once_per_thread(self):
         eng, fm, gov = make(request=2500)
         for cpu in (1, 2, 3):
             fm.set_thread_state(cpu, busy=True, spinning=False)
+        pending = [fm._cores[pc].step_event for pc in (1, 2, 3)]
+        assert None not in pending     # each waits out turbo latency
         gov.asked.clear()
         fm.set_thread_state(0, busy=True, spinning=False)
-        # Core 0's wake jump is its target; each mate is re-priced once.
-        assert gov.asked == {cpu: 1 for cpu in (0, 1, 2, 3, 32, 33, 34, 35)}
+        # Core 0's wake jump is its target, asked once per hw thread.  The
+        # mates have a step pending, which re-reads the target when it
+        # fires, so they are not re-priced and their steps stay put.
+        assert gov.asked == {0: 1, 32: 1}
+        assert [fm._cores[pc].step_event for pc in (1, 2, 3)] == pending

@@ -1,18 +1,12 @@
 """Tests for the event records and the event queue."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
 from repro.sim.queue import EventQueue
 
 
 def _noop(*args):
-    pass
-
-
-def _other(*args):
     pass
 
 
@@ -139,127 +133,3 @@ class TestEventQueue:
             survivors.append(ev)
         assert len(survivors) == len(times) - len(to_cancel)
         assert all(not ev.cancelled for ev in survivors)
-
-
-class _CancelScheduleQueue(EventQueue):
-    """Model of :meth:`EventQueue.rearm`: cancel, then schedule afresh."""
-
-    __slots__ = ()
-
-    def rearm(self, ev, time):
-        self.cancel(ev)
-        return self.schedule(time, ev.kind, ev.callback, ev.args)
-
-
-_OPS = st.lists(st.one_of(
-    st.tuples(st.just("schedule"), st.integers(0, 40),
-              st.sampled_from(list(EventKind))),
-    st.tuples(st.just("rearm"), st.integers(0, 1_000), st.integers(0, 40)),
-    st.tuples(st.just("cancel"), st.integers(0, 1_000)),
-    st.tuples(st.just("pop")),
-    st.tuples(st.just("peek")),
-), max_size=80)
-
-
-def _key(ev):
-    return None if ev is None else (ev.time, ev.kind, ev.seq, ev.callback,
-                                    ev.args)
-
-
-class TestRearm:
-    @given(_OPS)
-    def test_rearm_matches_cancel_plus_schedule(self, ops):
-        """Property: any interleaving of schedule/rearm/cancel/pop/peek
-        pops the same events, with the same sequence numbers, as a queue
-        whose re-arm is cancel + schedule."""
-        real, model = EventQueue(), _CancelScheduleQueue()
-        handles = {}     # unpopped tag -> (real handle, model handle)
-        for op in ops:
-            unpopped = sorted(handles)
-            if op[0] == "schedule":
-                _, t, kind = op
-                tag = real._seq
-                cb = _noop if tag % 2 else _other
-                handles[tag] = (real.schedule(t, kind, cb, (tag,)),
-                                model.schedule(t, kind, cb, (tag,)))
-            elif op[0] == "rearm" and unpopped:
-                _, pick, t = op
-                tag = unpopped[pick % len(unpopped)]
-                r, m = handles[tag]
-                handles[tag] = (real.rearm(r, t), model.rearm(m, t))
-            elif op[0] == "cancel" and unpopped:
-                r, m = handles[unpopped[op[1] % len(unpopped)]]
-                real.cancel(r)
-                model.cancel(m)
-            elif op[0] == "pop":
-                r, m = real.pop(), model.pop()
-                assert _key(r) == _key(m)
-                if r is not None:
-                    del handles[r.args[0]]
-            elif op[0] == "peek":
-                assert real.peek_time() == model.peek_time()
-            assert len(real) == len(model)
-            assert bool(real) == bool(model)
-        while model:
-            assert _key(real.pop()) == _key(model.pop())
-        assert real.pop() is None and not real
-
-    def test_later_rearm_keeps_one_heap_entry(self):
-        q = EventQueue()
-        ev = q.schedule(10, EventKind.FREQ, _noop)
-        for t in range(11, 1_000):
-            assert q.rearm(ev, t) is ev
-        assert len(q._heap) == 1 and len(q) == 1
-        assert q.peek_time() == 999
-        assert q.pop() is ev and ev.seq == 989
-        assert q.pop() is None
-
-    def test_earlier_rearm_returns_a_fresh_event(self):
-        q = EventQueue()
-        ev = q.schedule(10, EventKind.FREQ, _noop, (1,))
-        moved = q.rearm(ev, 5)
-        assert moved is not ev and ev.cancelled
-        assert (moved.time, moved.seq, moved.args) == (5, 1, (1,))
-        assert len(q) == 1
-        assert q.pop() is moved and q.pop() is None
-
-
-def _script(move, rearm, until):
-    """Run a fixed script; ``move`` re-arms event "a" at t=5 to a later,
-    the same or an earlier instant, by a queue re-arm or by cancel +
-    after.  The run stops once at ``until``: before the move, or after it
-    while the moved entry is still keyed at its old time."""
-    eng = Engine()
-    log = []
-
-    def rec(name):
-        log.append((eng.now, name))
-
-    handles = {name: eng.at(t, EventKind.FREQ, rec, (name,))
-               for name, t in (("a", 10), ("b", 10), ("c", 20))}
-    eng.at(30, EventKind.TICK, rec, ("d",))
-    delay = {"later": 15, "same": 5, "earlier": 1}[move]
-
-    def mover():
-        rec("move")
-        ev = handles["a"]
-        if rearm:
-            handles["a"] = eng.queue.rearm(ev, eng.now + delay)
-        else:
-            eng.cancel(ev)
-            handles["a"] = eng.after(delay, ev.kind, ev.callback, ev.args)
-        eng.after(delay, EventKind.FREQ, rec, ("new",))
-
-    eng.at(5, EventKind.CONTROL, mover)
-    eng.run(until=until)
-    log.append(("until", len(eng.queue)))
-    end = eng.run()
-    return log, eng.events_processed, end
-
-
-@pytest.mark.parametrize("move", ["later", "same", "earlier"])
-@pytest.mark.parametrize("until", [4, 12])
-def test_rearm_in_engine_run_matches_cancel_plus_after(move, until):
-    expected = _script(move, rearm=False, until=until)
-    assert _script(move, rearm=True, until=until) == expected
-    assert expected[1] == 6

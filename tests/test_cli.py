@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -50,6 +55,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "5218_2s" in out and "configure-llvm_ninja" in out
         assert "fig5" in out
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        """``repro list | head -1``: a reader that has gone away ends the
+        command without a BrokenPipeError traceback."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)          # every write to the pipe now fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"], stdout=write_fd,
+                stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)))
+        finally:
+            os.close(write_fd)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
     def test_run(self, capsys):
         rc = main(["run", "--workload", "configure-gcc",

@@ -290,7 +290,7 @@ class FreqModel:
                 for fn in self._listeners:
                     fn(pc, jump)
             # On Speed Shift the jump *is* the core's target: nothing it
-            # reads changed since, so the re-arm reuses it.
+            # reads changed since, so the re-evaluation reuses it.
             self._reevaluate_socket(
                 socket, pc, jump if self._instant_pstate else None)
         elif was_active and not active:
@@ -450,11 +450,9 @@ class FreqModel:
             if ev is not None:
                 self.engine.cancel(ev)
                 st.step_event = None
-        elif ev is None:
-            st.step_event = self.engine.after(
-                delay, EventKind.FREQ, self._step, (pc,))
-        elif ev.time > now + delay:
-            self.engine.cancel(ev)
+        elif ev is None or ev.time > now + delay:
+            if ev is not None:
+                self.engine.cancel(ev)
             st.step_event = self.engine.after(
                 delay, EventKind.FREQ, self._step, (pc,))
 

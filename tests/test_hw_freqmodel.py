@@ -271,6 +271,22 @@ class TestStepTiming:
                 + intervals * SPEED_SHIFT.decay_interval_us)
         assert fm.freq_mhz(0) == XEON_5218.min_mhz
 
+    def test_a_step_armed_before_idle_does_not_cut_the_hold_short(self):
+        eng, fm, _ = make(pm=SPEED_STEP, floor=1000, request=2250)
+        fm.set_thread_state(0, busy=True, spinning=False)
+        ramp = SPEED_STEP.ramp_interval_us
+        eng.run(until=ramp)
+        assert fm.freq_mhz(0) == 1250
+        # Idle shortly before the next ramp step, which falls due within
+        # the hold and is therefore kept.
+        idle_at = 2 * ramp - 100
+        eng.run(until=idle_at)
+        fm.set_thread_state(0, busy=False, spinning=False)
+        eng.run(until=idle_at + SPEED_STEP.idle_hold_us - 1)
+        assert fm.freq_mhz(0) == 1250
+        eng.run(until=idle_at + SPEED_STEP.idle_hold_us)
+        assert fm.freq_mhz(0) == XEON_5218.min_mhz
+
     @given(pm=st.sampled_from([SPEED_SHIFT, SPEED_STEP]),
            ops=st.lists(st.tuples(
                st.integers(0, 15),

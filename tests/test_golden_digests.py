@@ -46,6 +46,11 @@ CASES = (
                  core_failure_downtime_us=10_000, horizon_us=100_000)),
     ("scxnest", "dacapo-h2", "ryzen_4650g", "scxnest", "schedutil",
      3, 0.1, None),
+    # The one SpeedStep part, on four sockets: CFS's fork walk sums loads
+    # over three rival groups, and the meter prices cores it has not yet
+    # seen a frequency for.
+    ("speedstep-4s", "hackbench", "e78870_4s", "cfs", "schedutil",
+     1, 0.1, None),
 )
 
 

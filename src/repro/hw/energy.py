@@ -23,11 +23,22 @@ Units: MHz in, Watts out, energy in Joules.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..sim.clock import US_PER_SEC
 from .topology import Topology
+
+#: Power-state entry of an idle core.  No frequency takes this value, so
+#: an idle core never aliases an active one, not even an active core the
+#: meter still prices at 0 MHz because no frequency has reached it yet.
+_IDLE = -1
+
+#: Distinct power states one meter remembers before it drops them all.
+#: A configure run revisits a few hundred; the bound keeps a pathological
+#: run from growing the memo without limit.
+POWER_MEMO_MAX = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,14 @@ class EnergyMeter:
         # computed once per change and cached (None = dirty) rather than
         # re-summed over every core on each advance.
         self._power: float | None = None
+        # Power is a pure function of each core's MHz while it is active
+        # (an idle core draws idle power whatever its MHz), so the state
+        # that keys it holds the MHz of active cores and _IDLE for idle
+        # ones.  A run revisits few distinct states, so a miss is summed
+        # by _compute_power and remembered.  The key is bytes, which the
+        # cyclic GC does not track.
+        self._state = array("i", [_IDLE]) * n_pc
+        self._memo: Dict[bytes, float] = {}
 
     # ---- state mirroring -------------------------------------------------
 
@@ -72,12 +91,17 @@ class EnergyMeter:
         self.advance(now)
         if self._core_mhz[physical_core] != mhz:
             self._core_mhz[physical_core] = mhz
-            self._power = None
+            # An idle core's frequency cannot change the power.
+            if self._core_active[physical_core]:
+                self._state[physical_core] = mhz
+                self._power = None
 
     def set_core_active(self, physical_core: int, active: bool, now: int) -> None:
         self.advance(now)
         if self._core_active[physical_core] != active:
             self._core_active[physical_core] = active
+            self._state[physical_core] = (self._core_mhz[physical_core]
+                                          if active else _IDLE)
             self._power = None
 
     # ---- integration -------------------------------------------------------
@@ -86,7 +110,14 @@ class EnergyMeter:
         """Whole-machine CPU power with the present state."""
         power = self._power
         if power is None:
-            power = self._power = self._compute_power()
+            key = self._state.tobytes()
+            memo = self._memo
+            power = memo.get(key)
+            if power is None:
+                if len(memo) >= POWER_MEMO_MAX:
+                    memo.clear()
+                power = memo[key] = self._compute_power()
+            self._power = power
         return power
 
     def _compute_power(self) -> float:

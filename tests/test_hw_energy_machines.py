@@ -1,7 +1,9 @@
 """Tests for the energy model and the machine catalogue (paper Table 2)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.hw import energy as energy_mod
 from repro.hw.energy import EnergyMeter, PowerParams
 from repro.hw.machines import (ALL_MACHINES, E7_8870_V4_4S, PAPER_MACHINES,
                                RYZEN_4650G_1S, XEON_5218_2S, XEON_5220_1S,
@@ -77,6 +79,61 @@ class TestPowerModel:
         assert [t for t, _ in m.samples] == [0, 1_000_000, 2_000_000]
         assert m.samples[-1][1] == pytest.approx(total)
         assert m.samples[1][1] == pytest.approx(total / 2)
+
+
+class LoopMeter(EnergyMeter):
+    """Reference meter: the loop version, re-summed on every query."""
+
+    def current_power_watts(self):
+        return self._compute_power()
+
+
+#: One meter operation: (kind, physical core, value, µs since the last).
+#: Frequencies include 0, which a core's meter entry holds until the first
+#: frequency change reaches it.
+_METER_OPS = st.lists(st.tuples(
+    st.sampled_from(["freq", "active", "advance"]),
+    st.integers(0, 7),
+    st.sampled_from([0, 800, 1000, 2300, 3900]),
+    st.integers(0, 3_000)), min_size=1, max_size=80)
+
+
+class TestPowerMemo:
+    @given(ops=_METER_OPS)
+    def test_memoised_power_equals_the_loop(self, ops):
+        """Property: over random frequency, activity and advance
+        sequences on two sockets (cores may go active before any
+        frequency reaches them), the memoised meter's power and energy
+        equal, bit for bit, a meter that re-sums every core each time."""
+        topo = Topology(2, 4, 2)
+        fast, ref = EnergyMeter(topo), LoopMeter(topo)
+        now = 0
+        for kind, pc, value, gap in ops:
+            now += gap
+            for m in (fast, ref):
+                if kind == "freq":
+                    m.set_core_freq(pc, value, now)
+                elif kind == "active":
+                    m.set_core_active(pc, value >= 1000, now)
+                else:
+                    m.advance(now)
+            assert fast.current_power_watts() == ref.current_power_watts()
+            assert fast.energy_joules == ref.energy_joules
+
+    def test_an_idle_core_frequency_change_keeps_the_power(self):
+        m = EnergyMeter(Topology(1, 2, 1))
+        p = m.current_power_watts()
+        m.set_core_freq(0, 3000, 0)
+        assert m._power == p     # still clean: no recompute needed
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(energy_mod, "POWER_MEMO_MAX", 4)
+        m = EnergyMeter(Topology(1, 2, 1))
+        m.set_core_active(0, True, 0)
+        for t, mhz in enumerate(range(1000, 1010), start=1):
+            m.set_core_freq(0, mhz, t)
+            m.current_power_watts()
+            assert len(m._memo) <= 4
 
 
 class TestMachines:

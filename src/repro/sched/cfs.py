@@ -73,63 +73,96 @@ class CfsPolicy(SelectionPolicy):
                            loads: Dict[int, float]) -> Tuple[int, ...]:
         """Linux v5.9 semantics: the local group (the one containing the
         forking cpu) wins unless another group has strictly more idle cpus;
-        among the others, more idle cpus then less quantized load."""
+        among the others, more idle cpus then less quantized load.
+
+        Reads that cannot change the answer are skipped.  The local group
+        is counted first and wins outright once its idle count reaches the
+        largest other group's size.  A group's load is summed only to
+        break a tie on (idle, running) among the others, so a lone rival
+        group (the NUMA level of a 2-socket machine) never needs one.
+        """
         kernel = self.kernel
-        now = kernel.engine.now
         rqs = kernel.rqs
         cpus = kernel.cpus
         online = kernel.cpu_online
         local = None
-        best = None
-        best_key = None
+        rivals = []
+        largest = 0
         for group in groups:
             if current_cpu in group:
                 local = group
-                continue
-            # One pass per group gathers the idle count, the queued+running
-            # count and the summed load (three separate sweeps before).
+            else:
+                rivals.append(group)
+                if len(group) > largest:
+                    largest = len(group)
+        if local is not None:
+            local_idle = 0
+            for c in local:
+                if online[c] and cpus[c].current is None \
+                        and rqs[c].nr_queued == 0:
+                    local_idle += 1
+            if local_idle >= largest:
+                return local
+        # One pass per rival gathers its idle count and its queued+running
+        # count; the rivals tied on the best of those go on to loads.
+        best_key = None
+        tied = []
+        for group in rivals:
             idle_cpus = 0
             running = 0
-            load = 0.0
             n_online = 0
             for c in group:
                 if not online[c]:
                     continue
                 n_online += 1
-                rq = rqs[c]
-                q = rq.nr_queued
+                q = rqs[c].nr_queued
                 if cpus[c].current is None:
                     if q == 0:
                         idle_cpus += 1
                     running += q
                 else:
                     running += q + 1
-                c_load = loads.get(c)
-                if c_load is None:
-                    c_load = loads[c] = rq.load_avg(now)
-                load += c_load
             if n_online == 0:
                 continue    # hotplugged-out group: not a placement target
-            key = (-idle_cpus, running, _qload(load))
+            key = (-idle_cpus, running)
             if best_key is None or key < best_key:
-                best, best_key = group, key
-        if local is None:
-            return best
-        if best is None:
+                best_key = key
+                tied = [group]
+            elif key == best_key:
+                tied.append(group)
+        if best_key is None:
             return local
-        local_idle = 0
-        for c in local:
-            if online[c] and cpus[c].current is None \
-                    and rqs[c].nr_queued == 0:
-                local_idle += 1
-        if local_idle >= -best_key[0]:
+        if local is not None and local_idle >= -best_key[0]:
             return local
+        if len(tied) == 1:
+            return tied[0]
+        now = kernel.engine.now
+        best = None
+        best_qload = None
+        for group in tied:
+            load = 0.0
+            for c in group:
+                if not online[c]:
+                    continue
+                c_load = loads.get(c)
+                if c_load is None:
+                    c_load = loads[c] = rqs[c].load_avg(now)
+                load += c_load
+            q = _qload(load)
+            if best_qload is None or q < best_qload:
+                best, best_qload = group, q
         return best
 
     def _find_idlest_cpu(self, group: Tuple[int, ...], from_cpu: int,
                          loads: Dict[int, float]) -> int:
         """Least-loaded cpu of the group, scanned in numerical order modulo
-        the group, starting from the forking cpu's position."""
+        the group, starting from the forking cpu's position.
+
+        The scan stops at the first idle cpu whose quantized load is 0: its
+        key ``(0, 0, 0, rank)`` is the smallest any later rank can reach.
+        Once an idle cpu is found, busy cpus (keys ``(1, ...)``) can no
+        longer win, so their loads are not read.
+        """
         kernel = self.kernel
         now = kernel.engine.now
         rqs = kernel.rqs
@@ -144,16 +177,24 @@ class CfsPolicy(SelectionPolicy):
             rq = rqs[c]
             q = rq.nr_queued
             busy = cpus[c].current is not None
-            load = loads.get(c)
-            if load is None:
-                load = loads[c] = rq.load_avg(now)
             if not busy and q == 0 \
                     and not (check_pending and rq.placement_pending > 0):
                 # Idle cpus compete on recent load: CFS prefers the one
                 # idle longest (smallest decayed load, quantized so that
                 # fully-decayed cores tie and scan order decides).
-                key = (0, 0, _qload(load), rank)
+                load = loads.get(c)
+                if load is None:
+                    load = loads[c] = rq.load_avg(now)
+                qload = _qload(load)
+                if qload == 0:
+                    return c
+                key = (0, 0, qload, rank)
+            elif best_key is not None and best_key[0] == 0:
+                continue
             else:
+                load = loads.get(c)
+                if load is None:
+                    load = loads[c] = rq.load_avg(now)
                 key = (1, q + (1 if busy else 0), _qload(load), rank)
             if best_key is None or key < best_key:
                 best, best_key = c, key

@@ -1,6 +1,7 @@
 """Tests for the CFS placement model (§2.1 behaviours)."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.governors.performance import PerformanceGovernor
 from repro.hw.freqmodel import SPEED_SHIFT
@@ -9,6 +10,7 @@ from repro.hw.topology import Topology
 from repro.hw.turbo import XEON_5218
 from repro.kernel.scheduler_core import Kernel
 from repro.kernel.syscalls import Compute
+from repro.kernel.task import Task
 from repro.sched.cfs import CfsPolicy, WAKEUP_SCAN_LIMIT, _qload, _rotate
 from repro.sim.engine import Engine
 from repro.workloads.base import ms_of_work
@@ -179,3 +181,149 @@ class TestWakeupPlacement:
 
     def test_scan_limit_constant_sane(self):
         assert 1 <= WAKEUP_SCAN_LIMIT <= 64
+
+
+# ----------------------------------------------------------------------
+# The fork walk against its full-scan reference
+# ----------------------------------------------------------------------
+
+def full_scan_fork(policy, parent_cpu):
+    """CFS's fork walk as the loop version: every rival group's load is
+    summed and every online cpu of the chosen group is ranked."""
+    kernel = policy.kernel
+    cpu = parent_cpu
+    stack = kernel.domains.domains_of(cpu)
+    for level in range(len(stack) - 1, -1, -1):
+        group = _full_idlest_group(kernel, stack[level].groups, cpu)
+        cpu = _full_idlest_cpu(kernel, group, parent_cpu,
+                               policy.check_pending_default)
+        stack = kernel.domains.domains_of(cpu)
+    return cpu
+
+
+def _idle(kernel, c):
+    return kernel.cpus[c].current is None and kernel.rqs[c].nr_queued == 0
+
+
+def _full_idlest_group(kernel, groups, current_cpu):
+    now = kernel.engine.now
+    online = kernel.cpu_online
+    local, best, best_key = None, None, None
+    for group in groups:
+        if current_cpu in group:
+            local = group
+            continue
+        members = [c for c in group if online[c]]
+        if not members:
+            continue
+        idle = sum(1 for c in members if _idle(kernel, c))
+        running = 0
+        for c in members:
+            running += kernel.rqs[c].nr_queued
+            running += kernel.cpus[c].current is not None
+        load = 0.0
+        for c in members:
+            load += kernel.rqs[c].load_avg(now)
+        key = (-idle, running, _qload(load))
+        if best_key is None or key < best_key:
+            best, best_key = group, key
+    if local is None:
+        return best
+    if best is None:
+        return local
+    local_idle = sum(1 for c in local if online[c] and _idle(kernel, c))
+    return local if local_idle >= -best_key[0] else best
+
+
+def _full_idlest_cpu(kernel, group, from_cpu, check_pending):
+    now = kernel.engine.now
+    best, best_key = None, None
+    for rank, c in enumerate(_rotate(group, from_cpu)):
+        if not kernel.cpu_online[c]:
+            continue
+        rq = kernel.rqs[c]
+        busy = kernel.cpus[c].current is not None
+        qload = _qload(rq.load_avg(now))
+        if _idle(kernel, c) and not (check_pending
+                                     and rq.placement_pending > 0):
+            key = (0, 0, qload, rank)
+        else:
+            key = (1, rq.nr_queued + busy, qload, rank)
+        if best_key is None or key < best_key:
+            best, best_key = c, key
+    if best is None:
+        return kernel.least_loaded_online(from_cpu)
+    return best
+
+
+#: A 2-socket and a 4-socket machine, small enough that ties on idle and
+#: running counts (which send the walk to the loads) are common.
+FORK_MACHINES = tuple(
+    Machine(name=f"t{i}", cpu_model="t", microarchitecture="t",
+            topology=topo, turbo=XEON_5218, pm=SPEED_SHIFT)
+    for i, topo in enumerate((Topology(2, 4, 2), Topology(4, 3, 2))))
+
+#: Loads straddling the quantum (0 and 31.9 share bucket 0, 32 and 63.9
+#: share bucket 1).
+_LOADS = st.sampled_from([0.0, 0.0, 10.0, 31.9, 32.0, 50.0, 63.9, 64.0,
+                          200.0])
+
+
+def _cpu_states(running, queued):
+    """24 cpus' states: (online, running a task, queued tasks,
+    placement_pending, busy load, blocked load, µs since the loads were
+    updated, currently_busy)."""
+    return st.lists(st.tuples(
+        st.sampled_from([True] * 9 + [False]), running, queued,
+        st.sampled_from([0, 0, 0, 1]), _LOADS, _LOADS,
+        st.sampled_from([0, 0, 1_000, 40_000]),
+        st.sampled_from([False, False, True])), min_size=24, max_size=24)
+
+
+#: Two mixes.  Mostly idle: several groups tie on their idle and running
+#: counts, so the walk sums their loads, and idle cpus compete on load.
+#: Mostly busy: groups hold no idle cpu, so busy cpus compete on load.
+_MACHINE_STATES = st.one_of(
+    _cpu_states(st.sampled_from([False, False, True]),
+                st.sampled_from([0, 0, 0, 0, 1, 2])),
+    _cpu_states(st.sampled_from([True, True, True, False]),
+                st.sampled_from([0, 1, 1, 2])))
+
+
+class TestForkWalkShortcuts:
+    @settings(max_examples=300)
+    @given(machine=st.sampled_from(FORK_MACHINES),
+           states=_MACHINE_STATES,
+           check_pending=st.booleans(),
+           parent=st.integers(0, 23))
+    def test_fork_walk_equals_the_full_scan(self, machine, states,
+                                            check_pending, parent):
+        """Property: over random kernel states on a 2- and a 4-socket
+        machine (busy, queued, pending and offline cpus, PELT loads either
+        side of the quantum), the fork walk's shortcuts pick the cpu the
+        full scan picks."""
+        n = machine.topology.n_cpus
+        states = states[:n]
+        assume(any(online for online, *_ in states))
+        eng = Engine(0)
+        policy = CfsPolicy(check_pending_default=check_pending)
+        kern = Kernel(eng, machine, policy, PerformanceGovernor())
+        eng.now = now = 100_000
+        tids = iter(range(1, 1_000))
+        for c, (online, running, queued, pending, busy_load, blocked_load,
+                since, currently_busy) in enumerate(states):
+            kern.cpu_online[c] = online
+            if running:
+                kern.cpus[c].current = Task(next(tids), "r", None, None, 0)
+            rq = kern.rqs[c]
+            for _ in range(queued):
+                rq.push(Task(next(tids), "q", None, None, 0))
+            rq.placement_pending = pending
+            rq.busy_avg.value = busy_load
+            rq.busy_avg.last_update_us = now - since
+            rq.currently_busy = currently_busy
+            rq.blocked_load.value = blocked_load
+            rq.blocked_load.last_update_us = now - since // 2
+        parent_cpu = parent % n
+        assert policy.select_cpu_fork(None, parent_cpu) == \
+            full_scan_fork(policy, parent_cpu)

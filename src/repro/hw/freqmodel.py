@@ -181,6 +181,9 @@ class FreqModel:
         self._cores = [_CoreState(turbo.min_mhz)
                        for _ in range(topology.n_physical_cores)]
         self._socket_active = [0] * topology.n_sockets
+        #: Per socket, a bitmask of its active cores (bit i: the socket's
+        #: i-th core), kept in step with ``_socket_active``.
+        self._active_mask = [0] * topology.n_sockets
         self._thread_state: List[tuple[bool, bool]] = \
             [(False, False)] * topology.n_cpus
         # Memoized lookups for the hot re-pricing paths: topology maps are
@@ -273,6 +276,8 @@ class FreqModel:
             st.idle_since = None
             socket = self._socket_of_pc[pc]
             self._socket_active[socket] += 1
+            self._active_mask[socket] |= 1 << (pc - socket
+                                               * self._cores_per_socket)
             # A waking core exits its idle state directly at the governor's
             # floor P-state (the performance governor's guarantee).  Speed
             # Shift hardware programs the full computed P-state on the
@@ -299,6 +304,8 @@ class FreqModel:
             st.idle_since = now
             socket = self._socket_of_pc[pc]
             self._socket_active[socket] -= 1
+            self._active_mask[socket] &= ~(1 << (pc - socket
+                                                 * self._cores_per_socket))
             self._reevaluate_socket(socket, pc)
         else:
             self._reevaluate(pc)
@@ -393,18 +400,20 @@ class FreqModel:
         target is the minimum whatever the active-core count.  The mates
         left are the ones with no step pending, such as sustained cores
         whose turbo ceiling just moved.
+
+        Only active mates can be left: an idle core above the minimum
+        always has a step pending (DESIGN.md §4), so the walk visits the
+        socket's active-core mask, lowest bit first, not every core.
         """
-        cps = self._cores_per_socket
-        base = socket * cps
+        base = socket * self._cores_per_socket
         cores = self._cores
-        min_mhz = self._min_mhz
-        for pc in range(base, base + cps):
-            st = cores[pc]
-            if pc == changed or st.step_event is not None or (
-                    st.active_threads == 0 and st.spinning_threads == 0
-                    and st.mhz == min_mhz):
-                continue
-            self._reevaluate(pc)
+        mask = self._active_mask[socket] & ~(1 << (changed - base))
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            pc = base + low.bit_length() - 1
+            if cores[pc].step_event is None:
+                self._reevaluate(pc)
         self._reevaluate(changed, target)
 
     def _reevaluate(self, pc: int, target: Optional[int] = None) -> None:

@@ -327,6 +327,46 @@ class TestStepTiming:
                 if before is not None and core.step_event is not None:
                     assert core.step_event.time <= before
 
+    @given(pm=st.sampled_from([SPEED_SHIFT, SPEED_STEP]),
+           ops=st.lists(st.tuples(
+               st.integers(0, 15),
+               st.sampled_from(["busy", "spin", "idle", "idle", "cap",
+                                "uncap", "force"]),
+               st.integers(0, 2_000)), min_size=1, max_size=60))
+    def test_active_masks_and_idle_steps_after_random_toggles(self, pm,
+                                                               ops):
+        """Property, over random activity toggles, thermal caps and forced
+        frequencies on two sockets: each socket's active-core mask is its
+        set of active cores, and every idle core above the minimum has a
+        step pending (the invariant that lets the socket walk visit only
+        the active cores)."""
+        topo = Topology(2, 4, 2)
+        eng, fm, _ = make(pm=pm, request=3900, topo=topo)
+        cps = topo.cores_per_socket
+        for cpu, what, gap in ops:
+            eng.run(until=eng.now + gap)
+            pc = topo.physical_core_of(cpu)
+            if what == "cap":
+                fm.set_thermal_cap(pc, 2000)
+            elif what == "uncap":
+                fm.set_thermal_cap(pc, None)
+            elif what == "force":
+                fm.force_freq(pc, 2500)
+            else:
+                fm.set_thread_state(cpu, busy=what == "busy",
+                                    spinning=what == "spin")
+            for socket in range(topo.n_sockets):
+                active = {i for i in range(cps)
+                          if fm._cores[socket * cps + i].active_threads
+                          or fm._cores[socket * cps + i].spinning_threads}
+                mask = fm._active_mask[socket]
+                assert {i for i in range(cps) if mask >> i & 1} == active
+                assert fm.active_physical_cores(socket) == len(active)
+            for core in fm._cores:
+                if not (core.active_threads or core.spinning_threads) \
+                        and core.mhz > XEON_5218.min_mhz:
+                    assert core.step_event is not None
+
 
 #: Ramp and decay share one interval, so the steps a wake arms on the
 #: socket-mates and on the waking core fall due together.

@@ -14,7 +14,9 @@ The runqueue also carries the signals the placement heuristics read:
   attached here, which keeps a core looking loaded briefly after its task
   sleeps (the effect that makes CFS scatter forks to long-idle cores);
 * ``placement_pending`` — the flag Nest checks with compare-and-swap to
-  prevent two concurrent placements choosing the same core (§3.4).
+  prevent two concurrent placements choosing the same core (§3.4);
+* ``die_queued`` — one count of queued tasks shared by the runqueues of a
+  die, so the newly-idle balance can tell an empty die without scanning.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ class RunQueue:
     """Runnable tasks waiting on one hardware thread."""
 
     __slots__ = ("cpu", "_heap", "_seq", "_queued", "nr_queued",
-                 "min_vruntime", "busy_avg", "blocked_load",
+                 "die_queued", "min_vruntime", "busy_avg", "blocked_load",
                  "placement_pending", "last_busy_us", "nr_switches",
                  "currently_busy")
 
-    def __init__(self, cpu: int, now: int = 0) -> None:
+    def __init__(self, cpu: int, now: int = 0,
+                 die_queued: Optional[List[int]] = None) -> None:
         self.cpu = cpu
         self._heap: List[tuple[float, int, Task]] = []
         self._seq = 0
@@ -46,6 +49,10 @@ class RunQueue:
         #: ``len(self._queued)``, maintained eagerly — the placement paths
         #: read it for every candidate cpu, so it must be an attribute.
         self.nr_queued = 0
+        #: ``[n]``: queued tasks summed over the runqueues sharing this
+        #: list (the kernel gives each die one; a lone runqueue has its
+        #: own).  Every change to ``nr_queued`` applies to it too.
+        self.die_queued = [0] if die_queued is None else die_queued
         self.min_vruntime = 0.0
         self.busy_avg = PeltAvg(now)
         self.blocked_load = PeltAvg(now)
@@ -70,6 +77,7 @@ class RunQueue:
         self._seq += 1
         self._queued.add(task.tid)
         self.nr_queued += 1
+        self.die_queued[0] += 1
 
     def pop(self) -> Optional[Task]:
         """Remove and return the leftmost (smallest-vruntime) task."""
@@ -79,6 +87,7 @@ class RunQueue:
             if task.tid in self._queued:
                 self._queued.discard(task.tid)
                 self.nr_queued -= 1
+                self.die_queued[0] -= 1
                 self.min_vruntime = max(self.min_vruntime, vr)
                 return task
         return None
@@ -97,6 +106,7 @@ class RunQueue:
         if task.tid in self._queued:
             self._queued.discard(task.tid)
             self.nr_queued -= 1
+            self.die_queued[0] -= 1
             return True
         return False
 
@@ -110,6 +120,7 @@ class RunQueue:
         vr, _, task = max(candidates, key=lambda x: (x[0], x[1]))
         self._queued.discard(task.tid)
         self.nr_queued -= 1
+        self.die_queued[0] -= 1
         return task
 
     # ---- placement signals ------------------------------------------------

@@ -122,8 +122,6 @@ class Kernel:
         self.governor = governor
 
         n = self.topology.n_cpus
-        self.rqs: List[RunQueue] = [RunQueue(cpu, engine.now)
-                                    for cpu in range(n)]
         self.cpus: List[_CpuState] = [_CpuState() for _ in range(n)]
         self.domains = domain_hierarchy(self.topology)
         # Flattened topology maps for the per-event hot paths (the topology
@@ -133,6 +131,11 @@ class Kernel:
         self.smt_siblings_of = tuple(self.topology.smt_siblings(c)
                                      for c in range(n))
         self.die_of = tuple(self.topology.die_of(c) for c in range(n))
+        # The runqueues of a die share one queued-task count.
+        die_queued = [[0] for _ in range(max(self.die_of) + 1)]
+        self.rqs: List[RunQueue] = [
+            RunQueue(cpu, engine.now, die_queued[self.die_of[cpu]])
+            for cpu in range(n)]
 
         self.tracer = tracer or Tracer(n)
         self.energy = energy or EnergyMeter(self.topology)
@@ -1082,6 +1085,8 @@ class Kernel:
         """Newly-idle balance: steal a queued task from the busiest rq on
         the same die (CFS's newidle balance rarely crosses the LLC)."""
         rqs = self.rqs
+        if rqs[cpu].die_queued[0] == 0:
+            return None     # nothing queued anywhere on the die
         best, best_n = None, 0
         for other in self.domains.die_span(cpu):
             if other == cpu:

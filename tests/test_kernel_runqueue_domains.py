@@ -4,14 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.governors.performance import PerformanceGovernor
-from repro.hw.machines import get_machine
+from repro.hw.freqmodel import SPEED_SHIFT
+from repro.hw.machines import Machine, get_machine
 from repro.hw.topology import Topology
+from repro.hw.turbo import XEON_5218
 from repro.kernel.domains import DomainHierarchy, domain_hierarchy
 from repro.kernel.runqueue import RunQueue, SLEEPER_BONUS_US
 from repro.kernel.scheduler_core import Kernel
 from repro.kernel.task import Task
 from repro.sched.cfs import CfsPolicy
 from repro.sim.engine import Engine
+
+
+TWO_SOCKETS = Machine(name="t", cpu_model="t", microarchitecture="t",
+                      topology=Topology(2, 4, 2), turbo=XEON_5218,
+                      pm=SPEED_SHIFT)
 
 
 def mk_task(tid, vruntime=0.0):
@@ -102,6 +109,42 @@ class TestRunQueue:
             out.append(t.vruntime)
         assert out == sorted(out)
         assert len(out) == len(vruntimes)
+
+    @given(st.lists(st.tuples(st.sampled_from(["push", "pop", "remove",
+                                               "steal"]),
+                              st.integers(0, 15), st.integers(1, 6)),
+                    max_size=80))
+    def test_die_queued_counts_the_die(self, ops):
+        """Property: over random push/pop/remove/steal_one on a 2-socket
+        kernel's runqueues, each die's shared count equals the queued
+        tasks on its cpus (the count _newidle_pull trusts to skip an
+        empty die)."""
+        kern = Kernel(Engine(0), TWO_SOCKETS, CfsPolicy(),
+                      PerformanceGovernor())
+        tasks = {}
+        for what, cpu, tid in ops:
+            rq = kern.rqs[cpu]
+            if what == "push":
+                if tid not in tasks:
+                    tasks[tid] = rq
+                    rq.push(mk_task(tid))
+            elif what == "pop":
+                t = rq.pop()
+                if t is not None:
+                    del tasks[t.tid]
+            elif what == "remove":
+                owner = tasks.pop(tid, None)
+                assert rq.remove(mk_task(tid)) == (owner is rq)
+                if owner is not None and owner is not rq:
+                    assert owner.remove(mk_task(tid))
+            else:
+                t = rq.steal_one()
+                if t is not None:
+                    del tasks[t.tid]
+            for c in range(kern.topology.n_cpus):
+                span = kern.domains.die_span(c)
+                assert kern.rqs[c].die_queued[0] == \
+                    sum(kern.rqs[d].nr_queued for d in span)
 
 
 class TestDomains:

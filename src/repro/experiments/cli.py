@@ -141,6 +141,12 @@ def _cmd_run(args) -> int:
         detail = ", ".join(f"{k}={v}" for k, v in counters.items())
         print(f"  faults[{args.faults}]: {injected} planned"
               + (f" ({detail})" if detail else ""))
+        if injected and not any(counters.values()):
+            # Every planned fault falls due after the run ended.
+            print(f"  faults[{args.faults}]: none of the {injected} planned "
+                  f"faults landed: the profile plans them over "
+                  f"horizon_us={faults.horizon_us:,}, and this run's "
+                  f"makespan is {res.makespan_us:,} us")
     if args.verbose and res.freq_dist is not None:
         for label, frac in res.freq_dist.as_dict().items():
             if frac >= 0.005:

@@ -228,6 +228,28 @@ class TestObservabilityCli:
         assert "faults[hotplug]:" in out
         assert "planned" in out
 
+    def test_run_says_when_no_planned_fault_landed(self, capsys):
+        """The stock profiles plan over a 2 s horizon; an 11 ms run ends
+        before the first fault falls due, and the run must say so."""
+        rc = main(["run", "--workload", "phoronix-libavif-avifenc-1",
+                   "--machine", "5218_2s", "--scale", "0.3",
+                   "--faults", "hotplug"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "8 planned" in out
+        assert "none of the 8 planned faults landed" in out
+        assert "horizon_us=2,000,000" in out
+        assert "makespan is 10,830 us" in out
+
+    def test_run_with_a_landed_fault_does_not_say_none_landed(self, capsys):
+        rc = main(["run", "--workload", "configure-gcc",
+                   "--machine", "ryzen_4650g", "--scale", "1.0",
+                   "--faults", "chaos", "--seed", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "fault_cpu_offline=1" in out
+        assert "landed" not in out
+
     def test_run_with_none_faults_profile_is_clean_run(self, capsys):
         rc = main(["run", "--workload", "configure-gcc",
                    "--machine", "ryzen_4650g", "--scale", "0.3",

@@ -36,8 +36,8 @@ from .topology import Topology
 _IDLE = -1
 
 #: Distinct power states one meter remembers before it drops them all.
-#: A configure run revisits a few hundred; the bound keeps a pathological
-#: run from growing the memo without limit.
+#: A configure run on the 5218 visits 20 to 150 and a hackbench run about
+#: 1,000; the bound keeps a long run from growing the memo without limit.
 POWER_MEMO_MAX = 1 << 12
 
 

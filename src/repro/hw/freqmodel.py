@@ -181,9 +181,11 @@ class FreqModel:
         self._cores = [_CoreState(turbo.min_mhz)
                        for _ in range(topology.n_physical_cores)]
         self._socket_active = [0] * topology.n_sockets
-        #: Per socket, a bitmask of its active cores (bit i: the socket's
-        #: i-th core), kept in step with ``_socket_active``.
+        #: Per socket, a bitmask of its active cores, kept in step with
+        #: ``_socket_active``; ``_bit_of_pc`` is each core's bit in it.
         self._active_mask = [0] * topology.n_sockets
+        self._bit_of_pc = tuple(1 << (pc % topology.cores_per_socket)
+                                for pc in range(topology.n_physical_cores))
         self._thread_state: List[tuple[bool, bool]] = \
             [(False, False)] * topology.n_cpus
         # Memoized lookups for the hot re-pricing paths: topology maps are
@@ -276,8 +278,7 @@ class FreqModel:
             st.idle_since = None
             socket = self._socket_of_pc[pc]
             self._socket_active[socket] += 1
-            self._active_mask[socket] |= 1 << (pc - socket
-                                               * self._cores_per_socket)
+            self._active_mask[socket] |= self._bit_of_pc[pc]
             # A waking core exits its idle state directly at the governor's
             # floor P-state (the performance governor's guarantee).  Speed
             # Shift hardware programs the full computed P-state on the
@@ -304,8 +305,7 @@ class FreqModel:
             st.idle_since = now
             socket = self._socket_of_pc[pc]
             self._socket_active[socket] -= 1
-            self._active_mask[socket] &= ~(1 << (pc - socket
-                                                 * self._cores_per_socket))
+            self._active_mask[socket] &= ~self._bit_of_pc[pc]
             self._reevaluate_socket(socket, pc)
         else:
             self._reevaluate(pc)
@@ -407,7 +407,7 @@ class FreqModel:
         """
         base = socket * self._cores_per_socket
         cores = self._cores
-        mask = self._active_mask[socket] & ~(1 << (changed - base))
+        mask = self._active_mask[socket] & ~self._bit_of_pc[changed]
         while mask:
             low = mask & -mask
             mask ^= low

@@ -171,6 +171,7 @@ class CfsPolicy(SelectionPolicy):
         check_pending = self.check_pending_default
         best = None
         best_key = None
+        idle_found = False
         for rank, c in enumerate(_rotate(group, from_cpu)):
             if not online[c]:
                 continue
@@ -188,8 +189,9 @@ class CfsPolicy(SelectionPolicy):
                 qload = _qload(load)
                 if qload == 0:
                     return c
+                idle_found = True
                 key = (0, 0, qload, rank)
-            elif best_key is not None and best_key[0] == 0:
+            elif idle_found:
                 continue
             else:
                 load = loads.get(c)

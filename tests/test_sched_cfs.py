@@ -263,6 +263,90 @@ FORK_MACHINES = tuple(
             topology=topo, turbo=XEON_5218, pm=SPEED_SHIFT)
     for i, topo in enumerate((Topology(2, 4, 2), Topology(4, 3, 2))))
 
+#: A cpu for :func:`fork_kernel`: (running a task, queued tasks, load).
+BUSY = (True, 0, 0.0)
+
+
+def idle(load):
+    return (False, 0, load)
+
+
+def fork_kernel(cpus):
+    """A CFS kernel on the 2-socket test machine (socket 0: cpus 0-3 and
+    their siblings 8-11) with ``cpus`` as given, cpu -> (running, queued,
+    load); every other cpu runs a task.  Loads are current, so
+    ``load_avg`` returns them unchanged."""
+    eng = Engine(0)
+    policy = CfsPolicy()
+    kern = Kernel(eng, FORK_MACHINES[0], policy, PerformanceGovernor())
+    tids = iter(range(1, 1_000))
+    for c in range(kern.topology.n_cpus):
+        running, queued, load = cpus.get(c, BUSY)
+        if running:
+            kern.cpus[c].current = Task(next(tids), "r", None, None, 0)
+        for _ in range(queued):
+            kern.rqs[c].push(Task(next(tids), "q", None, None, 0))
+        kern.rqs[c].busy_avg.value = load
+    return kern, policy
+
+
+class TestForkWalkShortcutCases:
+    """The case each shortcut decides, checked on its own."""
+
+    def test_the_cpu_scan_stops_only_at_a_fully_decayed_idle_cpu(self):
+        # cpu 1 is idle but one load quantum up, so cpu 2 wins.
+        kern, policy = fork_kernel({1: idle(40.0), 2: idle(0.0),
+                                    3: idle(0.0)})
+        loads = {}
+        assert policy._find_idlest_cpu((0, 1, 2, 3), 0, loads) == 2
+        # cpu 0 is busy and an idle cpu follows it; nothing after the
+        # fully decayed cpu 2 is read.
+        assert sorted(loads) == [0, 1, 2]
+
+    def test_no_busy_load_is_read_once_an_idle_cpu_is_found(self):
+        kern, policy = fork_kernel({0: idle(40.0), 2: idle(100.0)})
+        loads = {}
+        assert policy._find_idlest_cpu((0, 1, 2, 3), 0, loads) == 0
+        assert sorted(loads) == [0, 2]
+
+    def test_busy_cpus_compete_when_none_is_idle(self):
+        kern, policy = fork_kernel({0: (True, 2, 0.0), 1: (True, 0, 500.0),
+                                    2: (True, 1, 0.0)})
+        assert policy._find_idlest_cpu((0, 1, 2), 0, {}) == 1
+
+    def test_a_local_group_as_idle_as_any_rival_wins_unread(self):
+        kern, policy = fork_kernel({0: idle(500.0), 8: idle(500.0),
+                                    1: idle(0.0), 9: idle(0.0)})
+        loads = {}
+        mc = kern.domains.domains_of(0)[1].groups
+        assert policy._find_idlest_group(mc, 0, loads) == (0, 8)
+        assert loads == {}
+
+    def test_a_rival_with_more_idle_cpus_beats_the_local_group(self):
+        kern, policy = fork_kernel({0: idle(0.0), 1: idle(500.0),
+                                    9: idle(500.0)})
+        mc = kern.domains.domains_of(0)[1].groups
+        assert policy._find_idlest_group(mc, 0, {}) == (1, 9)
+
+    def test_rivals_tied_on_idle_counts_go_to_the_lower_load(self):
+        # The local pair (0, 8) has one idle cpu; the rival pairs (1, 9)
+        # and (2, 10) are fully idle and tie, and (2, 10) is less loaded.
+        kern, policy = fork_kernel({0: idle(0.0), 1: idle(100.0),
+                                    9: idle(100.0), 2: idle(40.0),
+                                    10: idle(40.0)})
+        mc = kern.domains.domains_of(0)[1].groups
+        assert policy._find_idlest_group(mc, 0, {}) == (2, 10)
+        assert policy.select_cpu_fork(None, 0) == full_scan_fork(policy, 0)
+
+    def test_a_lone_rival_group_needs_no_load(self):
+        # NUMA level: socket 1 has more idle cpus than socket 0.
+        kern, policy = fork_kernel({4: idle(700.0), 5: idle(700.0)})
+        loads = {}
+        numa = kern.domains.domains_of(0)[2].groups
+        assert policy._find_idlest_group(numa, 0, loads) == numa[1]
+        assert loads == {}
+
+
 #: Loads straddling the quantum (0 and 31.9 share bucket 0, 32 and 63.9
 #: share bucket 1).
 _LOADS = st.sampled_from([0.0, 0.0, 10.0, 31.9, 32.0, 50.0, 63.9, 64.0,

@@ -121,9 +121,12 @@ class TestRunQueue:
         empty die)."""
         kern = Kernel(Engine(0), TWO_SOCKETS, CfsPolicy(),
                       PerformanceGovernor())
-        tasks = {}
+        tasks = {}     # tid -> the runqueue it is queued on
         for what, cpu, tid in ops:
             rq = kern.rqs[cpu]
+            if what in ("pop", "steal"):
+                # Aim at a queue holding ``tid``, when there is one.
+                rq = tasks.get(tid, rq)
             if what == "push":
                 if tid not in tasks:
                     tasks[tid] = rq

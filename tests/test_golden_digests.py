@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.params import NestParams
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultConfig
 from repro.hw.machines import get_machine
@@ -27,7 +28,8 @@ from repro.workloads.catalog import make_workload
 
 DIGEST_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_digests.json"
 
-# (label, workload, machine, scheduler, governor, seed, scale, faults)
+# (label, workload, machine, scheduler, governor, seed, scale, faults
+#  [, nest_params])
 CASES = (
     ("fig2-cfs", "configure-llvm_ninja", "5218_2s", "cfs", "schedutil",
      1, 0.3, None),
@@ -51,6 +53,11 @@ CASES = (
     # seen a frequency for.
     ("speedstep-4s", "hackbench", "e78870_4s", "cfs", "schedutil",
      1, 0.1, None),
+    # A half-tick P_remove makes Nest's primary scan demote stale cores as
+    # it passes them (nest.compact), which the default-parameter runs
+    # above almost never do.
+    ("nest-compact", "schbench", "5218_2s", "nest", "schedutil",
+     1, 1.0, None, NestParams(p_remove_ticks=0.5)),
 )
 
 
@@ -60,11 +67,12 @@ def _sha256(obj) -> str:
 
 
 def case_digest(workload, machine_key, scheduler, governor, seed, scale,
-                faults) -> dict:
+                faults, nest_params=None) -> dict:
     """The golden record of one pinned run."""
     res = run_experiment(
         make_workload(workload, scale=scale), get_machine(machine_key),
-        scheduler, governor, seed=seed, faults=faults, collect_events=True)
+        scheduler, governor, seed=seed, nest_params=nest_params,
+        faults=faults, collect_events=True)
     return {
         "makespan_us": res.makespan_us,
         "events_processed": res.events_processed,

@@ -27,7 +27,9 @@ Mask discipline mirrors scx_nest: primary hits reset a task's
 impatience, failed primary searches increment it, and a task that failed
 ``r_impatient`` times in a row skips the masks entirely and its CFS pick
 is promoted straight into the primary mask.  Unlike the paper's Nest
-there is no task→core attachment and no warm-core spinning.
+there is no task→core attachment and no warm-core spinning.  The masks,
+their scans and the hotplug repair are the mask core shared with Nest
+(``sched/nestcore.py``).
 """
 
 from __future__ import annotations
@@ -37,23 +39,15 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..kernel.task import Task, TaskState
 from ..obs import events as oev
-from ..obs.log import EventLog
-from ..obs.metrics import MetricsRegistry
 from ..sim.clock import TICK_US
 from ..sim.events import EventKind
 from ..core.params import DEFAULT_PARAMS, NestParams
-from .base import SelectionPolicy
-from .cfs import CfsPolicy, _rotate
+from .nestcore import NestCore
 
 #: Default virtual-time slice charged per placement (scx_nest's
 #: ``SCX_SLICE_DFL`` analogue), and the lag clamp applied on enqueue.
 SLICE_US = 4_000
 MAX_LAG_US = 2 * SLICE_US
-
-#: Bucket edges shared with Nest's placement instrumentation so the two
-#: policies' histograms are directly comparable in analysis reports.
-SEARCH_LEN_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128)
-MASK_SIZE_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 
 
 class GlobalVtimeQueue:
@@ -127,82 +121,7 @@ class GlobalVtimeQueue:
         self._vtime.pop(key, None)
 
 
-class NestMasks:
-    """Primary/reserve core masks with legality-enforced transitions.
-
-    The invariants (primary ∩ reserve = ∅, ``|reserve| ≤ r_max``) are the
-    paper's §3.1 rules; every transition either preserves them or raises
-    ``ValueError`` — the property suite drives random transition
-    sequences through this class and asserts exactly that.
-    """
-
-    def __init__(self, r_max: int, reserve_enabled: bool = True) -> None:
-        if r_max < 0:
-            raise ValueError(f"negative r_max {r_max}")
-        self.r_max = r_max
-        self.reserve_enabled = reserve_enabled
-        self.primary: Set[int] = set()
-        self.reserve: Set[int] = set()
-
-    def promote(self, cpu: int) -> None:
-        """Reserve hit: the core moves reserve → primary."""
-        if cpu not in self.reserve:
-            raise ValueError(f"promote of cpu {cpu} not in reserve")
-        self.reserve.discard(cpu)
-        self.primary.add(cpu)
-
-    def expand(self, cpu: int) -> None:
-        """Impatient expansion: the core joins the primary directly."""
-        if cpu in self.primary:
-            raise ValueError(f"expand of cpu {cpu} already in primary")
-        self.reserve.discard(cpu)
-        self.primary.add(cpu)
-
-    def demote(self, cpu: int) -> bool:
-        """Compaction: primary → reserve (dropped entirely when the
-        reserve is full or disabled).  Returns True if the core was
-        parked in the reserve."""
-        if cpu not in self.primary:
-            raise ValueError(f"demote of cpu {cpu} not in primary")
-        self.primary.discard(cpu)
-        if self.reserve_enabled and len(self.reserve) < self.r_max:
-            self.reserve.add(cpu)
-            return True
-        return False
-
-    def admit_reserve(self, cpu: int) -> bool:
-        """A CFS pick outside both masks enters the reserve if there is
-        room (§3.1); no-op for members.  Returns True on admission."""
-        if cpu in self.primary or cpu in self.reserve:
-            return False
-        if self.reserve_enabled and len(self.reserve) < self.r_max:
-            self.reserve.add(cpu)
-            return True
-        return False
-
-    def evict(self, cpu: int) -> bool:
-        """Hotplug repair: the core leaves both masks unconditionally."""
-        was_member = cpu in self.primary or cpu in self.reserve
-        self.primary.discard(cpu)
-        self.reserve.discard(cpu)
-        return was_member
-
-    def check(self) -> None:
-        """Raise if the §3.1 invariants do not hold."""
-        overlap = self.primary & self.reserve
-        if overlap:
-            raise AssertionError(
-                f"masks overlap on {sorted(overlap)}")
-        if self.reserve_enabled:
-            if len(self.reserve) > self.r_max:
-                raise AssertionError(
-                    f"reserve {len(self.reserve)} exceeds r_max {self.r_max}")
-        elif self.reserve:
-            raise AssertionError(
-                f"reserve disabled but holds {sorted(self.reserve)}")
-
-
-class ScxNestPolicy(SelectionPolicy):
+class ScxNestPolicy(NestCore):
     """scx_nest placement: warm-core masks + global vtime queue + timers."""
 
     #: The mask walk plus the vtime bookkeeping sit in front of CFS —
@@ -211,10 +130,7 @@ class ScxNestPolicy(SelectionPolicy):
     selection_cost_us = 2
 
     def __init__(self, params: NestParams = DEFAULT_PARAMS) -> None:
-        super().__init__()
-        self.params = params
-        self._masks = NestMasks(params.r_max, params.reserve_enabled)
-        self._cfs = CfsPolicy()
+        super().__init__(params)
         self._queue = GlobalVtimeQueue()
         #: Per-cpu compaction-timer token: present iff a timer is armed;
         #: the value pairs a generation with the arm time so superseded
@@ -223,7 +139,6 @@ class ScxNestPolicy(SelectionPolicy):
         self._arm_gen = 0
         #: Cores with a pending 0-delay vtime-pull event.
         self._pull_pending: Set[int] = set()
-        self.metrics = MetricsRegistry()
         m = self.metrics
         self._c_placements = m.counter("placements")
         self._c_primary = m.counter("primary_hits")
@@ -236,30 +151,10 @@ class ScxNestPolicy(SelectionPolicy):
         self._c_cancel = m.counter("compact_cancels")
         self._c_enq = m.counter("vtime_enqueues")
         self._c_pull = m.counter("vtime_pulls")
-        self._h_search = m.histogram("search_len", SEARCH_LEN_EDGES)
-        self._h_size = m.histogram("primary_size", MASK_SIZE_EDGES)
-        # Replaced with the engine's log on bind; a detached placeholder
-        # lets unbound policies (unit tests) run with events disabled.
-        self._obs = EventLog()
-
-    def on_bind(self) -> None:
-        self._cfs.kernel = self.kernel
-        self._cfs.check_pending_default = self.params.placement_flag
-        self._obs = self.kernel.engine.obs
 
     @property
     def name(self) -> str:
         return "Scxnest"
-
-    # Probe-compatible mask views (the verification oracle snapshots
-    # final membership through these, exactly as it does for Nest).
-    @property
-    def primary(self) -> Set[int]:
-        return self._masks.primary
-
-    @property
-    def reserve(self) -> Set[int]:
-        return self._masks.reserve
 
     def check_invariants(self) -> None:
         """Tier accounting adds up and the masks obey §3.1."""
@@ -311,7 +206,10 @@ class ScxNestPolicy(SelectionPolicy):
                      and task.impatience >= p.r_impatient)
 
         if not impatient:
-            cpu, examined = self._search_primary(start, task, is_fork)
+            # The previous core is always tried first; no compaction on
+            # the way (demotions are the timers' job).
+            cpu, examined = self._scan_primary(
+                start, None if is_fork else task.prev_cpu, None)
             if cpu is not None:
                 self._c_primary.value += 1
                 task.impatience = 0
@@ -321,7 +219,7 @@ class ScxNestPolicy(SelectionPolicy):
                              cpu=cpu, task=task.tid, value=examined)
                 return cpu
             if p.reserve_enabled:
-                cpu, n = self._search_reserve(start)
+                cpu, n = self._scan_reserve(start, start)
                 examined += n
                 if cpu is not None:
                     self._masks.promote(cpu)
@@ -382,47 +280,6 @@ class ScxNestPolicy(SelectionPolicy):
             # queue, from which idling cores pull in vtime order.
             self._queue.push(task.tid, (task, cpu))
             self._c_enq.value += 1
-
-    def _search_primary(self, start: int, task: Task,
-                        is_fork: bool) -> Tuple[Optional[int], int]:
-        """Idle-core search over the primary mask, previous core first,
-        then same-die rotation (no compaction along the way — demotions
-        are the timers' job).  Returns (cpu or None, cores examined)."""
-        masks = self._masks
-        if not masks.primary:
-            return None, 0
-        die_of = self.kernel.die_of
-        start_die = die_of[start]
-        same_die = [c for c in masks.primary if die_of[c] == start_die]
-        other = [c for c in masks.primary if die_of[c] != start_die]
-        prefer = []
-        if not is_fork and task.prev_cpu is not None \
-                and task.prev_cpu in masks.primary:
-            prefer = [task.prev_cpu]
-        examined = 0
-        for cpu in prefer + list(_rotate(tuple(same_die), start)) \
-                + sorted(other):
-            examined += 1
-            if self._idle(cpu):
-                return cpu, examined
-        return None, examined
-
-    def _search_reserve(self, start: int) -> Tuple[Optional[int], int]:
-        """Idle-core search over the reserve mask, same-die first."""
-        masks = self._masks
-        if not masks.reserve:
-            return None, 0
-        die_of = self.kernel.die_of
-        start_die = die_of[start]
-        same_die = [c for c in masks.reserve if die_of[c] == start_die]
-        other = [c for c in masks.reserve if die_of[c] != start_die]
-        examined = 0
-        for cpu in list(_rotate(tuple(same_die), start)) \
-                + list(_rotate(tuple(other), start)):
-            examined += 1
-            if self._idle(cpu):
-                return cpu, examined
-        return None, examined
 
     # ------------------------------------------------------------------
     # Idle-path hooks: vtime pulls and compaction timers
@@ -525,47 +382,8 @@ class ScxNestPolicy(SelectionPolicy):
             if self.params.compaction_enabled and kernel.cpu_is_idle(cpu):
                 self._arm_compaction(cpu)
             return
-        self._masks.demote(cpu)
-        self._c_compact.value += 1
-        if self._obs.enabled:
-            self._obs.emit(kernel.engine.now, oev.SCXNEST_COMPACT, cpu=cpu,
-                           value=len(self._masks.primary))
+        self._demote(cpu, oev.SCXNEST_COMPACT)
 
-    # ------------------------------------------------------------------
-    # Fault hooks
-    # ------------------------------------------------------------------
-
-    def on_cpu_offline(self, cpu: int) -> None:
-        """Mask repair for a hotplug fault, mirroring Nest's: the core
-        leaves both masks immediately and its timer is disarmed.  The
-        eviction touches no placement counters."""
+    def _forget_cpu(self, cpu: int) -> None:
+        """Hotplug disarms the core's compaction timer."""
         self._armed.pop(cpu, None)
-        if self._masks.evict(cpu):
-            # Lazily created so fault-free runs keep an identical
-            # metrics dict (and identical cached results).
-            self.metrics.counter("offline_evictions").value += 1
-            if self._obs.enabled:
-                self._obs.emit(self.kernel.engine.now,
-                               oev.NEST_OFFLINE_EVICT, cpu=cpu,
-                               value=len(self._masks.primary))
-
-    def select_cpu_offline_migration(self, task: Task,
-                                     offline_cpu: int) -> Optional[int]:
-        """Re-place an orphan through the normal search so the move is
-        counted like any other placement."""
-        return self._select(task, start=offline_cpu, is_fork=False,
-                            waker_cpu=offline_cpu)
-
-    # ------------------------------------------------------------------
-
-    def _idle(self, cpu: int) -> bool:
-        """Idle and not targeted by an in-flight placement (§3.4 flag)."""
-        if not self.kernel.cpu_is_idle(cpu):
-            return False
-        if self.params.placement_flag \
-                and self.kernel.rqs[cpu].placement_pending > 0:
-            return False
-        return True
-
-    def nest_sizes(self) -> Tuple[int, int]:
-        return len(self._masks.primary), len(self._masks.reserve)

@@ -11,6 +11,7 @@ from repro.hw.topology import Topology
 from repro.hw.turbo import XEON_5218
 from repro.kernel.scheduler_core import Kernel
 from repro.kernel.syscalls import Compute
+from repro.obs import events as oev
 from repro.sim.clock import TICK_US
 from repro.sim.engine import Engine
 from repro.workloads.base import ms_of_work
@@ -233,6 +234,23 @@ class TestImpatience:
         cpu = policy.select_cpu_wakeup(t, waker_cpu=0)
         assert cpu in policy.primary
         assert t.impatience == 0
+        assert policy.metrics.counters()["impatient_placements"] == 1
+
+    def test_expansion_onto_a_primary_core_changes_no_nest(self):
+        """An impatient task whose CFS pick is already primary leaves both
+        nests as they were, yet still emits one nest.expand (valued at the
+        unchanged primary size) and counts one impatient placement."""
+        eng, kern, policy = make()
+        events = eng.obs.attach_memory()
+        policy.primary.add(2)
+        policy.reserve.add(5)
+        occupy(kern, 5)                 # the reserve scan finds nothing
+        t = noop_task(kern)
+        t.impatience = NestParams().r_impatient
+        assert policy.select_cpu_wakeup(t, waker_cpu=2) == 2
+        assert policy.primary == {2} and policy.reserve == {5}
+        expands = [ev for ev in events if ev.kind == oev.NEST_EXPAND]
+        assert [(ev.cpu, ev.value) for ev in expands] == [(2, 1)]
         assert policy.metrics.counters()["impatient_placements"] == 1
 
     def test_impatience_disabled_by_ablation(self):

@@ -13,8 +13,8 @@ from repro.kernel.scheduler_core import Kernel
 from repro.kernel.syscalls import Compute
 from repro.obs import events as oev
 from repro.sched.registry import make_registered_policy
-from repro.sched.scxnest import (GlobalVtimeQueue, NestMasks, ScxNestPolicy,
-                                 SLICE_US)
+from repro.sched.nestcore import NestMasks
+from repro.sched.scxnest import GlobalVtimeQueue, ScxNestPolicy, SLICE_US
 from repro.sim.clock import TICK_US
 from repro.sim.engine import Engine
 from repro.verify import check_run, run_scenario

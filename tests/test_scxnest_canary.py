@@ -13,7 +13,8 @@ from unittest import mock
 
 from repro.experiments.parallel import RunSpec
 from repro.obs import events as oev
-from repro.sched.scxnest import NestMasks, ScxNestPolicy
+from repro.sched.nestcore import NestMasks
+from repro.sched.scxnest import ScxNestPolicy
 from repro.verify import check_run, run_scenario
 
 #: dacapo-h2 on the small box compacts and promotes continually (see

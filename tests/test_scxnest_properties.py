@@ -4,7 +4,8 @@ The ISSUE-10 battery: FIFO-within-equal-vtime, bounded vtime lag (no
 starvation), and mask-transition legality under random wake/sleep
 sequences — all driven by hypothesis over the standalone
 :class:`GlobalVtimeQueue` / :class:`NestMasks` state machines and over
-the full policy wired to a real kernel.
+both policies built on the masks (scx_nest and Nest) wired to a real
+kernel.
 """
 
 import pytest
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.nest import NestPolicy
 from repro.core.params import NestParams
 from repro.governors.performance import PerformanceGovernor
 from repro.hw.freqmodel import SPEED_SHIFT
@@ -21,7 +23,8 @@ from repro.hw.turbo import XEON_5218
 from repro.hw.topology import Topology
 from repro.kernel.scheduler_core import Kernel
 from repro.kernel.syscalls import Compute
-from repro.sched.scxnest import GlobalVtimeQueue, NestMasks, ScxNestPolicy
+from repro.sched.nestcore import NestMasks
+from repro.sched.scxnest import GlobalVtimeQueue, ScxNestPolicy
 from repro.sim.engine import Engine
 from repro.workloads.base import ms_of_work
 
@@ -173,14 +176,15 @@ _POLICY_OPS = st.lists(
     max_size=40)
 
 
+@pytest.mark.parametrize("policy_cls", [ScxNestPolicy, NestPolicy])
 @settings(max_examples=25)
 @given(_POLICY_OPS, st.integers(0, 3), st.integers(0, 3))
-def test_policy_masks_stay_legal_under_random_sequences(ops, r_max,
-                                                        r_impatient):
+def test_policy_masks_stay_legal_under_random_sequences(policy_cls, ops,
+                                                        r_max, r_impatient):
     """Random wake/sleep/exit sequences against a real kernel never
     break the mask invariants or the counter identities."""
     eng = Engine(0)
-    policy = ScxNestPolicy(NestParams(r_max=r_max, r_impatient=r_impatient))
+    policy = policy_cls(NestParams(r_max=r_max, r_impatient=r_impatient))
     kern = Kernel(eng, MACHINE, policy, PerformanceGovernor())
     tid = [0]
 

@@ -10,7 +10,7 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
     python -m repro compare --workload dacapo-h2 --machine 6130_4s --jobs 8
     python -m repro sweep fig5 --seeds 2 --scale 0.5   # registry sweep
     python -m repro cache stats          # result-cache maintenance
-    python -m repro obs report           # last sweep's observability report
+    python -m repro obs report           # digest of the newest recorded sweep
     python -m repro obs dashboard        # self-contained HTML dashboard
     python -m repro obs analyze fig2 --scale 0.3   # trace-analysis report
     python -m repro obs query fig2 --kind place --cpu 3   # event queries
@@ -28,9 +28,13 @@ the content-addressed result cache under ``.repro-cache/`` unless
 ``--no-cache`` is given, and show a live view with ``--progress``
 (``--progress=plain`` for CI logs).  Every sweep streams telemetry to
 ``<cache>/telemetry/<sweep>.jsonl`` and archives itself into
-``<cache>/history.sqlite`` (disable with ``--no-telemetry``); ``repro
-history diff`` gates a sweep against a baseline and ``repro obs
-dashboard`` renders the whole thing as one self-contained HTML file.
+``<cache>/history.sqlite`` (disable both with ``--no-telemetry``).  That
+history row is the one record of a sweep: ``repro obs report`` digests
+the newest one, ``repro history diff`` gates a sweep against a baseline
+and ``repro obs dashboard`` renders the whole thing as one
+self-contained HTML file.  A spec whose simulation raises stops the
+sweep at once (``--keep-going`` skips it instead); only a crashed or
+hung worker pool is retried (``--timeout`` bounds a hang).
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ def _executor_from_args(args) -> SweepExecutor:
                                  history=history)
     return SweepExecutor(jobs=args.jobs, cache=cache,
                          timeout_s=getattr(args, "timeout", None),
-                         retries=getattr(args, "retries", 2),
                          skip_failures=getattr(args, "keep_going", False),
                          telemetry=telemetry)
 
@@ -189,18 +192,25 @@ def _cmd_obs(args) -> int:
         return _cmd_obs_analyze(args)
     if args.action == "query":
         return _cmd_obs_query(args)
-    root = Path(args.cache_dir) if args.cache_dir else None
-    cache = ResultCache(root)
-    report = cache.read_report("last-sweep")
-    if report is None:
-        print(f"no sweep report under {cache.root} — run a sweep or "
-              f"compare first", file=sys.stderr)
+    import json as _json
+
+    path = _history_path(args.cache_dir)
+    if not path.exists():
+        print(f"no run history at {path} — run a sweep or compare with "
+              f"telemetry enabled first", file=sys.stderr)
         return 1
+    with HistoryStore(path) as store:
+        try:
+            sweep = store.resolve("last")
+        except KeyError:
+            print(f"run history at {path} is empty", file=sys.stderr)
+            return 1
+        runs = store.runs_of(sweep["id"])
+    st = _json.loads(sweep.pop("stats_json") or "{}")
     if getattr(args, "json", False):
-        import json as _json
-        print(_json.dumps(report, sort_keys=True, indent=2))
+        print(_json.dumps({"sweep": sweep, "stats": st, "runs": runs},
+                          sort_keys=True, indent=2))
         return 0
-    st = report.get("stats", {})
     print(f"last sweep: {st.get('n_specs', 0)} runs, "
           f"{st.get('simulated', 0)} simulated, "
           f"{st.get('cache_hits', 0)} cached, "
@@ -214,22 +224,19 @@ def _cmd_obs(args) -> int:
               f"{st.get('events_per_sec', 0.0):,.0f} events/s, "
               f"{st.get('sim_wall_s', 0.0):.2f}s summed sim time")
     if st.get("retried") or st.get("timeouts") or st.get("skipped") \
-            or st.get("recovered") or st.get("degraded"):
+            or st.get("degraded"):
         print(f"  hardening: {st.get('retried', 0)} retried, "
               f"{st.get('timeouts', 0)} timeout(s), "
-              f"{st.get('recovered', 0)} recovered from checkpoint, "
               f"{st.get('skipped', 0)} skipped"
               + (", degraded to serial" if st.get("degraded") else ""))
-    if report.get("interrupted"):
+    if sweep["interrupted"]:
         print("  NOTE: sweep was interrupted; completed runs are "
-              "checkpointed and will be reused on the next run")
-    runs = report.get("runs", [])
-    slowest = sorted(runs, key=lambda r: -r.get("sim_wall_s", 0.0))
+              "cached and will be reused on the next run")
+    # Pending and skipped runs have no wall time or event count (NULL).
+    slowest = sorted(runs, key=lambda r: -(r["sim_wall_s"] or 0.0))
     for run in slowest[:args.top]:
-        src = run.get("outcome") or ("cache" if run.get("cached") else "sim")
-        print(f"  {src:10s} {run.get('sim_wall_s', 0.0):6.2f}s  "
-              f"{run.get('events_processed', 0):>12,} ev  "
-              f"{run.get('label', '?')}")
+        print(f"  {run['outcome']:10s} {run['sim_wall_s'] or 0.0:6.2f}s  "
+              f"{run['events'] or 0:>12,} ev  {run['label']}")
     return 0
 
 
@@ -526,7 +533,7 @@ def _cmd_sweep(args) -> int:
     results = executor.run(specs)
     for spec, res in zip(specs, results):
         if res is None:
-            print(f"SKIPPED {spec.label} (failed after retries)")
+            print(f"SKIPPED {spec.label} (failed)")
         else:
             print(res.brief())
     print(executor.last_stats.summary())
@@ -676,16 +683,15 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                         "(live on a TTY, plain otherwise).  Bare "
                         "--progress means auto")
     p.add_argument("--no-telemetry", action="store_true",
-                   help="disable telemetry streaming/history recording "
-                        "(--progress still renders its view)")
+                   help="write neither the telemetry stream nor the "
+                        "history row, so the sweep leaves no record and "
+                        "'obs report' describes the last sweep history "
+                        "recorded (--progress still renders its view)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="kill and retry the worker pool if no run completes "
                         "for this long (default: wait forever)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="attempts per spec after crashes/timeouts "
-                        "(default: 2)")
     p.add_argument("--keep-going", action="store_true",
-                   help="skip specs that exhaust their retries instead of "
+                   help="skip a spec whose simulation fails instead of "
                         "aborting the sweep")
 
 
@@ -776,13 +782,14 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_p.add_subparsers(dest="action", required=True)
 
     oreport_p = obs_sub.add_parser(
-        "report", help="digest of the last sweep's observability report")
+        "report", help="digest of the newest sweep in the run history "
+                       "(a --no-telemetry sweep is not recorded there)")
     oreport_p.add_argument("--cache-dir", default=None)
     oreport_p.add_argument("--top", type=int, default=8,
                            help="show the N slowest runs (default: 8)")
     oreport_p.add_argument("--json", action="store_true",
-                           help="print the full machine-readable report "
-                                "instead of the text digest")
+                           help="print the sweep's history rows (sweep, "
+                                "stats, runs) instead of the text digest")
 
     odash_p = obs_sub.add_parser(
         "dashboard", help="self-contained HTML dashboard of a sweep")

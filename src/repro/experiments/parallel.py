@@ -1,4 +1,4 @@
-"""Parallel sweep execution, hardened against worker failure.
+"""Parallel sweep execution.
 
 Every paper figure is a sweep of independent (workload × machine ×
 scheduler × governor × seed) simulations.  :class:`SweepExecutor` fans a
@@ -11,18 +11,22 @@ An optional :class:`~repro.experiments.cache.ResultCache` short-circuits
 specs that were already simulated (by any previous process — the cache is
 on disk and content-addressed), so only misses reach the pool.
 
-The executor survives an imperfect world:
+A simulation is a pure function of its spec, so a spec that raises would
+raise the same way again: it fails the sweep at once (or is skipped).
+Only failures of the process pool itself are retried:
 
-* every completed run is **checkpointed** to the cache immediately, so an
-  interrupted sweep resumes from where it stopped;
-* a worker that dies (``BrokenProcessPool``) triggers a bounded number of
-  **retry rounds** with backoff; if the pool keeps dying the sweep
-  **degrades to serial** execution in the parent process;
+* a worker that dies (``BrokenProcessPool``) takes the pool with it; the
+  unfinished specs run in a fresh pool, at most ``retries`` times, after
+  which the sweep **degrades to serial** execution in the parent process;
 * with ``timeout_s`` set, a pool that produces no completion for that
-  long is presumed hung: it is killed and the outstanding specs retried;
-* ``KeyboardInterrupt`` flushes completed results, writes the sweep
-  report with ``interrupted: true`` and prints a partial summary before
-  re-raising.
+  long is presumed hung: it is killed and the outstanding specs run
+  again, each at most ``retries`` more times.
+
+Every completed run is written to the cache as it finishes, so an
+interrupted sweep resumes through plain cache hits.  Whatever ends a
+sweep — a failed spec, ``KeyboardInterrupt`` — its telemetry is closed
+and its history row records it as interrupted; ``KeyboardInterrupt``
+also prints a partial summary before re-raising.
 
 Worker count comes from, in order: the ``jobs`` argument, the
 ``$REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -30,7 +34,6 @@ Worker count comes from, in order: the ``jobs`` argument, the
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
@@ -135,7 +138,6 @@ def execute_spec(spec: RunSpec, collect_events: bool = False,
     ``run_end`` records back to the hub — purely observational, so the
     result is bit-identical either way.
     """
-    _chaos_hook(spec)
     telemetry = worker_telemetry()
     if telemetry is not None:
         telemetry.run_start(spec.label)
@@ -165,40 +167,6 @@ def execute_spec(spec: RunSpec, collect_events: bool = False,
     return result
 
 
-def _chaos_hook(spec: RunSpec) -> None:
-    """Test/CI hook that faults the *worker process* itself.
-
-    Active only when both ``$REPRO_CHAOS`` (comma list of modes:
-    ``crash-once``, ``hang-once``) and ``$REPRO_CHAOS_DIR`` (a directory
-    for one-shot sentinel files) are set, and only inside a pool worker —
-    never in the parent, so the serial fallback cannot take itself down.
-    Each spec is assigned one mode by its content hash and faulted exactly
-    once; the retry then runs clean.  This is how the CI chaos job proves
-    the executor's crash/hang recovery end to end.
-    """
-    modes = [m.strip() for m in os.environ.get("REPRO_CHAOS", "").split(",")
-             if m.strip()]
-    root = os.environ.get("REPRO_CHAOS_DIR", "")
-    if not modes or not root:
-        return
-    if multiprocessing.parent_process() is None:
-        return    # parent process: chaos applies to pool workers only
-    key = spec_key(spec)
-    mode = modes[int(key[:8], 16) % len(modes)]
-    sentinel = os.path.join(root, f"{key}.tripped")
-    try:
-        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return    # this spec already took its fault — run normally
-    except OSError:
-        return
-    os.close(fd)
-    if mode == "crash-once":
-        os._exit(23)
-    if mode == "hang-once":
-        time.sleep(600)
-
-
 @dataclass
 class SweepStats:
     """Telemetry of one executor sweep (printed by the CLI summary line)."""
@@ -214,11 +182,9 @@ class SweepStats:
     sim_wall_s: float = 0.0        # summed per-simulation wall time
     retried: int = 0               # specs that needed more than one attempt
     timeouts: int = 0              # pool stalls that killed the pool
-    recovered: int = 0             # cache hits checkpointed by an
-    #                                interrupted previous sweep
-    skipped: int = 0               # specs abandoned after retries
+    skipped: int = 0               # failed specs skipped (skip_failures)
     degraded: bool = False         # pool kept dying; finished serially
-    interrupted: bool = False      # KeyboardInterrupt cut the sweep short
+    interrupted: bool = False      # an exception cut the sweep short
 
     @property
     def events_per_sec(self) -> float:
@@ -242,8 +208,6 @@ class SweepStats:
             bits.append(f"{self.retried} retried")
         if self.timeouts:
             bits.append(f"{self.timeouts} timeout(s)")
-        if self.recovered:
-            bits.append(f"{self.recovered} recovered from checkpoint")
         if self.skipped:
             bits.append(f"{self.skipped} skipped")
         if self.degraded:
@@ -251,7 +215,7 @@ class SweepStats:
         if bits:
             parts.append("hardening: " + ", ".join(bits))
         if self.interrupted:
-            parts.append("INTERRUPTED (completed runs checkpointed)")
+            parts.append("INTERRUPTED")
         return " — ".join(parts)
 
     def as_dict(self) -> dict:
@@ -263,7 +227,7 @@ class SweepStats:
             "sim_wall_s": self.sim_wall_s,
             "events_per_sec": self.events_per_sec,
             "retried": self.retried, "timeouts": self.timeouts,
-            "recovered": self.recovered, "skipped": self.skipped,
+            "skipped": self.skipped,
             "degraded": self.degraded, "interrupted": self.interrupted,
         }
 
@@ -299,21 +263,22 @@ def _history_metrics(metrics: Dict[str, object]) -> Dict[str, float]:
 
 
 class SweepFailure(RuntimeError):
-    """A spec exhausted its retry budget (and ``skip_failures`` is off)."""
+    """A spec failed (and ``skip_failures`` is off)."""
 
 
 class _SweepState:
     """Mutable bookkeeping of one run() invocation."""
 
-    __slots__ = ("attempts", "retried", "timeouts", "skipped", "degraded",
-                 "pool_breaks", "completed", "events", "sim_wall",
-                 "max_workers")
+    __slots__ = ("attempts", "retried", "timeouts", "errors", "skipped",
+                 "degraded", "pool_breaks", "completed", "events",
+                 "sim_wall", "max_workers")
 
     def __init__(self) -> None:
         self.attempts: Dict[int, int] = {}   # index -> failed attempts
         self.retried: Set[int] = set()
         self.timeouts = 0
-        self.skipped: Dict[int, str] = {}    # index -> error description
+        self.errors: Dict[int, str] = {}     # index -> why it was given up
+        self.skipped: Set[int] = set()
         self.degraded = False
         self.pool_breaks = 0
         self.completed: Set[int] = set()
@@ -323,32 +288,33 @@ class _SweepState:
 
 
 class SweepExecutor:
-    """Runs RunSpecs, in parallel, with caching, retries and timeouts.
+    """Runs RunSpecs, in parallel, with caching and timeouts.
 
     Results come back in spec order whatever the completion order, and a
     single-worker executor produces byte-identical results to calling
     :func:`execute_spec` in a loop — determinism is per-spec, not
     per-schedule.
 
-    ``timeout_s`` bounds how long the pool may go without completing any
-    run before it is presumed hung and killed.  ``retries`` bounds the
-    attempts per spec (and the pool-restart rounds before degrading to
-    serial).  ``skip_failures`` turns an exhausted retry budget into a
-    skipped entry instead of an exception.
+    A spec whose simulation raises would raise again, so it is never
+    retried: the sweep fails with :class:`SweepFailure`, or with
+    ``skip_failures`` the spec is skipped.  ``retries`` bounds only the
+    infrastructure failures: the fresh pools started after a worker
+    died (then the sweep degrades to serial), and the extra attempts of
+    a spec caught in a pool that ``timeout_s`` killed.  ``timeout_s``
+    bounds how long the pool may go without completing any run before it
+    is presumed hung.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 2,
-                 backoff_s: float = 0.05,
                  skip_failures: bool = False,
                  telemetry: Optional[TelemetryHub] = None) -> None:
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.cache = cache
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
-        self.backoff_s = max(0.0, backoff_s)
         self.skip_failures = skip_failures
         self.telemetry = telemetry
         self.last_stats = SweepStats()
@@ -361,7 +327,7 @@ class SweepExecutor:
         """Execute every spec; returns results in the order of ``specs``.
 
         With ``skip_failures`` the returned list can hold ``None`` at the
-        positions of abandoned specs; otherwise it is always complete.
+        positions of skipped specs; otherwise it is always complete.
         """
         t0 = time.perf_counter()
         specs = list(specs)
@@ -372,8 +338,6 @@ class SweepExecutor:
         if self.telemetry is not None:
             self.telemetry.open_sweep(n_specs=n, jobs=self.jobs)
 
-        checkpoint_labels = self._checkpoint_labels()
-        recovered = 0
         misses: List[int] = []
         hits = 0
         if self.cache is not None:
@@ -382,8 +346,6 @@ class SweepExecutor:
                 if cached is not None:
                     results[i] = cached
                     hits += 1
-                    if spec.label in checkpoint_labels:
-                        recovered += 1
                 else:
                     misses.append(i)
         else:
@@ -393,24 +355,24 @@ class SweepExecutor:
                 continue
             self._done += 1
             if self.telemetry is not None:
-                outcome = ("checkpoint"
-                           if specs[i].label in checkpoint_labels
-                           else "cached")
-                self.telemetry.run_done(specs[i].label, outcome,
+                self.telemetry.run_done(specs[i].label, "cached",
                                         self._done, n, result=res)
 
         state = _SweepState()
         try:
             self._execute(specs, misses, results, state)
-        except KeyboardInterrupt:
-            self._finalize(specs, results, misses, hits, recovered, state,
-                           t0, checkpoint_labels, interrupted=True)
-            sys.stderr.write("\nsweep interrupted — "
-                             + self.last_stats.summary() + "\n")
-            sys.stderr.flush()
+        except BaseException as exc:
+            # Close the sweep on every way out, so the hub's emitter,
+            # drain thread, stream and history row do not outlive it.
+            self._finalize(specs, results, misses, hits, state, t0,
+                           interrupted=True)
+            if isinstance(exc, KeyboardInterrupt):
+                sys.stderr.write("\nsweep interrupted — "
+                                 + self.last_stats.summary() + "\n")
+                sys.stderr.flush()
             raise
-        self._finalize(specs, results, misses, hits, recovered, state, t0,
-                       checkpoint_labels, interrupted=False)
+        self._finalize(specs, results, misses, hits, state, t0,
+                       interrupted=False)
         if not state.skipped:
             assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
@@ -423,40 +385,32 @@ class SweepExecutor:
                  results: List[Optional[RunResult]],
                  state: _SweepState) -> None:
         todo = list(misses)
-        round_no = 0
         while todo:
-            if round_no > 0 and self.backoff_s > 0:
-                time.sleep(min(self.backoff_s * (2 ** min(round_no - 1, 6)),
-                               2.0))
-            round_no += 1
             workers = min(self.jobs, len(todo))
             if workers <= 1 or state.degraded:
                 state.max_workers = max(state.max_workers, 1)
-                todo = self._serial_round(specs, todo, results, state)
-            else:
-                state.max_workers = max(state.max_workers, workers)
-                todo = self._pool_round(specs, todo, results, state, workers)
+                self._serial_round(specs, todo, results, state)
+                return
+            state.max_workers = max(state.max_workers, workers)
+            todo = self._pool_round(specs, todo, results, state, workers)
 
     def _serial_round(self, specs: List[RunSpec], todo: List[int],
                       results: List[Optional[RunResult]],
-                      state: _SweepState) -> List[int]:
-        retry: List[int] = []
+                      state: _SweepState) -> None:
         for i in todo:
             try:
                 res = execute_spec(specs[i])
-            except KeyboardInterrupt:
-                raise
             except Exception as exc:
                 state.attempts[i] = state.attempts.get(i, 0) + 1
-                retry.extend(self._triage([i], specs, state, repr(exc)))
+                self._give_up(specs, i, state, repr(exc))
                 continue
             results[i] = res
             self._complete(specs, i, res, state)
-        return retry
 
     def _pool_round(self, specs: List[RunSpec], todo: List[int],
                     results: List[Optional[RunResult]], state: _SweepState,
                     workers: int) -> List[int]:
+        """One pool over ``todo``; returns the specs to run again."""
         initializer, initargs = (None, ())
         if self.telemetry is not None:
             initializer, initargs = self.telemetry.pool_init()
@@ -466,21 +420,24 @@ class SweepExecutor:
         try:
             futures = {pool.submit(execute_spec, specs[i]): i for i in todo}
             pending = set(futures)
-            retry: List[int] = []
             while pending:
                 finished, pending = wait(pending, timeout=self.timeout_s,
                                          return_when=FIRST_COMPLETED)
                 if not finished:
                     # No completion within timeout_s: the pool is presumed
-                    # hung.  Kill it; outstanding specs are charged one
-                    # attempt and retried in a fresh round.
+                    # hung.  Kill it; each outstanding spec is charged one
+                    # attempt and runs again in a fresh round while its
+                    # attempts stay within the retry budget.
                     state.timeouts += 1
-                    hung = [futures[f] for f in pending]
-                    for i in hung:
-                        state.attempts[i] = state.attempts.get(i, 0) + 1
                     self._kill_pool(pool)
-                    retry.extend(self._triage(hung, specs, state,
-                                              "timed out"))
+                    retry = []
+                    for i in sorted(futures[f] for f in pending):
+                        state.attempts[i] = state.attempts.get(i, 0) + 1
+                        if state.attempts[i] > self.retries:
+                            self._give_up(specs, i, state, "timed out")
+                        else:
+                            state.retried.add(i)
+                            retry.append(i)
                     return retry
                 broken = False
                 for fut in finished:
@@ -492,8 +449,7 @@ class SweepExecutor:
                         break
                     except Exception as exc:
                         state.attempts[i] = state.attempts.get(i, 0) + 1
-                        retry.extend(self._triage([i], specs, state,
-                                                  repr(exc)))
+                        self._give_up(specs, i, state, repr(exc))
                     else:
                         results[i] = res
                         self._complete(specs, i, res, state)
@@ -506,14 +462,13 @@ class SweepExecutor:
                     if state.pool_breaks > self.retries:
                         state.degraded = True
                     self._kill_pool(pool)
-                    unfinished = sorted(
-                        i for i in todo
-                        if i not in state.completed
-                        and i not in state.skipped and i not in retry)
+                    unfinished = [i for i in todo
+                                  if i not in state.completed
+                                  and i not in state.skipped]
                     state.retried.update(unfinished)
-                    return retry + unfinished
+                    return unfinished
             pool.shutdown()
-            return retry
+            return []
         except BaseException:
             self._kill_pool(pool)
             raise
@@ -540,29 +495,23 @@ class SweepExecutor:
             except Exception:
                 pass
 
-    def _triage(self, indices: Sequence[int], specs: List[RunSpec],
-                state: _SweepState, error: str) -> List[int]:
-        """Decide, per failed spec, between retry / skip / raise."""
-        retry: List[int] = []
-        for i in sorted(indices):
-            if state.attempts.get(i, 0) <= self.retries:
-                state.retried.add(i)
-                retry.append(i)
-            elif self.skip_failures:
-                state.skipped[i] = error
-                if self.telemetry is not None:
-                    self.telemetry.run_done(specs[i].label, "skipped",
-                                            self._done, self._total,
-                                            attempts=state.attempts.get(i, 0))
-            else:
-                raise SweepFailure(
-                    f"{specs[i].label} failed after "
-                    f"{state.attempts[i]} attempt(s): {error}")
-        return retry
+    def _give_up(self, specs: List[RunSpec], i: int, state: _SweepState,
+                 error: str) -> None:
+        """Spec ``i`` failed for good: skip it or fail the sweep."""
+        state.errors[i] = error
+        if not self.skip_failures:
+            raise SweepFailure(f"{specs[i].label} failed after "
+                               f"{state.attempts[i]} attempt(s): {error}")
+        state.skipped.add(i)
+        if self.telemetry is not None:
+            self.telemetry.run_done(specs[i].label, "skipped",
+                                    self._done, self._total,
+                                    attempts=state.attempts[i])
 
     def _complete(self, specs: List[RunSpec], i: int, res: RunResult,
                   state: _SweepState) -> None:
-        """Bookkeeping + immediate checkpoint for one finished run."""
+        """Bookkeeping for one finished run, and its cache entry: written
+        now, so an interrupted sweep resumes through plain cache hits."""
         state.completed.add(i)
         state.events += res.events_processed
         state.sim_wall += res.sim_wall_s
@@ -579,27 +528,13 @@ class SweepExecutor:
                 attempts=state.attempts.get(i, 0) + 1)
 
     # ------------------------------------------------------------------
-    # Reporting / resume
+    # Reporting
     # ------------------------------------------------------------------
-
-    def _checkpoint_labels(self) -> frozenset:
-        """Labels completed by a previous *interrupted* sweep; their cache
-        hits count as recovered-from-checkpoint in this sweep's report."""
-        if self.cache is None:
-            return frozenset()
-        try:
-            prev = self.cache.read_report("last-sweep")
-        except Exception:
-            return frozenset()
-        if not prev or not prev.get("interrupted"):
-            return frozenset()
-        return frozenset(r.get("label") for r in prev.get("runs", ())
-                         if r.get("completed"))
 
     def _finalize(self, specs: List[RunSpec],
                   results: List[Optional[RunResult]], misses: List[int],
-                  hits: int, recovered: int, state: _SweepState, t0: float,
-                  checkpoint_labels: frozenset, interrupted: bool) -> None:
+                  hits: int, state: _SweepState, t0: float,
+                  interrupted: bool) -> None:
         self.last_stats = SweepStats(
             n_specs=len(specs),
             simulated=len(state.completed),
@@ -612,36 +547,35 @@ class SweepExecutor:
             sim_wall_s=state.sim_wall,
             retried=len(state.retried),
             timeouts=state.timeouts,
-            recovered=recovered,
             skipped=len(state.skipped),
             degraded=state.degraded,
             interrupted=interrupted,
         )
-        runs = self._run_entries(specs, results, misses, state,
-                                 checkpoint_labels)
-        self._write_report(runs, interrupted)
-        if self.telemetry is not None:
-            self.telemetry.close_sweep(self.last_stats.as_dict(), runs,
-                                       interrupted=interrupted)
+        hub = self.telemetry
+        if hub is None:
+            return
+        # The run entries exist for the history row alone.
+        runs = (self._run_entries(specs, results, misses, state)
+                if hub.history is not None else None)
+        hub.close_sweep(self.last_stats.as_dict(), runs,
+                        interrupted=interrupted)
 
     def _run_entries(self, specs: List[RunSpec],
                      results: List[Optional[RunResult]], misses: List[int],
-                     state: _SweepState,
-                     checkpoint_labels: frozenset) -> List[dict]:
-        """Per-run report entries (the sweep report and history rows).
+                     state: _SweepState) -> List[dict]:
+        """Per-run history entries.
 
-        Each run records an ``outcome``: ``cached`` / ``checkpoint`` (a hit
-        written by a previous interrupted sweep) / ``simulated`` /
+        Each run records an ``outcome``: ``cached`` / ``simulated`` /
         ``retried`` (simulated, needed >1 attempt) / ``skipped`` /
-        ``pending`` (never ran — the sweep was interrupted first).
+        ``pending`` (no result: the sweep stopped first, or this spec
+        raised and stopped it — then its ``error`` says why).
         """
         missset = set(misses)
         runs = []
         for i, spec in enumerate(specs):
             res = results[i]
             if i not in missset:
-                outcome = ("checkpoint" if spec.label in checkpoint_labels
-                           else "cached")
+                outcome = "cached"
             elif i in state.skipped:
                 outcome = "skipped"
             elif res is None:
@@ -667,20 +601,7 @@ class SweepExecutor:
                 entry["energy_j"] = res.energy_joules
                 entry["rss_peak_kb"] = res.rss_peak_kb
                 entry["metrics"] = _history_metrics(res.metrics)
-            if i in state.skipped:
-                entry["error"] = state.skipped[i]
+            if i in state.errors:
+                entry["error"] = state.errors[i]
             runs.append(entry)
         return runs
-
-    def _write_report(self, runs: List[dict], interrupted: bool) -> None:
-        """Persist the sweep's observability report (``repro obs report``)."""
-        if self.cache is None:
-            return
-        try:
-            self.cache.write_report("last-sweep", {
-                "stats": self.last_stats.as_dict(),
-                "interrupted": interrupted,
-                "runs": runs,
-            })
-        except OSError:
-            pass   # a read-only cache dir must not kill the sweep

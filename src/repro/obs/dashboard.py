@@ -38,12 +38,12 @@ from .history import HistoryStore
 
 __all__ = ["build_dashboard", "render_dashboard"]
 
-#: Outcome -> chip/bar color.  Keep in sync with the legend row.
+#: Outcome -> chip/bar color; any other outcome (say, one an old history
+#: file recorded) is drawn grey.
 OUTCOME_COLORS = {
     "simulated": "#2f9e44",
     "retried": "#e8930c",
     "cached": "#1971c2",
-    "checkpoint": "#7048e8",
     "skipped": "#e03131",
     "pending": "#868e96",
 }
@@ -92,14 +92,14 @@ def _stacked_bar(counts: Dict[str, int]) -> str:
     if total <= 0:
         return '<div class="muted">no runs</div>'
     spans = []
-    for outcome, color in OUTCOME_COLORS.items():
-        n = counts.get(outcome, 0)
+    for outcome, n in counts.items():
         if not n:
             continue
         pct = n / total * 100.0
         spans.append(f'<span title="{_esc(outcome)}: {n}" style="display:'
                      f'inline-block;width:{pct:.2f}%;height:100%;'
-                     f'background:{color}"></span>')
+                     f'background:{OUTCOME_COLORS.get(outcome, "#868e96")}'
+                     f'"></span>')
     legend = " ".join(f'{_outcome_chip(o)} {n}'
                       for o, n in counts.items() if n)
     return (f'<div class="bar" style="height:1rem">{"".join(spans)}</div>'

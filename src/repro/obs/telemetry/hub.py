@@ -4,14 +4,15 @@ The flow, end to end::
 
     pool worker                           parent process
     -----------                           --------------
-    execute_spec()                        TelemetryHub.open_sweep()
-      WorkerTelemetry.run_start()   --+     spawns the drain thread
+    execute_spec()                        TelemetryHub.pool_init()
+      WorkerTelemetry.run_start()   --+     one queue + drain thread/pool
       heartbeats from the tracer    --+-->  mp.Queue --> drain thread:
       WorkerTelemetry.run_end()     --+       * append to <sweep>.jsonl
                                               * feed the progress view
-    (parent also emits run_done/           TelemetryHub.close_sweep()
-     sweep_start/sweep_end records            flush + fsync, stop thread,
-     into the same queue)                     record the sweep in history
+    (the parent's own records —            TelemetryHub.close_sweep()
+     sweep_start, run_done, serial            stop the drains, flush +
+     runs, sweep_end — skip the queue)        fsync, record the sweep in
+                                              history
 
 Worker emitters are installed by the pool initializer
 (:func:`init_worker`); the queue crosses the process boundary through
@@ -179,23 +180,26 @@ def _install_local(emitter: Optional[WorkerTelemetry]) -> Optional[WorkerTelemet
 # Parent side
 # ---------------------------------------------------------------------------
 
-#: Parent-enqueued sentinel that stops the drain thread.
-_STOP = {"t": "__stop__"}
-
-
 class TelemetryHub:
-    """Parent-side collector: drains the queue, streams JSONL, renders.
+    """Parent-side collector: drains the queues, streams JSONL, renders.
 
     Construct one per sweep *configuration* and hand it to
     :class:`~repro.experiments.parallel.SweepExecutor`; the executor
-    drives ``open_sweep`` / ``run_done`` / ``close_sweep``.  All three
-    sinks are optional:
+    drives ``open_sweep`` / ``pool_init`` / ``run_done`` /
+    ``close_sweep``.  All three sinks are optional:
 
     * ``stream_dir`` — directory for the crash-safe ``<sweep>.jsonl``
       record stream (usually ``<cache>/telemetry/``);
     * ``view`` — a :class:`~repro.obs.telemetry.view.ProgressView`;
     * ``history`` — a :class:`~repro.obs.history.HistoryStore` that
       receives the finished sweep (and its runs) on ``close_sweep``.
+
+    Each pool gets its own queue and drain thread, and the parent never
+    writes to a queue: its records are handled at once.  A worker that
+    dies in the middle of a ``put`` (a crash, or the executor killing a
+    hung pool) can leave the queue's process-shared write lock held, and
+    every later writer of that queue would block on it forever — the
+    parent's feeder thread too, which interpreter exit joins.
     """
 
     def __init__(self, stream_dir: Optional[Path] = None,
@@ -211,19 +215,20 @@ class TelemetryHub:
         self.sweep_id: Optional[str] = None
         self.stream_path: Optional[Path] = None
         self.records_handled = 0
-        self._queue: Optional[Any] = None
-        self._thread: Optional[threading.Thread] = None
+        self._lock = threading.Lock()       # _handle runs on many threads
+        self._closed = threading.Event()    # no sweep open: drains stop
+        self._closed.set()
+        self._drains: List[threading.Thread] = []
         self._fh = None
         self._prev_local: Optional[WorkerTelemetry] = None
 
     # -- executor API ----------------------------------------------------
 
     def open_sweep(self, n_specs: int, jobs: int) -> str:
-        """Start the drain thread and announce the sweep; returns its id."""
+        """Open the stream and announce the sweep; returns its id."""
         self.sweep_id = (time.strftime("%Y%m%d-%H%M%S")
                          + f"-{os.urandom(3).hex()}")
         self.records_handled = 0
-        self._queue = multiprocessing.get_context().Queue()
         if self.stream_dir is not None:
             try:
                 self.stream_dir.mkdir(parents=True, exist_ok=True)
@@ -232,30 +237,29 @@ class TelemetryHub:
             except OSError:
                 self.stream_path = None
                 self._fh = None
-        self._thread = threading.Thread(target=self._drain,
-                                        name="telemetry-drain", daemon=True)
-        self._thread.start()
+        self._closed.clear()
         self.emit(make_record("sweep_start", sweep=self.sweep_id,
                               n_specs=n_specs, jobs=jobs, label=self.label))
         # Serial/degraded rounds execute specs in this process; give them
-        # the same emitter a pool worker would have.
+        # an emitter like a pool worker's.
         self._prev_local = _install_local(
-            WorkerTelemetry(self._queue.put, self.heartbeat_s))
+            WorkerTelemetry(self.emit, self.heartbeat_s))
         return self.sweep_id
 
     def pool_init(self) -> tuple:
-        """(initializer, initargs) to pass to ``ProcessPoolExecutor``."""
-        return init_worker, (self._queue, self.heartbeat_s)
+        """(initializer, initargs) to pass to one ``ProcessPoolExecutor``:
+        a fresh queue, drained by a fresh thread until the sweep closes."""
+        queue = multiprocessing.get_context().Queue()
+        thread = threading.Thread(target=self._drain, args=(queue,),
+                                  name="telemetry-drain", daemon=True)
+        thread.start()
+        self._drains.append(thread)
+        return init_worker, (queue, self.heartbeat_s)
 
     def emit(self, rec: Dict[str, Any]) -> None:
-        """Parent-side record injection (same queue the workers use)."""
-        q = self._queue
-        if q is None:
-            return
-        try:
-            q.put(rec)
-        except Exception:
-            pass
+        """Handle one parent-side record (dropped when no sweep is open)."""
+        if not self._closed.is_set():
+            self._handle(rec)
 
     def run_done(self, label: str, outcome: str, done: int, total: int,
                  result: Optional[Any] = None, attempts: int = 0) -> None:
@@ -270,22 +274,19 @@ class TelemetryHub:
     def close_sweep(self, stats: Optional[Dict[str, Any]] = None,
                     runs: Optional[List[Dict[str, Any]]] = None,
                     interrupted: bool = False) -> None:
-        """Emit the final record, stop the drain, persist to history."""
-        if self._queue is None:
+        """Drain the pools, write the final record, persist to history."""
+        if self._closed.is_set():
             return
         _install_local(self._prev_local)
         self._prev_local = None
-        self.emit(make_record("sweep_end", sweep=self.sweep_id,
-                              stats=stats or {}, interrupted=interrupted))
-        self.emit(_STOP)
-        thread, self._thread = self._thread, None
-        if thread is not None:
+        # Every pool is shut down or killed by now: each drain thread
+        # empties its queue, then stops.
+        self._closed.set()
+        for thread in self._drains:
             thread.join(timeout=10.0)
-        queue, self._queue = self._queue, None
-        try:
-            queue.close()
-        except Exception:
-            pass
+        self._drains = []
+        self._handle(make_record("sweep_end", sweep=self.sweep_id,
+                                 stats=stats or {}, interrupted=interrupted))
         if self._fh is not None:
             try:
                 self._fh.flush()
@@ -304,37 +305,35 @@ class TelemetryHub:
             except Exception:
                 pass   # history is a sink, never a failure mode
 
-    # -- drain thread ----------------------------------------------------
+    # -- drain threads ---------------------------------------------------
 
-    def _drain(self) -> None:
-        queue = self._queue
+    def _drain(self, queue: Any) -> None:
         while True:
             try:
-                rec = queue.get(timeout=0.25)
+                # A short poll: close_sweep waits for the last one.
+                rec = queue.get(timeout=0.05)
             except Exception:
-                # Timeout, or a worker died mid-put and tore the pipe.
-                if self._queue is None:
-                    return     # close_sweep gave up on us
+                # Empty, or a worker died mid-put and tore the pipe.
+                if self._closed.is_set():
+                    return
                 continue
-            if not isinstance(rec, dict):
-                continue
-            if rec.get("t") == "__stop__":
-                return
-            self._handle(rec)
+            if isinstance(rec, dict):
+                self._handle(rec)
 
     def _handle(self, rec: Dict[str, Any]) -> None:
-        self.records_handled += 1
-        if self._fh is not None:
-            try:
-                write_record(self._fh, rec)
-                self._fh.flush()
-            except (OSError, ValueError):
-                self._fh = None   # stream gone; keep the sweep alive
-        if self.view is not None:
-            try:
-                self.view.handle(rec)
-            except Exception:
-                self.view = None  # a broken renderer must not kill runs
+        with self._lock:
+            self.records_handled += 1
+            if self._fh is not None:
+                try:
+                    write_record(self._fh, rec)
+                    self._fh.flush()
+                except (OSError, ValueError):
+                    self._fh = None   # stream gone; keep the sweep alive
+            if self.view is not None:
+                try:
+                    self.view.handle(rec)
+                except Exception:
+                    self.view = None  # a broken renderer must not kill runs
 
 
 def load_stream(path: Path) -> List[Dict[str, Any]]:

@@ -65,7 +65,7 @@ class ProgressView:
         elif kind == "run_done":
             self.done = int(rec.get("done", self.done + 1))
             self.total = max(self.total, int(rec.get("total", self.total)))
-            if rec.get("outcome") in ("cached", "checkpoint"):
+            if rec.get("outcome") == "cached":
                 self.cached += 1
             self.on_run_done(rec)
         elif kind == "sweep_end":
@@ -100,7 +100,7 @@ class PlainView(ProgressView):
 
     def on_run_done(self, rec: Dict[str, Any]) -> None:
         outcome = rec.get("outcome", "?")
-        src = ("cache " if outcome in ("cached", "checkpoint")
+        src = ("cache " if outcome == "cached"
                else f"{rec.get('wall_s', 0.0):5.2f}s")
         line = (f"[{self.done}/{self.total}] {src}  "
                 f"{rec.get('run', '?')}")

@@ -190,6 +190,35 @@ class TestObservabilityCli:
                      "--json"]) == 0
         assert _json.loads(capsys.readouterr().out) == report
 
+    def test_obs_report_lists_pending_runs(self, tmp_path, capsys,
+                                           monkeypatch):
+        """An interrupted sweep's history rows hold no wall time or event
+        count for the runs it never reached; the report lists them."""
+        from repro.experiments import parallel
+        real = parallel.execute_spec
+        calls = []
+
+        def interrupt_second_run(spec):
+            if calls:
+                raise KeyboardInterrupt
+            calls.append(spec.label)
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "execute_spec", interrupt_second_run)
+        cache_dir = str(tmp_path / "cache")
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--workload", "configure-gcc",
+                  "--machine", "ryzen_4650g", "--seeds", "1",
+                  "--scale", "0.3", "--jobs", "1", "--cache-dir", cache_dir])
+        capsys.readouterr()
+        assert main(["obs", "report", "--cache-dir", cache_dir,
+                     "--top", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep was interrupted" in out
+        rows = [ln.split() for ln in out.splitlines() if "configure-gcc" in ln]
+        assert [r[0] for r in rows].count("pending") == 3
+        assert len(rows) == 4
+
     def test_progress_without_telemetry(self, tmp_path, capsys):
         """--no-telemetry keeps --progress (a view-only hub) but writes
         neither the JSONL stream nor the history store."""

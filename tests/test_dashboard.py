@@ -77,6 +77,17 @@ def swept(tmp_path_factory):
     return tmp
 
 
+class TestStackedBar:
+    def test_every_outcome_is_drawn(self):
+        """An outcome with no colour of its own (say, one an old history
+        file recorded) is drawn grey, so the widths sum to 100%."""
+        from repro.obs.dashboard import _stacked_bar
+        bar = _stacked_bar({"simulated": 1, "legacy-outcome": 1})
+        widths = [float(w) for w in re.findall(r"width:([\d.]+)%", bar)]
+        assert sum(widths) == pytest.approx(100.0)
+        assert "background:#868e96" in bar
+
+
 class TestBuildDashboard:
     def test_well_formed_and_self_contained(self, swept):
         html_text = build_dashboard(

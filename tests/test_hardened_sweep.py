@@ -1,22 +1,27 @@
-"""Hardened sweep execution: crash/hang recovery, checkpoints, quarantine.
+"""Hardened sweep execution: crash/hang recovery, fail-fast, resume,
+quarantine.
 
-The chaos worker hook (``$REPRO_CHAOS`` + ``$REPRO_CHAOS_DIR``) faults each
-spec's *worker process* exactly once — a crash (`os._exit`) or a hang — so
-these tests drive the executor's retry, timeout, degradation and resume
-machinery end to end with real process pools.
+The chaos hook (``tests/chaos.py``) faults each spec's *worker process*
+exactly once — a crash (`os._exit`) or a hang — so these tests drive the
+executor's pool retry, timeout and degradation machinery end to end with
+real process pools.  A spec that raises is never retried.
 """
 
 import json
-import os
+import threading
 
 import pytest
 
+import chaos
 from repro.experiments import parallel
 from repro.experiments.cache import (QUARANTINE_DIR, ResultCache,
                                      atomic_write_json, spec_key)
 from repro.experiments.parallel import (RunSpec, SweepExecutor, SweepFailure,
                                         execute_spec)
 from repro.faults import FaultConfig
+from repro.obs.history import HistoryStore
+from repro.obs.telemetry.hub import TelemetryHub, worker_telemetry
+from repro.obs.telemetry.records import read_stream
 
 SPECS = [
     RunSpec(workload="phoronix-libavif-avifenc-1", machine="5218_2s",
@@ -33,32 +38,23 @@ def assert_results_identical(a, b):
 
 
 @pytest.fixture
-def chaos(monkeypatch, tmp_path):
-    """Arm the chaos worker hook; returns a setter for the mode list."""
-    sentinel_dir = tmp_path / "sentinels"
-    sentinel_dir.mkdir()
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(sentinel_dir))
-
-    def arm(modes):
-        monkeypatch.setenv("REPRO_CHAOS", modes)
-
-    return arm
+def arm_chaos(tmp_path):
+    """Arm the chaos hook; returns a setter for the mode list."""
+    yield lambda modes: chaos.arm(modes, tmp_path / "sentinels")
+    chaos.disarm()
 
 
 class TestChaosHook:
-    def test_inert_in_parent_process(self, chaos):
+    def test_inert_in_parent_process(self, arm_chaos):
         """The hook must never fault the parent (serial/degraded path)."""
-        chaos("crash-once")
-        res = execute_spec(SPECS[0])     # would os._exit(23) if buggy
+        arm_chaos("crash-once")
+        res = parallel.execute_spec(SPECS[0])   # would os._exit(23) if buggy
         assert res.makespan_us > 0
-
-    def test_inert_without_env(self):
-        assert execute_spec(SPECS[0]).makespan_us > 0
 
 
 class TestCrashRecovery:
-    def test_crashed_workers_retried_to_completion(self, chaos):
-        chaos("crash-once")
+    def test_crashed_workers_retried_to_completion(self, arm_chaos):
+        arm_chaos("crash-once")
         ex = SweepExecutor(jobs=2, retries=2)
         results = ex.run(SPECS)
         assert all(r is not None for r in results)
@@ -68,8 +64,8 @@ class TestCrashRecovery:
         for spec, res in zip(SPECS, results):
             assert_results_identical(res, execute_spec(spec))
 
-    def test_pool_break_degrades_to_serial(self, chaos):
-        chaos("crash-once")
+    def test_pool_break_degrades_to_serial(self, arm_chaos):
+        arm_chaos("crash-once")
         ex = SweepExecutor(jobs=2, retries=0)
         results = ex.run(SPECS)
         assert all(r is not None for r in results)
@@ -78,8 +74,8 @@ class TestCrashRecovery:
 
 
 class TestHangRecovery:
-    def test_hung_pool_timed_out_and_retried(self, chaos):
-        chaos("hang-once")
+    def test_hung_pool_timed_out_and_retried(self, arm_chaos):
+        arm_chaos("hang-once")
         ex = SweepExecutor(jobs=2, retries=2, timeout_s=1.0)
         results = ex.run(SPECS[:2])
         assert all(r is not None for r in results)
@@ -88,22 +84,80 @@ class TestHangRecovery:
             assert_results_identical(res, execute_spec(spec))
 
 
+BAD = RunSpec(workload="no-such-workload", machine="5218_2s")
+
+#: Where counting_execute_spec appends labels; set by the counted_calls
+#: fixture before a sweep, so a fork-started pool worker inherits it.
+CALLS_FILE = None
+
+
+def counting_execute_spec(spec, *args, **kwargs):
+    """``execute_spec`` that first appends the spec's label to CALLS_FILE
+    (module level, so a pool pickles it by reference)."""
+    with open(CALLS_FILE, "a", encoding="utf-8") as fh:
+        fh.write(spec.label + "\n")
+    return execute_spec(spec, *args, **kwargs)
+
+
+@pytest.fixture
+def counted_calls(monkeypatch, tmp_path):
+    """Count execute_spec calls by label, in this process and in pool
+    workers; returns a reader of the labels counted so far."""
+    path = tmp_path / "calls.txt"
+    path.touch()
+    monkeypatch.setitem(globals(), "CALLS_FILE", str(path))
+    monkeypatch.setattr(parallel, "execute_spec", counting_execute_spec)
+    return lambda: path.read_text(encoding="utf-8").splitlines()
+
+
 class TestFailureBudget:
-    BAD = RunSpec(workload="no-such-workload", machine="5218_2s")
+    """A simulation is a pure function of its spec: one that raises is
+    never run again."""
 
-    def test_exhausted_retries_raise_sweep_failure(self):
-        ex = SweepExecutor(jobs=1, retries=1, backoff_s=0.0)
+    def test_raising_spec_fails_at_once(self, counted_calls):
+        ex = SweepExecutor(jobs=1)
         with pytest.raises(SweepFailure, match="no-such-workload"):
-            ex.run([self.BAD])
+            ex.run([BAD])
+        assert counted_calls() == [BAD.label]
 
-    def test_skip_failures_yields_none_and_counts(self):
-        ex = SweepExecutor(jobs=1, retries=1, backoff_s=0.0,
-                           skip_failures=True)
-        results = ex.run([SPECS[0], self.BAD])
+    def test_raising_spec_runs_once_in_a_pool(self, counted_calls):
+        ex = SweepExecutor(jobs=2)
+        with pytest.raises(SweepFailure, match="no-such-workload"):
+            ex.run(SPECS[:3] + [BAD])
+        assert counted_calls().count(BAD.label) == 1
+
+    def test_skip_failures_yields_none_and_counts(self, counted_calls):
+        ex = SweepExecutor(jobs=1, skip_failures=True)
+        results = ex.run([SPECS[0], BAD])
         assert results[0] is not None
         assert results[1] is None
         assert ex.last_stats.skipped == 1
         assert "skipped" in ex.last_stats.summary()
+        assert counted_calls() == [SPECS[0].label, BAD.label]
+
+    def test_failed_sweep_closes_its_telemetry(self, tmp_path):
+        """A SweepFailure closes the hub as a finished sweep does."""
+        emitter = worker_telemetry()
+        with HistoryStore(tmp_path / "history.sqlite") as hist:
+            hub = TelemetryHub(stream_dir=tmp_path / "telemetry",
+                               history=hist)
+            with pytest.raises(SweepFailure):
+                SweepExecutor(jobs=1, telemetry=hub).run([SPECS[0], BAD])
+            # Later in-process runs must not stream into the dead sweep.
+            assert worker_telemetry() is emitter
+            assert not [t for t in threading.enumerate()
+                        if t.name == "telemetry-drain"]
+            with open(hub.stream_path, encoding="utf-8") as fh:
+                ends = [r for r in read_stream(fh) if r["t"] == "sweep_end"]
+            assert [r["interrupted"] for r in ends] == [True]
+            (sweep,) = hist.sweeps()
+            assert sweep["interrupted"] == 1
+            runs = {r["label"]: r for r in hist.runs_of(sweep["id"])}
+        assert runs[SPECS[0].label]["outcome"] == "simulated"
+        bad = runs[BAD.label]
+        assert bad["outcome"] == "pending"
+        assert not bad["completed"]
+        assert "no-such-workload" in bad["error"]
 
 
 @pytest.fixture
@@ -124,45 +178,51 @@ def interrupt_second_run(monkeypatch):
 
 
 class TestCheckpointResume:
+    """Each finished run is cached as it finishes, so an interrupted
+    sweep resumes through plain cache hits."""
+
     def test_interrupt_flushes_completed_runs(self, tmp_path,
                                               interrupt_second_run):
         cache = ResultCache(tmp_path / "cache")
         calls = interrupt_second_run
 
-        ex = SweepExecutor(jobs=1, cache=cache)
-        with pytest.raises(KeyboardInterrupt):
-            ex.run(SPECS)
-        assert ex.last_stats.interrupted
-        assert len(calls) == 1
-        # The completed run was checkpointed before the interrupt landed
-        # and the report records the sweep as interrupted.
-        report = cache.read_report("last-sweep")
-        assert report["interrupted"] is True
-        completed = [r for r in report["runs"] if r["completed"]]
-        pending = [r for r in report["runs"] if r["outcome"] == "pending"]
+        with HistoryStore(cache.root / "history.sqlite") as hist:
+            ex = SweepExecutor(jobs=1, cache=cache,
+                               telemetry=TelemetryHub(history=hist))
+            with pytest.raises(KeyboardInterrupt):
+                ex.run(SPECS)
+            assert ex.last_stats.interrupted
+            assert len(calls) == 1
+            # The completed run was cached before the interrupt landed
+            # and the history row records the sweep as interrupted.
+            assert cache.get_spec(SPECS[0]) is not None
+            (sweep,) = hist.sweeps()
+            assert sweep["interrupted"] == 1
+            runs = hist.runs_of(sweep["id"])
+        completed = [r for r in runs if r["completed"]]
+        pending = [r for r in runs if r["outcome"] == "pending"]
         assert len(completed) == 1
         assert len(pending) == len(SPECS) - 1
 
-    def test_resumed_sweep_recovers_from_checkpoint(self, tmp_path,
-                                                    monkeypatch,
-                                                    interrupt_second_run):
+    def test_resumed_sweep_reads_completed_runs_as_cache_hits(
+            self, tmp_path, monkeypatch, interrupt_second_run):
         cache = ResultCache(tmp_path / "cache")
 
         with pytest.raises(KeyboardInterrupt):
             SweepExecutor(jobs=1, cache=cache).run(SPECS)
 
         monkeypatch.undo()
-        ex = SweepExecutor(jobs=1, cache=cache)
-        results = ex.run(SPECS)
-        assert all(r is not None for r in results)
-        assert ex.last_stats.recovered == 1
-        assert ex.last_stats.cache_hits == 1
-        assert "recovered from checkpoint" in ex.last_stats.summary()
-        report = cache.read_report("last-sweep")
-        assert report["interrupted"] is False
-        outcomes = {r["label"]: r["outcome"] for r in report["runs"]}
-        assert sum(1 for o in outcomes.values() if o == "checkpoint") == 1
-        assert sum(1 for o in outcomes.values() if o == "simulated") == 3
+        with HistoryStore(cache.root / "history.sqlite") as hist:
+            ex = SweepExecutor(jobs=1, cache=cache,
+                               telemetry=TelemetryHub(history=hist))
+            results = ex.run(SPECS)
+            assert all(r is not None for r in results)
+            assert ex.last_stats.cache_hits == 1
+            (sweep,) = hist.sweeps()
+            assert sweep["interrupted"] == 0
+            outcomes = [r["outcome"] for r in hist.runs_of(sweep["id"])]
+        assert outcomes.count("cached") == 1
+        assert outcomes.count("simulated") == 3
 
 
 class TestSpecKeys:

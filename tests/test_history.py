@@ -233,6 +233,8 @@ class TestExecutorIntegration:
             assert {r["label"] for r in runs} == {s.label for s in specs}
             assert all(r["spec_key"] for r in runs)
             assert all(r["makespan_us"] for r in runs)
+            # The history row is the sweep's one record.
+            assert not (cache.root / "last-sweep.json").exists()
             # A second, fully-cached sweep must still be bit-stable.
             hub2 = TelemetryHub(history=hist)
             SweepExecutor(jobs=2, cache=cache, telemetry=hub2).run(specs)

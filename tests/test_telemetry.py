@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import sys
+import time
 
 import pytest
 
@@ -230,6 +233,14 @@ class TestWorkerTelemetry:
 # The hub, end to end
 # ---------------------------------------------------------------------------
 
+def put_heartbeats(queue, pid, n):
+    """A stand-in pool worker: ``n`` records, then exit (which flushes
+    the queue's feeder thread)."""
+    for k in range(n):
+        queue.put(make_record("hb", run="r", pid=pid, sim_us=k, events=k,
+                              wall_s=0.0))
+
+
 class TestHub:
     def _sweep(self, tmp_path, specs, jobs=2, cache=None, **hub_kw):
         hub = TelemetryHub(stream_dir=tmp_path / "telemetry",
@@ -303,6 +314,47 @@ class TestHub:
         results = ex.run(SPECS[:1])
         assert results[0] is not None
         assert hub.view is None          # view benched after first failure
+
+    def test_worker_dead_mid_put_stalls_no_parent_record(self, tmp_path):
+        """A pool worker killed inside ``put`` leaves its queue's
+        process-shared write lock held.  The parent's records must still
+        reach the stream, and close_sweep must not wait on the queue."""
+        hub = TelemetryHub(stream_dir=tmp_path / "telemetry")
+        hub.open_sweep(n_specs=1, jobs=2)
+        _, (queue, _) = hub.pool_init()
+        queue._wlock.acquire()   # the lock such a worker leaves held
+        hub.run_done("r", "simulated", 1, 1)
+        t0 = time.monotonic()
+        hub.close_sweep({"n_specs": 1})
+        assert time.monotonic() - t0 < 5.0
+        kinds = [r["t"] for r in load_stream(hub.stream_path)]
+        assert kinds == ["sweep_start", "run_done", "sweep_end"]
+
+    def test_concurrent_drains_lose_no_record(self, tmp_path):
+        """Four pools' drain threads and the parent's own records share
+        the stream; a lost update would drop or tear a line."""
+        hub = TelemetryHub(stream_dir=tmp_path / "telemetry")
+        hub.open_sweep(n_specs=0, jobs=4)
+        ctx = multiprocessing.get_context()   # the pools' context
+        workers = [ctx.Process(target=put_heartbeats,
+                               args=(hub.pool_init()[1][0], pid, 200))
+                   for pid in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for k in range(200):
+                hub.run_done(f"r{k}", "simulated", k, 200)
+            for w in workers:
+                w.join(timeout=60)
+                assert w.exitcode == 0
+            hub.close_sweep({})
+        finally:
+            sys.setswitchinterval(interval)
+        recs = load_stream(hub.stream_path)
+        assert len(recs) == hub.records_handled == 1 + 4 * 200 + 200 + 1
+        assert all(validate_record(r) == [] for r in recs)
 
     def test_unwritable_stream_dir_degrades_to_silence(self, tmp_path):
         blocked = tmp_path / "blocked"

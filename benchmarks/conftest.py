@@ -5,94 +5,75 @@ prints it in a paper-like text form, and asserts the *shape* the paper
 claims (who wins, directions, rough factors) — not absolute numbers, since
 the substrate is a simulator rather than the authors' testbed.
 
-Simulation runs are cached at two levels: per session in memory (Figures
-4-7 all consume the same configure-suite sweep) and, for configurations
-expressible as a :class:`~repro.experiments.parallel.RunSpec`, in the
-content-addressed on-disk cache under ``.repro-cache/`` — so re-running
-the benchmark suite against an unchanged engine re-simulates nothing.
-Set ``REPRO_NO_CACHE=1`` to disable the on-disk layer.
+The runs a bench reads are its registry entry's specs
+(:func:`repro.experiments.registry.specs_for`), so ``repro sweep <id>``
+runs exactly what the bench asserts on.  One
+:class:`~repro.experiments.parallel.SweepExecutor`, shared by the whole
+test run, runs them with ``$REPRO_JOBS`` workers (else one per cpu)
+through a result cache: the content-addressed ``.repro-cache/``, so a
+rerun against an unchanged engine re-simulates only the traced runs, or
+under ``REPRO_NO_CACHE=1`` a temp dir of the test run, so figures 4-7
+still share one configure sweep.  The schbench and multi-app benches run
+their entry's specs directly, since they read the workload object after
+the run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import run_experiment
-from repro.hw.machines import get_machine
+from repro.experiments.parallel import RunSpec, SweepExecutor
+from repro.experiments.registry import Experiment, specs_for
 from repro.metrics.summary import RunResult
-from repro.workloads.catalog import can_reconstruct
-
-#: Machines each suite sweeps in benchmark mode (a subset of the paper's
-#: four, keeping the full suite tractable; the harness supports all four).
-CONFIGURE_MACHINES = ("5218_2s", "e78870_4s")
-DACAPO_MACHINES = ("6130_4s",)
-NAS_MACHINES = ("5218_2s", "e78870_4s")
-PHORONIX_MACHINES = ("5218_2s", "e78870_4s")
-
-#: Workload scale used by the benches (trades fidelity for wall-clock).
-CONFIGURE_SCALE = 0.6
-DACAPO_SCALE = 1.0
-NAS_SCALE = 0.2
-PHORONIX_SCALE = 0.6
-
-SEED = 1
-
-#: Keyword arguments the on-disk cache knows how to key.  Anything else
-#: (record_trace, kernel_config...) bypasses the persistent layer.
-_SPEC_KWARGS = {"nest_params", "max_us"}
 
 
-class RunCache:
-    """Session-wide memo of simulation runs, backed by the on-disk cache."""
+class Runs(dict):
+    """One registry entry's results, keyed by their specs."""
 
-    def __init__(self, persistent: ResultCache | None = None) -> None:
-        self._cache: dict = {}
-        self._persistent = persistent
-        self.simulations = 0          # actual engine runs this session
+    def __init__(self, exp: Experiment, specs, results, **overrides) -> None:
+        super().__init__(zip(specs, results))
+        self.exp = exp
+        self._overrides = overrides
 
-    def _spec_for(self, wl, machine_key: str, scheduler: str, governor: str,
-                  seed: int, kwargs: dict) -> RunSpec | None:
-        if self._persistent is None or not set(kwargs) <= _SPEC_KWARGS:
-            return None
-        if not can_reconstruct(wl):
-            return None
-        return RunSpec(workload=wl.name, machine=machine_key,
+    def spec(self, workload: str, machine: str, scheduler: str = "cfs",
+             governor: str = "schedutil", seed: int = 1,
+             variant: str | None = None) -> RunSpec:
+        """The entry's spec of this run, at its workload's scale."""
+        scale = {name: group.scale for group in self.exp.workloads
+                 for name in group.names}[workload]
+        params = dict(self.exp.variants)[variant] if variant else None
+        return RunSpec(workload=workload, machine=machine,
                        scheduler=scheduler, governor=governor, seed=seed,
-                       scale=getattr(wl, "scale", 1.0),
-                       nest_params=kwargs.get("nest_params"),
-                       max_us=kwargs.get("max_us"))
+                       scale=scale, nest_params=params, **self._overrides)
 
-    def get(self, workload_factory, machine_key: str, scheduler: str,
-            governor: str, seed: int = SEED, **kwargs) -> RunResult:
-        wl = workload_factory()
-        key = (wl.name, machine_key, scheduler, governor, seed,
-               tuple(sorted(kwargs.items())))
-        if key in self._cache:
-            return self._cache[key]
-
-        spec = self._spec_for(wl, machine_key, scheduler, governor, seed,
-                              kwargs)
-        res = self._persistent.get_spec(spec) if spec is not None else None
-        if res is None:
-            res = run_experiment(wl, get_machine(machine_key), scheduler,
-                                 governor, seed=seed, **kwargs)
-            self.simulations += 1
-            if spec is not None:
-                self._persistent.put_spec(spec, res)
-        self._cache[key] = res
-        return res
+    def result(self, *args, **kwargs) -> RunResult:
+        """The result of :meth:`spec`'s run; a run the entry does not list
+        raises ``KeyError``."""
+        return self[self.spec(*args, **kwargs)]
 
 
 @pytest.fixture(scope="session")
-def runs() -> RunCache:
-    persistent = None
-    if not os.environ.get("REPRO_NO_CACHE"):
-        persistent = ResultCache()
-    return RunCache(persistent)
+def sweep(tmp_path_factory):
+    """``sweep(exp, names=None, **spec_fields)`` runs the entry's specs
+    (only those of the workloads in ``names``, when given), with
+    ``spec_fields`` replaced (e.g. ``record_trace=True``), and returns
+    their :class:`Runs`."""
+    if os.environ.get("REPRO_NO_CACHE"):
+        cache = ResultCache(tmp_path_factory.mktemp("repro-cache"))
+    else:
+        cache = ResultCache()
+    executor = SweepExecutor(cache=cache)
+
+    def run(exp: Experiment, names=None, **overrides) -> Runs:
+        specs = [dataclasses.replace(s, **overrides) for s in specs_for(exp)
+                 if names is None or s.workload in names]
+        return Runs(exp, specs, executor.run(specs), **overrides)
+
+    return run
 
 
 def once(benchmark, fn):

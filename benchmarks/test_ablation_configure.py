@@ -5,58 +5,40 @@ scaling parameters by 0.5/2/10 changes little — *except* removing the
 reserve nest, which degrades performance by ~5% (6130/5218) to 16% (E7).
 """
 
-from conftest import CONFIGURE_SCALE, once
+from conftest import once
 
 from repro.analysis.tables import pct, render_table
-from repro.core.params import NestParams
-from repro.experiments.runner import run_experiment
-from repro.hw.machines import get_machine
-from repro.workloads.configure import ConfigureWorkload
-
-PACKAGES = ("llvm_ninja", "mplayer")
-MACHINE = "5218_2s"
-
-VARIANTS = [
-    ("full Nest", NestParams()),
-    ("no reserve", NestParams().without("reserve")),
-    ("no compaction", NestParams().without("compaction")),
-    ("no impatience", NestParams().without("impatience")),
-    ("no spin", NestParams().without("spin")),
-    ("no attachment", NestParams().without("attachment")),
-    ("no placement flag", NestParams().without("placement_flag")),
-    ("P_remove x0.5", NestParams().scaled(p_remove=0.5)),
-    ("P_remove x2", NestParams().scaled(p_remove=2)),
-    ("P_remove x10", NestParams().scaled(p_remove=10)),
-    ("R_max x2", NestParams().scaled(r_max=2)),
-    ("S_max x0.5", NestParams().scaled(s_max=0.5)),
-    ("S_max x10", NestParams().scaled(s_max=10)),
-]
+from repro.experiments.registry import get_experiment
 
 
-def test_ablation_configure(benchmark):
+def test_ablation_configure(benchmark, sweep):
+    exp = get_experiment("ablation_configure")
+    (machine,) = exp.machines
+    ((sched, gov),) = exp.combos
+    packages = [w.removeprefix("configure-") for w in exp.workload_names]
+
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        machine = get_machine(MACHINE)
         rows = []
-        for name, params in VARIANTS:
+        for name, _ in exp.variants:
             cells = [name]
-            for pkg in PACKAGES:
-                res = run_experiment(
-                    ConfigureWorkload(pkg, scale=CONFIGURE_SCALE), machine,
-                    "nest", "schedutil", seed=1, nest_params=params)
+            for pkg in packages:
+                res = runs.result(f"configure-{pkg}", machine, sched, gov,
+                                  variant=name)
                 data[(name, pkg)] = res.makespan_us
                 delta = data[("full Nest", pkg)] / res.makespan_us - 1
                 cells.append(pct(delta))
             rows.append(cells)
         print("\n" + render_table(
-            ["variant"] + list(PACKAGES), rows,
-            title=f"Section 5.2 ablation on {MACHINE} "
+            ["variant"] + packages, rows,
+            title=f"Section 5.2 ablation on {machine} "
                   "(delta vs full Nest; negative = slower)"))
         return data
 
     data = once(benchmark, regenerate)
 
-    for pkg in PACKAGES:
+    for pkg in packages:
         full = data[("full Nest", pkg)]
         # Removing the reserve nest clearly hurts (paper: ~5% on the
         # Skylake machines, 16% on the E7; our simulation shows more).
@@ -65,7 +47,7 @@ def test_ablation_configure(benchmark):
         # removing the spin costs configure more here than in the paper,
         # because simulated configure scripts block on every test while
         # real ones often keep the script core busy — see EXPERIMENTS.md.)
-        for name, _ in VARIANTS:
+        for name, _ in exp.variants:
             if name in ("full Nest", "no reserve", "no spin"):
                 continue
             assert data[(name, pkg)] < full * 1.15, (name, pkg)

@@ -5,43 +5,42 @@ speedups; the high-underload applications (h2, tradebeans, graphchi-eval)
 are Nest's biggest wins; the few-task applications stay within noise.
 """
 
-from conftest import DACAPO_MACHINES, DACAPO_SCALE, once, runs, speedup_pct
+from conftest import once, speedup_pct
 
 from repro.analysis.tables import pct, render_table
-from repro.workloads.dacapo import (DACAPO_PROFILES, DacapoWorkload,
-                                    HIGH_UNDERLOAD_APPS, dacapo_names)
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import BASELINE
+from repro.workloads.dacapo import (DACAPO_PROFILES, HIGH_UNDERLOAD_APPS,
+                                    dacapo_names)
 
-COMBOS = (("cfs", "performance"), ("nest", "schedutil"),
-          ("nest", "performance"))
 
+def test_fig10(benchmark, sweep):
+    exp = get_experiment("fig10")
+    combos = [c for c in exp.combos if c != BASELINE]
 
-def test_fig10(benchmark, runs):
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in DACAPO_MACHINES:
+        for mk in exp.machines:
             rows = []
             for app in dacapo_names():
-                base = runs.get(lambda: DacapoWorkload(app,
-                                                       scale=DACAPO_SCALE),
-                                mk, "cfs", "schedutil")
+                base = runs.result(f"dacapo-{app}", mk, *BASELINE)
                 cells = [app, f"{base.makespan_sec:.3f}s",
                          f"u:{base.underload.underload_per_second:.1f}"]
-                for sched, gov in COMBOS:
-                    res = runs.get(lambda: DacapoWorkload(app,
-                                                          scale=DACAPO_SCALE),
-                                   mk, sched, gov)
+                for sched, gov in combos:
+                    res = runs.result(f"dacapo-{app}", mk, sched, gov)
                     s = speedup_pct(base, res)
                     data[(mk, app, sched, gov)] = s
                     cells.append(pct(s))
                 rows.append(cells)
             print("\n" + render_table(
                 ["app", "CFS time", "underload"] +
-                ["-".join(c) for c in COMBOS], rows,
+                ["-".join(c) for c in combos], rows,
                 title=f"Figure 10: DaCapo speedups on {mk}"))
         return data
 
     data = once(benchmark, regenerate)
-    mk = DACAPO_MACHINES[0]
+    mk = exp.machines[0]
 
     # The paper's headline: the high-underload apps win clearly.
     for app in HIGH_UNDERLOAD_APPS:

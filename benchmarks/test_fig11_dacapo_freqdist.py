@@ -5,29 +5,30 @@ frequency bins; for machine-saturating applications the distributions are
 similar under both schedulers.
 """
 
-from conftest import DACAPO_MACHINES, DACAPO_SCALE, once, runs
+from conftest import once
 
 from repro.analysis.plots import render_distribution
-from repro.workloads.dacapo import (DacapoWorkload, HIGH_UNDERLOAD_APPS,
-                                    dacapo_names)
+from repro.experiments.registry import get_experiment
+from repro.workloads.dacapo import HIGH_UNDERLOAD_APPS, dacapo_names
 
 SHOWN = ("h2", "tradebeans", "fop", "lusearch")
 
 
-def test_fig11(benchmark, runs):
+def test_fig11(benchmark, sweep):
+    exp = get_experiment("fig11")
+
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        mk = DACAPO_MACHINES[0]
+        mk = exp.machines[0]
         for app in dacapo_names():
-            for sched in ("cfs", "nest"):
-                res = runs.get(lambda: DacapoWorkload(app,
-                                                      scale=DACAPO_SCALE),
-                               mk, sched, "schedutil")
+            for sched, gov in exp.combos:
+                res = runs.result(f"dacapo-{app}", mk, sched, gov)
                 data[(app, sched)] = res.freq_dist
                 if app in SHOWN:
                     fd = res.freq_dist
                     print("\n" + render_distribution(
-                        f"Fig 11 {mk} {app} {sched}-schedutil",
+                        f"Fig 11 {mk} {app} {sched}-{gov}",
                         fd.labels(), fd.fractions()))
         return data
 

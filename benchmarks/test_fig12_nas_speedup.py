@@ -8,34 +8,34 @@ the way of highly parallel applications" — Nest never causes a large
 regression.
 """
 
-from conftest import NAS_MACHINES, NAS_SCALE, once, runs, speedup_pct
+from conftest import once, speedup_pct
 
 from repro.analysis.tables import pct, render_table
-from repro.workloads.nas import NasWorkload, nas_names
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import BASELINE
+from repro.workloads.nas import nas_names
 
-COMBOS = (("cfs", "performance"), ("nest", "schedutil"),
-          ("nest", "performance"))
 
+def test_fig12(benchmark, sweep):
+    exp = get_experiment("fig12")
+    combos = [c for c in exp.combos if c != BASELINE]
 
-def test_fig12(benchmark, runs):
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in NAS_MACHINES:
+        for mk in exp.machines:
             rows = []
             for kern in nas_names():
-                base = runs.get(lambda: NasWorkload(kern, scale=NAS_SCALE),
-                                mk, "cfs", "schedutil")
+                base = runs.result(f"nas-{kern}.C", mk, *BASELINE)
                 cells = [f"{kern}.C", f"{base.makespan_sec:.3f}s"]
-                for sched, gov in COMBOS:
-                    res = runs.get(lambda: NasWorkload(kern,
-                                                       scale=NAS_SCALE),
-                                   mk, sched, gov)
+                for sched, gov in combos:
+                    res = runs.result(f"nas-{kern}.C", mk, sched, gov)
                     s = speedup_pct(base, res)
                     data[(mk, kern, sched, gov)] = s
                     cells.append(pct(s))
                 rows.append(cells)
             print("\n" + render_table(
-                ["kernel", "CFS time"] + ["-".join(c) for c in COMBOS],
+                ["kernel", "CFS time"] + ["-".join(c) for c in combos],
                 rows, title=f"Figure 12: NAS speedups on {mk}"))
         return data
 
@@ -55,5 +55,5 @@ def test_fig12(benchmark, runs):
 
     # Nest never causes a serious NAS regression anywhere.
     worst = min(data[(mk, k, "nest", "schedutil")]
-                for mk in NAS_MACHINES for k in nas_names())
+                for mk in exp.machines for k in nas_names())
     assert worst > -0.15

@@ -10,34 +10,34 @@ Class shapes asserted (paper §5.5):
 * saturating tests (cpuminer, oidn): everything within noise.
 """
 
-from conftest import PHORONIX_MACHINES, PHORONIX_SCALE, once, runs, speedup_pct
+from conftest import once, speedup_pct
 
 from repro.analysis.tables import pct, render_table
-from repro.workloads.phoronix import PhoronixWorkload, fig13_names
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import BASELINE
+from repro.workloads.phoronix import fig13_names
 
-COMBOS = (("cfs", "performance"), ("nest", "schedutil"))
 
+def test_fig13(benchmark, sweep):
+    exp = get_experiment("fig13")
+    combos = [c for c in exp.combos if c != BASELINE]
 
-def test_fig13(benchmark, runs):
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in PHORONIX_MACHINES:
+        for mk in exp.machines:
             rows = []
             for test in fig13_names():
-                base = runs.get(
-                    lambda: PhoronixWorkload(test, scale=PHORONIX_SCALE),
-                    mk, "cfs", "schedutil")
+                base = runs.result(f"phoronix-{test}", mk, *BASELINE)
                 cells = [test, f"{base.makespan_sec:.3f}s"]
-                for sched, gov in COMBOS:
-                    res = runs.get(
-                        lambda: PhoronixWorkload(test, scale=PHORONIX_SCALE),
-                        mk, sched, gov)
+                for sched, gov in combos:
+                    res = runs.result(f"phoronix-{test}", mk, sched, gov)
                     s = speedup_pct(base, res)
                     data[(mk, test, sched, gov)] = s
                     cells.append(pct(s))
                 rows.append(cells)
             print("\n" + render_table(
-                ["test", "CFS time"] + ["-".join(c) for c in COMBOS],
+                ["test", "CFS time"] + ["-".join(c) for c in combos],
                 rows, title=f"Figure 13: Phoronix speedups on {mk}"))
         return data
 

@@ -5,40 +5,30 @@ in the lower turbo range, while Nest keeps them on ~2 cores running almost
 entirely at the highest frequencies.
 """
 
-from conftest import CONFIGURE_SCALE, once, runs
+from conftest import once
 
 from repro.analysis.plots import render_core_trace, render_distribution
-from repro.experiments.runner import run_experiment
-from repro.hw.machines import get_machine
-from repro.workloads.configure import ConfigureWorkload
+from repro.experiments.registry import get_experiment
 
 WINDOW_US = 120_000
 
 
-def _trace(scheduler):
-    res = run_experiment(ConfigureWorkload("llvm_ninja",
-                                           scale=CONFIGURE_SCALE),
-                         get_machine("5218_2s"), scheduler, "schedutil",
-                         seed=1, record_trace=True)
-    return res
-
-
-def test_fig2(benchmark):
+def test_fig2(benchmark, sweep):
     def regenerate():
         out = {}
         edges = [1000, 1600, 2300, 3600, 3900]
-        for scheduler in ("cfs", "nest"):
-            res = _trace(scheduler)
+        runs = sweep(get_experiment("fig2"), record_trace=True)
+        for spec, res in runs.items():
             segs = res.trace_segments
             used = {s.core for s in segs if s.task_id >= 0 and not s.spinning}
-            print(f"\n=== Figure 2 ({scheduler}-schedutil): "
+            print(f"\n=== Figure 2 ({spec.scheduler}-{spec.governor}): "
                   f"{len(used)} cores used in the run")
             print(render_core_trace(segs, 0, WINDOW_US, edges, width=70,
                                     min_busy_us=1_000))
             fd = res.freq_dist
             print(render_distribution("frequency distribution",
                                       fd.labels(), fd.fractions()))
-            out[scheduler] = res
+            out[spec.scheduler] = res
         return out
 
     out = once(benchmark, regenerate)

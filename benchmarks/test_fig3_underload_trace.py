@@ -4,22 +4,19 @@ CFS shows substantial underload throughout the execution; under Nest it has
 almost disappeared.
 """
 
-from conftest import CONFIGURE_SCALE, once, runs
+from conftest import once
 
-from repro.workloads.configure import ConfigureWorkload
+from repro.experiments.registry import get_experiment
 
 
-def test_fig3(benchmark, runs):
+def test_fig3(benchmark, sweep):
     def regenerate():
         out = {}
-        for scheduler in ("cfs", "nest"):
-            res = runs.get(lambda: ConfigureWorkload("llvm_ninja",
-                                                     scale=CONFIGURE_SCALE),
-                           "5218_2s", scheduler, "schedutil")
-            out[scheduler] = res
+        for spec, res in sweep(get_experiment("fig3")).items():
+            out[spec.scheduler] = res
             timeline = res.underload.timeline()
             peak = max(v for _, v in timeline)
-            print(f"\nFigure 3 ({scheduler}-schedutil): "
+            print(f"\nFigure 3 ({spec.scheduler}-{spec.governor}): "
                   f"underload/s={res.underload.underload_per_second:.2f} "
                   f"peak={peak}")
             # A sparkline of the first 50 intervals.

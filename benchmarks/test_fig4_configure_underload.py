@@ -3,38 +3,37 @@
 Nest nearly eliminates the underload of CFS on every machine.
 """
 
-from conftest import (CONFIGURE_MACHINES, CONFIGURE_SCALE, once, runs)
+from conftest import once
 
 from repro.analysis.tables import render_table
-from repro.workloads.configure import ConfigureWorkload, configure_names
-
-COMBOS = (("cfs", "schedutil"), ("cfs", "performance"),
-          ("nest", "schedutil"), ("nest", "performance"))
+from repro.experiments.registry import get_experiment
+from repro.workloads.configure import configure_names
 
 
-def test_fig4(benchmark, runs):
+def test_fig4(benchmark, sweep):
+    exp = get_experiment("fig4")
+
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in CONFIGURE_MACHINES:
+        for mk in exp.machines:
             rows = []
             for pkg in configure_names():
                 cells = [pkg]
-                for sched, gov in COMBOS:
-                    res = runs.get(
-                        lambda: ConfigureWorkload(pkg, scale=CONFIGURE_SCALE),
-                        mk, sched, gov)
+                for sched, gov in exp.combos:
+                    res = runs.result(f"configure-{pkg}", mk, sched, gov)
                     u = res.underload.underload_per_second
                     data[(mk, pkg, sched, gov)] = u
                     cells.append(f"{u:.2f}")
                 rows.append(cells)
             print("\n" + render_table(
-                ["package"] + ["-".join(c) for c in COMBOS], rows,
+                ["package"] + ["-".join(c) for c in exp.combos], rows,
                 title=f"Figure 4: underload per second on {mk}"))
         return data
 
     data = once(benchmark, regenerate)
 
-    for mk in CONFIGURE_MACHINES:
+    for mk in exp.machines:
         cfs_total = sum(data[(mk, p, "cfs", "schedutil")]
                         for p in configure_names())
         nest_total = sum(data[(mk, p, "nest", "schedutil")]

@@ -5,44 +5,42 @@ except the trivial nodejs; Smove stays far below Nest on the Speed Shift
 machine; on the Broadwell E7, CFS-performance rivals Nest-schedutil.
 """
 
-from conftest import (CONFIGURE_MACHINES, CONFIGURE_SCALE, once, runs,
-                      speedup_pct)
+from conftest import once, speedup_pct
 
 from repro.analysis.tables import pct, render_table
-from repro.workloads.configure import ConfigureWorkload, configure_names
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import BASELINE
+from repro.workloads.configure import configure_names
 
-COMBOS = (("cfs", "performance"), ("nest", "schedutil"),
-          ("nest", "performance"), ("smove", "schedutil"))
 
+def test_fig5(benchmark, sweep):
+    exp = get_experiment("fig5")
+    combos = [c for c in exp.combos if c != BASELINE]
 
-def test_fig5(benchmark, runs):
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in CONFIGURE_MACHINES:
+        for mk in exp.machines:
             rows = []
             for pkg in configure_names():
-                base = runs.get(
-                    lambda: ConfigureWorkload(pkg, scale=CONFIGURE_SCALE),
-                    mk, "cfs", "schedutil")
+                base = runs.result(f"configure-{pkg}", mk, *BASELINE)
                 cells = [pkg, f"{base.makespan_sec:.3f}s"]
-                for sched, gov in COMBOS:
-                    res = runs.get(
-                        lambda: ConfigureWorkload(pkg, scale=CONFIGURE_SCALE),
-                        mk, sched, gov)
+                for sched, gov in combos:
+                    res = runs.result(f"configure-{pkg}", mk, sched, gov)
                     s = speedup_pct(base, res)
                     data[(mk, pkg, sched, gov)] = s
                     cells.append(pct(s))
                 rows.append(cells)
             print("\n" + render_table(
                 ["package", "CFS-sched time"] +
-                ["-".join(c) for c in COMBOS], rows,
+                ["-".join(c) for c in combos], rows,
                 title=f"Figure 5: configure speedups on {mk}"))
         return data
 
     data = once(benchmark, regenerate)
 
     nontrivial = [p for p in configure_names() if p != "nodejs"]
-    for mk in CONFIGURE_MACHINES:
+    for mk in exp.machines:
         # Nest-schedutil wins on every non-trivial package; on the Speed
         # Shift machines the win exceeds the paper's 5% threshold.  (At
         # benchmark scale the shortest packages amortise less of the slow

@@ -4,34 +4,36 @@ Under Nest the busy time shifts into the highest frequency bins; under
 CFS-schedutil the tasks sit in the mid/low turbo range.
 """
 
-from conftest import CONFIGURE_MACHINES, CONFIGURE_SCALE, once, runs
+from conftest import once
 
 from repro.analysis.plots import render_distribution
-from repro.workloads.configure import ConfigureWorkload, configure_names
+from repro.experiments.registry import get_experiment
+from repro.workloads.configure import configure_names
 
 SHOWN = ("erlang", "llvm_ninja", "mplayer")
 
 
-def test_fig6(benchmark, runs):
+def test_fig6(benchmark, sweep):
+    exp = get_experiment("fig6")
+
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in CONFIGURE_MACHINES:
+        for mk in exp.machines:
             for pkg in configure_names():
-                for sched in ("cfs", "nest"):
-                    res = runs.get(
-                        lambda: ConfigureWorkload(pkg, scale=CONFIGURE_SCALE),
-                        mk, sched, "schedutil")
+                for sched, gov in exp.combos:
+                    res = runs.result(f"configure-{pkg}", mk, sched, gov)
                     data[(mk, pkg, sched)] = res.freq_dist
                     if pkg in SHOWN:
                         fd = res.freq_dist
                         print("\n" + render_distribution(
-                            f"Fig 6 {mk} {pkg} {sched}-schedutil",
+                            f"Fig 6 {mk} {pkg} {sched}-{gov}",
                             fd.labels(), fd.fractions()))
         return data
 
     data = once(benchmark, regenerate)
 
-    for mk in CONFIGURE_MACHINES:
+    for mk in exp.machines:
         gains = 0
         for pkg in configure_names():
             cfs = data[(mk, pkg, "cfs")].mean_ghz()

@@ -4,42 +4,41 @@ The paper: Nest provides both a speedup and energy savings (up to ~19%),
 because the biggest CPU-energy lever is finishing sooner.
 """
 
-from conftest import CONFIGURE_MACHINES, CONFIGURE_SCALE, once, runs
+from conftest import once
 
 from repro.analysis.tables import pct, render_table
-from repro.workloads.configure import ConfigureWorkload, configure_names
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import BASELINE
+from repro.workloads.configure import configure_names
 
-COMBOS = (("cfs", "performance"), ("nest", "schedutil"),
-          ("nest", "performance"))
 
+def test_fig7(benchmark, sweep):
+    exp = get_experiment("fig7")
+    combos = [c for c in exp.combos if c != BASELINE]
 
-def test_fig7(benchmark, runs):
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in CONFIGURE_MACHINES:
+        for mk in exp.machines:
             rows = []
             for pkg in configure_names():
-                base = runs.get(
-                    lambda: ConfigureWorkload(pkg, scale=CONFIGURE_SCALE),
-                    mk, "cfs", "schedutil")
+                base = runs.result(f"configure-{pkg}", mk, *BASELINE)
                 cells = [pkg, f"{base.energy_joules:.1f}J"]
-                for sched, gov in COMBOS:
-                    res = runs.get(
-                        lambda: ConfigureWorkload(pkg, scale=CONFIGURE_SCALE),
-                        mk, sched, gov)
+                for sched, gov in combos:
+                    res = runs.result(f"configure-{pkg}", mk, sched, gov)
                     saving = 1.0 - res.energy_joules / base.energy_joules
                     data[(mk, pkg, sched, gov)] = saving
                     cells.append(pct(saving))
                 rows.append(cells)
             print("\n" + render_table(
                 ["package", "CFS-sched energy"] +
-                ["-".join(c) for c in COMBOS], rows,
+                ["-".join(c) for c in combos], rows,
                 title=f"Figure 7: CPU energy reduction on {mk}"))
         return data
 
     data = once(benchmark, regenerate)
 
-    for mk in CONFIGURE_MACHINES:
+    for mk in exp.machines:
         savings = [data[(mk, p, "nest", "schedutil")]
                    for p in configure_names() if p != "nodejs"]
         # Nest saves energy on the clear majority of packages...

@@ -9,30 +9,26 @@ high turbo bins.
 from conftest import once
 
 from repro.analysis.plots import render_core_trace, render_distribution
-from repro.experiments.runner import run_experiment
-from repro.hw.machines import get_machine
-from repro.workloads.dacapo import DacapoWorkload
+from repro.experiments.registry import get_experiment
 
 
-def test_fig8_9(benchmark):
+def test_fig8_9(benchmark, sweep):
     def regenerate():
         out = {}
         edges = [1000, 1600, 2100, 2800, 3100, 3400, 3700]
-        for scheduler in ("cfs", "nest"):
-            res = run_experiment(DacapoWorkload("h2"),
-                                 get_machine("6130_4s"), scheduler,
-                                 "schedutil", seed=1, record_trace=True)
+        runs = sweep(get_experiment("fig8_9"), record_trace=True)
+        for spec, res in runs.items():
             segs = res.trace_segments
             used = {s.core for s in segs
                     if s.task_id >= 0 and not s.spinning}
-            print(f"\n=== Figure 8 ({scheduler}-schedutil): "
+            print(f"\n=== Figure 8 ({spec.scheduler}-{spec.governor}): "
                   f"{res.makespan_sec * 1000:.0f} ms, {len(used)} cores")
             print(render_core_trace(segs, 0, min(res.makespan_us, 80_000),
                                     edges, width=64, min_busy_us=2_000))
             fd = res.freq_dist
             print(render_distribution("frequency distribution",
                                       fd.labels(), fd.fractions()))
-            out[scheduler] = (res, used)
+            out[spec.scheduler] = (res, used)
         return out
 
     out = once(benchmark, regenerate)

@@ -8,35 +8,38 @@ Nest".
 
 from conftest import once
 
+from repro.experiments.registry import get_experiment, specs_for
 from repro.experiments.runner import run_experiment
 from repro.hw.machines import get_machine
-from repro.workloads.messaging import HackbenchWorkload, SchbenchWorkload
-
-MACHINE = "5218_2s"
+from repro.workloads.catalog import make_workload
 
 
-def test_hackbench_schbench(benchmark):
+def test_hackbench_schbench(benchmark, sweep):
+    exp = get_experiment("other_hackbench")
+    hackbench, schbench = exp.workloads
+
     def regenerate():
-        machine = get_machine(MACHINE)
         data = {}
-        for sched in ("cfs", "nest"):
-            res = run_experiment(
-                HackbenchWorkload(groups=10, pairs_per_group=5, loops=150),
-                machine, sched, "schedutil", seed=1)
-            data[("hackbench", sched)] = res.makespan_us
-            print(f"hackbench {sched}-schedutil: "
+        for spec, res in sweep(exp, hackbench.names).items():
+            data[("hackbench", spec.scheduler)] = res.makespan_us
+            print(f"hackbench {spec.scheduler}-{spec.governor}: "
                   f"{res.makespan_sec * 1000:.1f} ms "
                   f"({res.total_wakeups} wakeups)")
 
-        for sched in ("cfs", "nest"):
-            tails = []
-            for seed in (1, 2):
-                wl = SchbenchWorkload(message_threads=4,
-                                      workers_per_thread=8, requests=40)
-                run_experiment(wl, machine, sched, "schedutil", seed=seed)
-                tails.append(wl.recorder.p999())
-            data[("schbench", sched)] = sum(tails) / len(tails)
-            print(f"schbench {sched}-schedutil: p99.9 = "
+        tails = {}
+        for spec in specs_for(exp):
+            if spec.workload not in schbench.names:
+                continue
+            # Direct run: the p99.9 lives on the workload's recorder, not
+            # in the RunResult a sweep returns.
+            wl = make_workload(spec.workload, spec.scale)
+            run_experiment(wl, get_machine(spec.machine), spec.scheduler,
+                           spec.governor, seed=spec.seed)
+            tails.setdefault((spec.scheduler, spec.governor), []).append(
+                wl.recorder.p999())
+        for (sched, gov), t in tails.items():
+            data[("schbench", sched)] = sum(t) / len(t)
+            print(f"schbench {sched}-{gov}: p99.9 = "
                   f"{data[('schbench', sched)]:.0f} us")
         return data
 

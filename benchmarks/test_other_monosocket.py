@@ -5,41 +5,30 @@ sockets is irrelevant when the computation fits in one), and NAS is
 identical between CFS and Nest.
 """
 
-from conftest import CONFIGURE_SCALE, once, speedup_pct
+from conftest import once, speedup_pct
 
-from repro.experiments.runner import run_experiment
-from repro.hw.machines import get_machine
-from repro.workloads.configure import ConfigureWorkload
-from repro.workloads.nas import NasWorkload
-
-MACHINES = ("5220_1s", "ryzen_4650g")
+from repro.experiments.registry import get_experiment
 
 
-def test_monosocket(benchmark):
+def test_monosocket(benchmark, sweep):
+    exp = get_experiment("other_monosocket")
+    configure, nas = exp.workload_names
+
     def regenerate():
+        runs = sweep(exp)
         data = {}
-        for mk in MACHINES:
-            machine = get_machine(mk)
-            base = run_experiment(
-                ConfigureWorkload("llvm_ninja", scale=CONFIGURE_SCALE),
-                machine, "cfs", "schedutil", seed=1)
-            nest = run_experiment(
-                ConfigureWorkload("llvm_ninja", scale=CONFIGURE_SCALE),
-                machine, "nest", "schedutil", seed=1)
-            data[(mk, "configure")] = speedup_pct(base, nest)
-
-            base = run_experiment(NasWorkload("mg", scale=0.4), machine,
-                                  "cfs", "schedutil", seed=1)
-            nest = run_experiment(NasWorkload("mg", scale=0.4), machine,
-                                  "nest", "schedutil", seed=1)
-            data[(mk, "nas")] = speedup_pct(base, nest)
+        for mk in exp.machines:
+            for key, name in (("configure", configure), ("nas", nas)):
+                base = runs.result(name, mk, "cfs", "schedutil")
+                nest = runs.result(name, mk, "nest", "schedutil")
+                data[(mk, key)] = speedup_pct(base, nest)
             print(f"{mk}: configure nest {data[(mk, 'configure')]:+.1%}, "
                   f"nas mg nest {data[(mk, 'nas')]:+.1%}")
         return data
 
     data = once(benchmark, regenerate)
 
-    for mk in MACHINES:
+    for mk in exp.machines:
         # Configure speedups persist on one socket.
         assert data[(mk, "configure")] > 0.05, mk
         # NAS performance is essentially identical.

@@ -7,35 +7,28 @@ key-value stores improve (leveldb +25%, redis +7%).
 
 from conftest import once
 
-from repro.experiments.runner import run_experiment
-from repro.hw.machines import get_machine
-from repro.workloads.servers import apache_siege, leveldb, nginx, redis
-
-MACHINE = "6130_2s"
+from repro.experiments.registry import get_experiment
 
 
-def test_servers(benchmark):
+def test_servers(benchmark, sweep):
+    exp = get_experiment("other_servers")
+    (machine,) = exp.machines
+
     def regenerate():
-        machine = get_machine(MACHINE)
+        runs = sweep(exp)
         data = {}
-
-        for conc in (8, 32, 56):
-            for sched in ("cfs", "nest"):
-                res = run_experiment(apache_siege(conc), machine, sched,
-                                     "schedutil", seed=1)
-                data[(f"siege-{conc}", sched)] = res.makespan_us
-            d = data[(f"siege-{conc}", "nest")] / \
-                data[(f"siege-{conc}", "cfs")] - 1
-            print(f"apache-siege c={conc}: nest delta {d:+.1%}")
-
-        for name, factory in (("nginx", nginx), ("leveldb", leveldb),
-                              ("redis", redis)):
-            for sched in ("cfs", "nest"):
-                res = run_experiment(factory(), machine, sched,
-                                     "schedutil", seed=1)
-                data[(name, sched)] = res.makespan_us
-            s = data[(name, "cfs")] / data[(name, "nest")] - 1
-            print(f"{name}: nest speedup {s:+.1%}")
+        for name in exp.workload_names:
+            key = name.replace("apache-siege-c", "siege-")
+            for sched, gov in exp.combos:
+                res = runs.result(name, machine, sched, gov)
+                data[(key, sched)] = res.makespan_us
+            if key.startswith("siege-"):
+                d = data[(key, "nest")] / data[(key, "cfs")] - 1
+                print(f"apache-siege c={key.removeprefix('siege-')}: "
+                      f"nest delta {d:+.1%}")
+            else:
+                s = data[(key, "cfs")] / data[(key, "nest")] - 1
+                print(f"{name}: nest speedup {s:+.1%}")
         return data
 
     data = once(benchmark, regenerate)

@@ -7,42 +7,40 @@ tests land in the "same" band, regressions are rare, and the E7 shows more
 beneficiaries for CFS-performance than the Speed Shift machine does.
 """
 
-from conftest import once, runs, speedup_pct
+from conftest import once, speedup_pct
 
 from repro.analysis.stats import band_counts
 from repro.analysis.tables import render_band_table
-from repro.workloads.phoronix import suite_population
-
-POPULATION = 36
-MACHINES = ("5218_2s", "e78870_4s")
-CONFIGS = (("cfs", "performance"), ("nest", "schedutil"))
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import BASELINE
 
 
-def test_table4(benchmark, runs):
+def test_table4(benchmark, sweep):
+    exp = get_experiment("table4")
+    combos = [c for c in exp.combos if c != BASELINE]
+    population = exp.workload_names
+
     def regenerate():
+        runs = sweep(exp)
         tables = {}
-        for mk in MACHINES:
+        for mk in exp.machines:
             per_config = {}
-            for sched, gov in CONFIGS:
+            for sched, gov in combos:
                 speedups = []
-                for i in range(POPULATION):
-                    base = runs.get(
-                        lambda: suite_population(POPULATION, seed=7)[i],
-                        mk, "cfs", "schedutil")
-                    res = runs.get(
-                        lambda: suite_population(POPULATION, seed=7)[i],
-                        mk, sched, gov)
+                for name in population:
+                    base = runs.result(name, mk, *BASELINE)
+                    res = runs.result(name, mk, sched, gov)
                     speedups.append(speedup_pct(base, res))
                 per_config[f"{sched}-{gov}"] = band_counts(speedups)
             tables[mk] = per_config
             print("\n" + render_band_table(
                 f"Table 4: Phoronix multicore overview on {mk} "
-                f"({POPULATION} tests)", per_config))
+                f"({len(population)} tests)", per_config))
         return tables
 
     tables = once(benchmark, regenerate)
 
-    for mk in MACHINES:
+    for mk in exp.machines:
         for config, counts in tables[mk].items():
             total = sum(counts.values())
             same = counts["same"]

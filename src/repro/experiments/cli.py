@@ -8,7 +8,8 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
         --trace out.json                 # Perfetto trace (ui.perfetto.dev)
     python -m repro trace fig2 --scale 0.5   # text digest of a traced run
     python -m repro compare --workload dacapo-h2 --machine 6130_4s --jobs 8
-    python -m repro sweep fig5 --seeds 2 --scale 0.5   # registry sweep
+    python -m repro sweep fig5           # the runs Figure 5's bench reads
+    python -m repro sweep fig5 --seeds 2 --scale 0.3   # ...overridden
     python -m repro cache stats          # result-cache maintenance
     python -m repro obs report           # digest of the newest recorded sweep
     python -m repro obs dashboard        # self-contained HTML dashboard
@@ -40,6 +41,7 @@ hung worker pool is retried (``--timeout`` bounds a hang).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -245,9 +247,11 @@ def _analysis_events(args):
     on: the one place an experiment-or-workload argument is resolved.
 
     ``--events FILE`` analyzes a JSONL dump; otherwise the experiment's
-    reference run (or a bare workload name) is simulated with tracing and
-    event collection on.  A pure table entry raises ``ValueError``, an
-    unknown name ``KeyError``.
+    reference run (at the entry's scale and first seed unless ``--scale``
+    or ``--seed`` says otherwise), or a bare workload name (seed 1, scale
+    1.0 by default), is simulated with tracing and event collection on.
+    A pure table entry raises ``ValueError``, an unknown name
+    ``KeyError``.
     """
     from ..obs.export import events_from_jsonl
 
@@ -272,7 +276,9 @@ def _analysis_events(args):
         spec = RunSpec(workload=args.experiment,
                        machine=args.machine or "5218_2s",
                        scheduler="nest", governor="schedutil",
-                       seed=args.seed, scale=args.scale, record_trace=True)
+                       seed=1 if args.seed is None else args.seed,
+                       scale=1.0 if args.scale is None else args.scale,
+                       record_trace=True)
     res = execute_spec(spec, collect_events=True)
     return (res, res.events, res.trace_segments,
             get_machine(spec.machine).n_cpus)
@@ -491,12 +497,13 @@ def _compare_combos(schedulers):
 
 
 def _cmd_compare(args) -> int:
+    make_workload(args.workload)     # raise KeyError on bad names
+    get_machine(args.machine)        # before any run
     executor = _executor_from_args(args)
-    cmp = compare(lambda: make_workload(args.workload, scale=args.scale),
-                  get_machine(args.machine),
+    cmp = compare(args.workload, args.machine,
                   combos=_compare_combos(args.scheduler),
-                  seeds=tuple(range(1, args.seeds + 1)), executor=executor,
-                  faults=_faults_from_args(args))
+                  seeds=tuple(range(1, args.seeds + 1)), scale=args.scale,
+                  executor=executor, faults=_faults_from_args(args))
     rows = []
     for (sched, gov), stats in cmp.combos.items():
         rows.append([
@@ -517,10 +524,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     exp = get_experiment(args.experiment)
-    specs = specs_for(exp, seeds=tuple(range(1, args.seeds + 1)),
-                      scale=args.scale, machines=tuple(args.machine or ()))
+    seeds = None if args.seeds is None else tuple(range(1, args.seeds + 1))
+    specs = specs_for(exp, seeds=seeds, scale=args.scale,
+                      machines=tuple(args.machine or ()))
     if not specs:
-        print(f"error: {args.experiment} has no buildable workloads to sweep",
+        print(f"error: {args.experiment} has no workloads to sweep",
               file=sys.stderr)
         return 2
     if args.scheduler:
@@ -662,9 +670,35 @@ def _cmd_describe(args) -> int:
     print(f"  machines:  {', '.join(exp.machines) or '-'}")
     print(f"  combos:    {', '.join('-'.join(c) for c in exp.combos) or '-'}")
     print(f"  expected:  {exp.expected_shape}")
-    if exp.workloads:
-        print(f"  workloads: {', '.join(exp.workloads)}")
+    label = "workloads:"
+    for group in exp.workloads:
+        seeds = ", ".join(str(s) for s in group.seeds)
+        print(f"  {label:10s} {', '.join(group.names)} "
+              f"(scale {group.scale:g}, seeds {seeds})")
+        label = ""
+    if exp.variants:
+        print(f"  variants:  {', '.join(name for name, _ in exp.variants)}")
+    print(f"  specs:     {len(specs_for(exp))} (what 'sweep "
+          f"{exp.id}' runs)")
     return 0
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--scale``: a finite number above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}")
+    return value
+
+
+def _add_traced_run_options(p: argparse.ArgumentParser) -> None:
+    """Where and how to run the traced run of a registry id or workload."""
+    p.add_argument("--machine", default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: the entry's first seed (1 for a workload)")
+    p.add_argument("--scale", type=_positive_float, default=None,
+                   help="default: the entry's scale (1.0 for a workload)")
 
 
 def _add_sweep_options(p: argparse.ArgumentParser) -> None:
@@ -719,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--governor", default="schedutil",
                        choices=["schedutil", "performance"])
     run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--scale", type=float, default=1.0)
+    run_p.add_argument("--scale", type=_positive_float, default=1.0)
     run_p.add_argument("--verbose", action="store_true")
     run_p.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Perfetto/Chrome trace JSON here")
@@ -732,9 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="trace one representative run of an experiment")
     trace_p.add_argument("experiment",
                          help="registry id (e.g. fig2) or workload name")
-    trace_p.add_argument("--machine", default=None)
-    trace_p.add_argument("--seed", type=int, default=1)
-    trace_p.add_argument("--scale", type=float, default=1.0)
+    _add_traced_run_options(trace_p)
     trace_p.add_argument("--out", default=None, metavar="PATH",
                          help="also write the Perfetto trace JSON here")
     trace_p.set_defaults(fn=_cmd_trace)
@@ -749,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "baseline (repeatable; default: the standard "
                             "cfs/nest grid)")
     cmp_p.add_argument("--seeds", type=int, default=3)
-    cmp_p.add_argument("--scale", type=float, default=1.0)
+    cmp_p.add_argument("--scale", type=_positive_float, default=1.0)
     _add_sweep_options(cmp_p)
     _add_faults_option(cmp_p)
     cmp_p.set_defaults(fn=_cmd_compare)
@@ -761,10 +793,15 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=available_policies(), metavar="POLICY",
                          help="override every spec's scheduler (e.g. run "
                               "a registry sweep under scxnest)")
-    sweep_p.add_argument("--seeds", type=int, default=1)
-    sweep_p.add_argument("--scale", type=float, default=1.0)
+    sweep_p.add_argument("--seeds", type=int, default=None,
+                         help="run seeds 1..N for every workload (default: "
+                              "each workload's seeds in the entry)")
+    sweep_p.add_argument("--scale", type=_positive_float, default=None,
+                         help="run every workload at this scale (default: "
+                              "each workload's scale in the entry)")
     sweep_p.add_argument("--machine", action="append",
-                         help="restrict to these machine keys (repeatable)")
+                         help="run on these machine keys instead of the "
+                              "entry's (repeatable)")
     _add_sweep_options(sweep_p)
     _add_faults_option(sweep_p)
     sweep_p.set_defaults(fn=_cmd_sweep)
@@ -813,9 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--events", default=None, metavar="JSONL",
                         help="analyze this event dump (from `run "
                              "--events`) instead of simulating")
-        sp.add_argument("--machine", default=None)
-        sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--scale", type=float, default=1.0)
+        _add_traced_run_options(sp)
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
 

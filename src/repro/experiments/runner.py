@@ -3,9 +3,9 @@
 This is the equivalent of the artifact's ``run_everything`` scripts: it
 builds a fresh simulator for every run, wires up the measurement sinks, runs
 to completion and returns a :class:`RunResult`.  ``compare`` evaluates a set
-of scheduler/governor combinations against the paper's baseline
-(CFS-schedutil) over several seeds, producing the speedup/error-bar numbers
-plotted in Figures 5-13.
+of scheduler/governor combinations on one catalogue workload against the
+paper's baseline (CFS-schedutil) over several seeds, producing the
+speedup/error-bar numbers plotted in Figures 5-13.
 """
 
 from __future__ import annotations
@@ -237,10 +237,11 @@ class Comparison:
 
 
 def compare(
-    workload_factory: Callable[[], Workload],
-    machine: Machine,
+    workload: str,
+    machine: str,
     combos: Sequence[Tuple[str, str]] = STANDARD_COMBOS,
     seeds: Sequence[int] = (1, 2, 3),
+    scale: float = 1.0,
     nest_params: Optional[NestParams] = None,
     max_us: Optional[int] = None,
     kernel_config: Optional[KernelConfig] = None,
@@ -249,71 +250,33 @@ def compare(
 ) -> Comparison:
     """Run every combo over every seed; the paper's Figure 5-13 procedure.
 
-    With an ``executor`` the (combo × seed) sweep fans out over worker
-    processes (and consults the executor's result cache); the aggregates
-    are built from the results in the same deterministic (combo, seed)
-    order as the serial path, so both paths produce identical Comparisons.
-    Sweeps the executor cannot express as picklable specs (ad-hoc
-    workloads or machines, custom kernel configs) fall back to serial.
+    ``workload`` is a catalogue name built at ``scale`` and ``machine`` a
+    machine key, so every (combo × seed) run is a RunSpec.  The
+    ``executor`` fans them out over worker processes and consults its
+    result cache; without one they run serially and uncached
+    (``SweepExecutor(jobs=1)``).  Results come back in spec order, so the
+    aggregates are the same whichever executor ran them.
     """
-    results: Optional[List[RunResult]] = None
-    wl_name: Optional[str] = None
-    if executor is not None:
-        specs = _sweep_specs(workload_factory, machine, combos, seeds,
-                             nest_params, max_us, kernel_config, faults)
-        if specs is not None:
-            results = executor.run(specs)
-            wl_name = specs[0].workload
+    from .parallel import RunSpec, SweepExecutor
 
+    specs = [RunSpec(workload=workload, machine=machine, scheduler=scheduler,
+                     governor=governor, seed=seed, scale=scale,
+                     nest_params=nest_params, max_us=max_us,
+                     kernel_config=kernel_config, faults=faults)
+             for scheduler, governor in combos
+             for seed in seeds]
+    if executor is None:
+        executor = SweepExecutor(jobs=1)
+    results = executor.run(specs)
+    n = len(seeds)
     stats: Dict[Tuple[str, str], ComboStats] = {}
-    idx = 0
-    for scheduler, governor in combos:
+    for i, (scheduler, governor) in enumerate(combos):
         cs = ComboStats(scheduler, governor)
-        for seed in seeds:
-            if results is not None:
-                res = results[idx]
-                idx += 1
-            else:
-                wl = workload_factory()
-                wl_name = wl.name
-                res = run_experiment(wl, machine, scheduler, governor, seed,
-                                     nest_params=nest_params, max_us=max_us,
-                                     kernel_config=kernel_config,
-                                     faults=faults)
+        for res in results[i * n:(i + 1) * n]:
             cs.makespans_us.append(res.makespan_us)
             cs.energies_j.append(res.energy_joules)
             cs.underload_per_s.append(res.underload.underload_per_second)
             cs.top_freq_fraction.append(res.freq_dist.top_bins_fraction())
         stats[(scheduler, governor)] = cs
-    return Comparison(workload=wl_name or "?", machine=machine.name,
-                      combos=stats)
-
-
-def _sweep_specs(
-    workload_factory: Callable[[], Workload],
-    machine: Machine,
-    combos: Sequence[Tuple[str, str]],
-    seeds: Sequence[int],
-    nest_params: Optional[NestParams],
-    max_us: Optional[int],
-    kernel_config: Optional[KernelConfig],
-    faults: Optional[FaultConfig] = None,
-) -> Optional[List["RunSpec"]]:
-    """Express a compare() sweep as RunSpecs, or None if it cannot be."""
-    from ..hw.machines import machine_key
-    from ..workloads.catalog import can_reconstruct
-    from .parallel import RunSpec
-
-    mk = machine_key(machine)
-    if mk is None:
-        return None
-    probe = workload_factory()
-    if not can_reconstruct(probe):
-        return None
-    scale = getattr(probe, "scale", 1.0)
-    return [RunSpec(workload=probe.name, machine=mk, scheduler=scheduler,
-                    governor=governor, seed=seed, scale=scale,
-                    nest_params=nest_params, max_us=max_us,
-                    kernel_config=kernel_config, faults=faults)
-            for scheduler, governor in combos
-            for seed in seeds]
+    return Comparison(workload=results[0].workload,
+                      machine=results[0].machine, combos=stats)

@@ -6,14 +6,22 @@ objects.  Crucially it makes sweep specs *picklable*: a parallel worker
 process receives only ``(name, scale)`` and reconstructs the workload
 here, instead of shipping a live object across the process boundary.
 
-``make_workload(wl.name, scale)`` round-trips for every workload the
-catalogue can build; :func:`can_reconstruct` checks that property, which
-the parallel executor uses to decide whether a sweep can leave the
-serial path.
+Besides the named suites, a few forms carry parameters in the name:
+
+* ``hackbench-g<G>[-p<P>-l<L>]`` — G groups of P pairs, L loops each;
+* ``schbench-m<M>w<W>-r<R>`` — M message threads of W workers, R
+  requests per message thread;
+* ``phoronix-pop<S>-<I>`` — element I of ``suite_population(n, seed=S)``;
+* ``multi:<A>+<B>...`` — the named workloads running together, each at
+  the spec's scale.
+
+A catalogue name need not equal the built workload's ``.name``
+(``hackbench`` builds ``hackbench-g8``); results carry the latter.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from .base import Workload
@@ -21,9 +29,14 @@ from .configure import ConfigureWorkload, configure_names
 from .dacapo import DacapoWorkload, dacapo_names
 from .deadline import DeadlineWorkload, deadline_names
 from .messaging import HackbenchWorkload, SchbenchWorkload
+from .multiapp import MultiAppWorkload
 from .nas import NasWorkload, nas_names
-from .phoronix import PhoronixWorkload, fig13_names
+from .phoronix import PhoronixWorkload, fig13_names, suite_member
 from .servers import apache_siege, leveldb, nginx, redis
+
+_HACKBENCH = re.compile(r"hackbench-g(\d+)(?:-p(\d+)-l(\d+))?")
+_SCHBENCH = re.compile(r"schbench-m(\d+)w(\d+)-r(\d+)")
+_POPULATION = re.compile(r"phoronix-pop(\d+)-(\d+)")
 
 
 def make_workload(name: str, scale: float = 1.0) -> Workload:
@@ -36,16 +49,27 @@ def make_workload(name: str, scale: float = 1.0) -> Workload:
         kern = name.removeprefix("nas-").removesuffix(".C")
         return NasWorkload(kern, scale=scale)
     if name.startswith("phoronix-"):
+        m = _POPULATION.fullmatch(name)
+        if m:
+            return suite_member(int(m[2]), seed=int(m[1]), scale=scale)
         return PhoronixWorkload(name.removeprefix("phoronix-"), scale=scale)
+    if name.startswith("multi:"):
+        parts = name.removeprefix("multi:").split("+")
+        return MultiAppWorkload([make_workload(p, scale) for p in parts])
     if name == "hackbench":
         return HackbenchWorkload()
-    if name.startswith("hackbench-g"):
-        try:
-            return HackbenchWorkload(groups=int(name.removeprefix("hackbench-g")))
-        except ValueError:
-            raise KeyError(f"unknown workload {name!r}; try 'list'") from None
+    m = _HACKBENCH.fullmatch(name)
+    if m:
+        extra = ({} if m[2] is None
+                 else {"pairs_per_group": int(m[2]), "loops": int(m[3])})
+        return HackbenchWorkload(groups=int(m[1]), **extra)
     if name == "schbench":
         return SchbenchWorkload()
+    m = _SCHBENCH.fullmatch(name)
+    if m:
+        return SchbenchWorkload(message_threads=int(m[1]),
+                                workers_per_thread=int(m[2]),
+                                requests=int(m[3]))
     if name == "deadline-periodic":
         return DeadlineWorkload(scale=scale)
     if name == "deadline-sporadic":
@@ -69,15 +93,3 @@ def workload_names() -> List[str]:
     out += deadline_names()
     out += ["hackbench", "nginx", "leveldb", "redis"]
     return out
-
-
-def can_reconstruct(workload: Workload) -> bool:
-    """True if ``make_workload(workload.name, scale)`` rebuilds this
-    workload — the precondition for running it through a RunSpec."""
-    scale = getattr(workload, "scale", 1.0)
-    try:
-        rebuilt = make_workload(workload.name, scale=scale)
-    except KeyError:
-        return False
-    return (rebuilt.name == workload.name
-            and getattr(rebuilt, "scale", 1.0) == scale)

@@ -27,14 +27,16 @@ classes; each class is a parameterised generator here:
   counts with per-frame sync and idle slack.
 
 Table 4 is regenerated from a seeded population of tests drawn from these
-classes with randomised parameters (`suite_population`).
+classes with randomised parameters (`suite_population`; `suite_member`
+builds one element of it).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..kernel.scheduler_core import Kernel
 from ..kernel.syscalls import (Barrier, BarrierWait, Channel, Compute, Fork,
@@ -296,11 +298,11 @@ _POPULATION_MIX = (
 )
 
 
-def suite_population(n_tests: int = 60, seed: int = 7) -> List[PhoronixWorkload]:
-    """A seeded population of synthetic multicore tests (Table 4)."""
+def _population_profiles(seed: int) -> Iterator[PhoronixProfile]:
+    """The seeded population's profiles, in order and without end: each
+    element depends only on the seed and the elements before it."""
     rng = random.Random(seed)
-    out: List[PhoronixWorkload] = []
-    for i in range(n_tests):
+    for i in itertools.count():
         r = rng.random()
         acc = 0.0
         for kind, w in _POPULATION_MIX:
@@ -337,5 +339,18 @@ def suite_population(n_tests: int = 60, seed: int = 7) -> List[PhoronixWorkload]
             prof = PhoronixProfile(name, "steady",
                                    n_threads=rng.randrange(12, 24),
                                    work_ms=rng.uniform(50, 100))
-        out.append(PhoronixWorkload(profile=prof, test=name))
-    return out
+        yield prof
+
+
+def suite_population(n_tests: int = 60, seed: int = 7) -> List[PhoronixWorkload]:
+    """A seeded population of synthetic multicore tests (Table 4)."""
+    return [PhoronixWorkload(profile=prof)
+            for prof in itertools.islice(_population_profiles(seed), n_tests)]
+
+
+def suite_member(index: int, seed: int = 7,
+                 scale: float = 1.0) -> PhoronixWorkload:
+    """Element ``index`` of every ``suite_population(n, seed)`` with
+    ``n > index``, at ``scale``."""
+    prof = next(itertools.islice(_population_profiles(seed), index, None))
+    return PhoronixWorkload(profile=prof, scale=scale)

@@ -94,10 +94,42 @@ class TestCli:
 
     def test_describe(self, capsys):
         assert main(["describe", "fig12"]) == 0
-        assert "Figure 12" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Figure 12" in out
+        assert "(scale 0.2, seeds 1)" in out
+        assert "specs:     72 " in out
 
     def test_describe_unknown_is_error(self, capsys):
         assert main(["describe", "fig99"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "configure-gcc"],
+        ["trace", "fig2"],
+        ["compare", "--workload", "configure-gcc"],
+        ["sweep", "fig2"],
+        ["obs", "analyze", "fig2"],
+        ["obs", "query", "fig2"],
+    ])
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_scale_must_be_positive(self, argv, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--scale", scale])
+        assert exc.value.code == 2
+        assert "must be a positive number" in capsys.readouterr().err
+
+    def test_sweep_defaults_to_the_entry_scale_and_seeds(self, monkeypatch):
+        from repro.experiments.parallel import SweepExecutor
+        from repro.experiments.registry import get_experiment, specs_for
+        seen = []
+        monkeypatch.setattr(SweepExecutor, "run",
+                            lambda self, specs: seen.extend(specs) or [])
+        assert main(["sweep", "other_hackbench", "--no-cache"]) == 0
+        assert seen == specs_for(get_experiment("other_hackbench"))
+        seen.clear()
+        assert main(["sweep", "other_monosocket", "--no-cache",
+                     "--seeds", "2", "--scale", "0.3"]) == 0
+        assert len(seen) == 16
+        assert {(s.scale, s.seed) for s in seen} == {(0.3, 1), (0.3, 2)}
 
     def test_run_unknown_workload_is_error(self):
         assert main(["run", "--workload", "nope"]) == 2

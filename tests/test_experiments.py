@@ -87,7 +87,7 @@ class TestRunExperiment:
 
 class TestCompare:
     def test_compare_computes_speedups(self):
-        cmp = compare(lambda: ConfigureWorkload("gcc"), SMALL,
+        cmp = compare("configure-gcc", "ryzen_4650g",
                       combos=(("cfs", "schedutil"), ("nest", "schedutil")),
                       seeds=(1, 2))
         s = cmp.speedup_of("nest", "schedutil")
@@ -96,12 +96,28 @@ class TestCompare:
         assert cmp.baseline.label == "cfs-schedutil"
 
     def test_compare_tracks_underload_and_energy(self):
-        cmp = compare(lambda: ConfigureWorkload("gcc"), SMALL,
+        cmp = compare("configure-gcc", "ryzen_4650g",
                       combos=(("cfs", "schedutil"), ("nest", "schedutil")),
                       seeds=(1,))
         assert cmp.underload_of("cfs", "schedutil") >= 0
         assert isinstance(cmp.energy_savings_of("nest", "schedutil"), float)
         assert cmp.error_bar_of("nest", "schedutil") >= 0
+
+    def test_compare_runs_the_named_workload_with_any_executor(self,
+                                                               tmp_path):
+        from repro.experiments.cache import ResultCache
+        from repro.experiments.parallel import SweepExecutor
+        from repro.workloads.messaging import HackbenchWorkload
+        direct = run_experiment(
+            HackbenchWorkload(groups=2, pairs_per_group=2, loops=10),
+            SMALL, "cfs", "schedutil", seed=1)
+        for executor in (None, SweepExecutor(
+                jobs=1, cache=ResultCache(tmp_path / "cache"))):
+            cmp = compare("hackbench-g2-p2-l10", "ryzen_4650g",
+                          combos=(BASELINE,), seeds=(1,), executor=executor)
+            assert cmp.baseline.makespans_us == [direct.makespan_us]
+            assert (cmp.workload, cmp.machine) == ("hackbench-g2",
+                                                   SMALL.name)
 
     def test_standard_combos(self):
         assert BASELINE in STANDARD_COMBOS

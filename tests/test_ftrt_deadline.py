@@ -26,7 +26,7 @@ from repro.sched.ftrt import FtrtPolicy
 from repro.sched.registry import (available_policies, make_registered_policy,
                                   register_policy)
 from repro.sim.engine import Engine
-from repro.workloads.catalog import can_reconstruct, make_workload
+from repro.workloads.catalog import make_workload
 from repro.workloads.deadline import DeadlineWorkload
 
 MACHINE = Machine(name="t", cpu_model="t", microarchitecture="t",
@@ -186,7 +186,7 @@ class TestDeadlineWorkload:
         for name in ("deadline-periodic", "deadline-sporadic"):
             wl = make_workload(name, scale=0.5)
             assert wl.name == name
-            assert can_reconstruct(wl)
+            assert vars(make_workload(wl.name, scale=wl.scale)) == vars(wl)
 
     def test_scale_scales_job_count(self):
         assert make_workload("deadline-periodic", scale=0.5).jobs == 16

@@ -108,12 +108,11 @@ class TestSweepExecutor:
 
 class TestCompareWithExecutor:
     def test_compare_identical_serial_vs_executor(self):
-        factory = lambda: make_workload("phoronix-libavif-avifenc-1",
-                                        scale=0.3)
-        machine = get_machine("5218_2s")
         combos = (("cfs", "schedutil"), ("nest", "schedutil"))
-        plain = compare(factory, machine, combos=combos, seeds=(1, 2))
-        pooled = compare(factory, machine, combos=combos, seeds=(1, 2),
+        plain = compare("phoronix-libavif-avifenc-1", "5218_2s",
+                        combos=combos, seeds=(1, 2), scale=0.3)
+        pooled = compare("phoronix-libavif-avifenc-1", "5218_2s",
+                         combos=combos, seeds=(1, 2), scale=0.3,
                          executor=SweepExecutor(jobs=2))
         assert plain.workload == pooled.workload
         assert plain.machine == pooled.machine

@@ -26,16 +26,16 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
 Sweeping commands (``compare``, ``sweep``) parallelise over worker
 processes (``--jobs`` / ``$REPRO_JOBS``, default: all cpus), consult
 the content-addressed result cache under ``.repro-cache/`` unless
-``--no-cache`` is given, and show a live view with ``--progress``
-(``--progress=plain`` for CI logs).  Every sweep streams telemetry to
-``<cache>/telemetry/<sweep>.jsonl`` and archives itself into
-``<cache>/history.sqlite`` (disable both with ``--no-telemetry``).  That
-history row is the one record of a sweep: ``repro obs report`` digests
-the newest one, ``repro history diff`` gates a sweep against a baseline
-and ``repro obs dashboard`` renders the whole thing as one
-self-contained HTML file.  A spec whose simulation raises stops the
-sweep at once (``--keep-going`` skips it instead); only a crashed or
-hung worker pool is retried (``--timeout`` bounds a hang).
+``--no-cache`` is given, and show a progress line with ``--progress``
+(``--progress=plain`` for CI logs).  Every sweep archives itself into
+``<cache>/history.sqlite`` (``--no-telemetry`` drops that row), with
+each simulated run's worker pid and wall-clock times.  That history row
+is the one record of a sweep: ``repro obs report`` digests the newest
+one, ``repro history diff`` gates a sweep against a baseline and
+``repro obs dashboard`` renders the whole thing, worker timeline
+included, as one self-contained HTML file.  A spec whose simulation
+raises stops the sweep at once (``--keep-going`` skips it instead); only
+a crashed or hung worker pool is retried (``--timeout`` bounds a hang).
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from ..faults import FAULT_PROFILES, FaultConfig, fault_profile
 from ..hw.machines import ALL_MACHINES, get_machine
 from ..obs.export import events_to_jsonl, text_summary, write_chrome_trace
 from ..obs.history import HistoryStore, append_trajectory, trajectory_entries
-from ..obs.telemetry.hub import TelemetryHub
-from ..obs.telemetry.view import make_view
+from ..obs.progress import make_view
 from ..sched.registry import available_policies, iter_policy_infos
 from ..workloads.catalog import make_workload, workload_names
 from .cache import ResultCache
@@ -77,20 +76,15 @@ def _executor_from_args(args) -> SweepExecutor:
     if not getattr(args, "no_cache", False):
         root = getattr(args, "cache_dir", None)
         cache = ResultCache(Path(root) if root else None)
-    view = make_view(getattr(args, "progress", None) or "none", sys.stderr)
-    stream_dir = history = None
+    history = None
     if cache is not None and not getattr(args, "no_telemetry", False):
-        stream_dir = cache.root / "telemetry"
         history = HistoryStore(cache.root / "history.sqlite")
-    telemetry = None
-    if view is not None or stream_dir is not None:
-        # --no-telemetry leaves a view-only hub: no stream, no history.
-        telemetry = TelemetryHub(stream_dir=stream_dir, view=view,
-                                 history=history)
     return SweepExecutor(jobs=args.jobs, cache=cache,
                          timeout_s=getattr(args, "timeout", None),
                          skip_failures=getattr(args, "keep_going", False),
-                         telemetry=telemetry)
+                         view=make_view(getattr(args, "progress", None),
+                                        sys.stderr),
+                         history=history)
 
 
 def _faults_from_args(args) -> "FaultConfig | None":
@@ -198,8 +192,8 @@ def _cmd_obs(args) -> int:
 
     path = _history_path(args.cache_dir)
     if not path.exists():
-        print(f"no run history at {path} — run a sweep or compare with "
-              f"telemetry enabled first", file=sys.stderr)
+        print(f"no run history at {path} — run a sweep or compare "
+              f"without --no-telemetry first", file=sys.stderr)
         return 1
     with HistoryStore(path) as store:
         try:
@@ -365,8 +359,8 @@ def _cmd_obs_dashboard(args) -> int:
 
     history = _history_path(args.cache_dir)
     if not history.exists():
-        print(f"no run history at {history} — run a sweep with telemetry "
-              f"enabled first", file=sys.stderr)
+        print(f"no run history at {history} — run a sweep without "
+              f"--no-telemetry first", file=sys.stderr)
         return 1
     trajectory = Path(args.trajectory) if args.trajectory else None
     if trajectory is None:
@@ -375,7 +369,6 @@ def _cmd_obs_dashboard(args) -> int:
     try:
         html_text = build_dashboard(
             history, sweep_ref=args.sweep,
-            stream_dir=history.parent / "telemetry",
             trajectory_path=trajectory,
             traces_dir=Path(args.traces_dir) if args.traces_dir else None)
     except KeyError as exc:
@@ -392,8 +385,8 @@ def _cmd_history(args) -> int:
         return _cmd_history_export(args)
     path = _history_path(args.cache_dir)
     if not path.exists():
-        print(f"no run history at {path} — run a sweep with telemetry "
-              f"enabled first", file=sys.stderr)
+        print(f"no run history at {path} — run a sweep without "
+              f"--no-telemetry first", file=sys.stderr)
         return 1
     with HistoryStore(path) as store:
         if args.action == "list":
@@ -711,16 +704,16 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                         "$REPRO_CACHE_DIR or .repro-cache)")
     p.add_argument("--progress", nargs="?", const="auto", default=None,
                    choices=["auto", "live", "plain", "none"],
-                   help="sweep progress on stderr: 'live' (multi-line ANSI "
-                        "view with per-worker heartbeats), 'plain' (one "
-                        "line per run — the non-TTY/CI fallback), 'auto' "
-                        "(live on a TTY, plain otherwise).  Bare "
-                        "--progress means auto")
+                   help="sweep progress on stderr: 'live' (one status "
+                        "line redrawn as runs finish: done/total, rate, "
+                        "ETA, cache hits), 'plain' (one line per run — the "
+                        "non-TTY/CI fallback), 'auto' (live on a TTY, plain "
+                        "otherwise).  Bare --progress means auto")
     p.add_argument("--no-telemetry", action="store_true",
-                   help="write neither the telemetry stream nor the "
-                        "history row, so the sweep leaves no record and "
-                        "'obs report' describes the last sweep history "
-                        "recorded (--progress still renders its view)")
+                   help="write no history row, so the sweep leaves no "
+                        "record and 'obs report' describes the last sweep "
+                        "history recorded (--progress still renders its "
+                        "view)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="kill and retry the worker pool if no run completes "
                         "for this long (default: wait forever)")
@@ -819,8 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_p.add_subparsers(dest="action", required=True)
 
     oreport_p = obs_sub.add_parser(
-        "report", help="digest of the newest sweep in the run history "
-                       "(a --no-telemetry sweep is not recorded there)")
+        "report", help="digest of the newest sweep in the run history; "
+                       "its run rows carry each simulated run's worker pid "
+                       "and times (a --no-telemetry sweep is not recorded "
+                       "there)")
     oreport_p.add_argument("--cache-dir", default=None)
     oreport_p.add_argument("--top", type=int, default=8,
                            help="show the N slowest runs (default: 8)")

@@ -24,9 +24,13 @@ Only failures of the process pool itself are retried:
 
 Every completed run is written to the cache as it finishes, so an
 interrupted sweep resumes through plain cache hits.  Whatever ends a
-sweep — a failed spec, ``KeyboardInterrupt`` — its telemetry is closed
-and its history row records it as interrupted; ``KeyboardInterrupt``
-also prints a partial summary before re-raising.
+sweep — a failed spec, ``KeyboardInterrupt`` — its progress view is
+finished and its history row records it as interrupted;
+``KeyboardInterrupt`` also prints a partial summary before re-raising.
+Each run's row carries the pid of the process that simulated it and the
+run's wall-clock start and end, which the dashboard's worker timeline
+draws; they travel beside the :class:`RunResult`, never inside it, so
+cached results do not change.
 
 Worker count comes from, in order: the ``jobs`` argument, the
 ``$REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -40,17 +44,21 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..core.params import NestParams
 from ..faults import FaultConfig
 from ..hw.machines import get_machine
 from ..kernel.scheduler_core import KernelConfig
 from ..metrics.summary import RunResult
-from ..obs.telemetry.hub import TelemetryHub, worker_telemetry
 from ..workloads.catalog import make_workload
 from .cache import ResultCache, spec_key
 from .runner import run_experiment
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.history import HistoryStore
+    from ..obs.progress import ProgressView
 
 
 def default_jobs() -> int:
@@ -131,40 +139,35 @@ def execute_spec(spec: RunSpec, collect_events: bool = False,
     ``collect_events`` and ``policy_probe`` pass through to
     :func:`run_experiment` for in-process callers (the CLI, the oracle);
     they are not spec fields, so they never reach the cache key.
-
-    When this process carries a telemetry emitter (pool workers get one
-    from :meth:`TelemetryHub.pool_init`; the parent gets one for
-    serial/degraded rounds), the run streams ``run_start`` / heartbeat /
-    ``run_end`` records back to the hub — purely observational, so the
-    result is bit-identical either way.
     """
-    telemetry = worker_telemetry()
-    if telemetry is not None:
-        telemetry.run_start(spec.label)
-    try:
-        workload = make_workload(spec.workload, scale=spec.scale)
-        result = run_experiment(
-            workload,
-            get_machine(spec.machine),
-            spec.scheduler,
-            spec.governor,
-            seed=spec.seed,
-            nest_params=spec.nest_params,
-            record_trace=spec.record_trace,
-            max_us=spec.max_us,
-            kernel_config=spec.kernel_config,
-            collect_events=collect_events,
-            faults=spec.faults,
-            policy_probe=policy_probe,
-            telemetry=telemetry,
-        )
-    except BaseException as exc:
-        if telemetry is not None:
-            telemetry.run_error(spec.label, exc)
-        raise
-    if telemetry is not None:
-        telemetry.run_end(result)
-    return result
+    return run_experiment(
+        make_workload(spec.workload, scale=spec.scale),
+        get_machine(spec.machine),
+        spec.scheduler,
+        spec.governor,
+        seed=spec.seed,
+        nest_params=spec.nest_params,
+        record_trace=spec.record_trace,
+        max_us=spec.max_us,
+        kernel_config=spec.kernel_config,
+        collect_events=collect_events,
+        faults=spec.faults,
+        policy_probe=policy_probe,
+    )
+
+
+#: Where and when a run was simulated: (pid, started, ended), the times
+#: in wall-clock epoch seconds so runs of different workers line up.
+Placement = Tuple[int, float, float]
+
+
+def _timed_execute(spec: RunSpec) -> Tuple[RunResult, Placement]:
+    """The executor's worker function, in a pool and in serial rounds:
+    :func:`execute_spec` (looked up at call time, so a patched module
+    global is honoured), with the pid and wall-clock span of the run."""
+    started = time.time()
+    result = execute_spec(spec)
+    return result, (os.getpid(), started, time.time())
 
 
 @dataclass
@@ -281,7 +284,8 @@ class _SweepState:
         self.skipped: Set[int] = set()
         self.degraded = False
         self.pool_breaks = 0
-        self.completed: Set[int] = set()
+        # index -> who simulated it and when, for each run done here
+        self.completed: Dict[int, Placement] = {}
         self.events = 0
         self.sim_wall = 0.0
         self.max_workers = 0
@@ -303,6 +307,13 @@ class SweepExecutor:
     a spec caught in a pool that ``timeout_s`` killed.  ``timeout_s``
     bounds how long the pool may go without completing any run before it
     is presumed hung.
+
+    Two optional observers see the sweep: ``view``, a
+    :class:`~repro.obs.progress.ProgressView` told of each run as it
+    leaves the sweep (one that raises is benched), and ``history``, a
+    :class:`~repro.obs.history.HistoryStore` that gets the sweep's row
+    and its run rows when ``run`` returns or raises (a write that raises
+    is ignored).  Neither can change a result.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -310,16 +321,16 @@ class SweepExecutor:
                  timeout_s: Optional[float] = None,
                  retries: int = 2,
                  skip_failures: bool = False,
-                 telemetry: Optional[TelemetryHub] = None) -> None:
+                 view: Optional["ProgressView"] = None,
+                 history: Optional["HistoryStore"] = None) -> None:
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.cache = cache
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
         self.skip_failures = skip_failures
-        self.telemetry = telemetry
+        self.view = view
+        self.history = history
         self.last_stats = SweepStats()
-        self._done = 0
-        self._total = 0
 
     # ------------------------------------------------------------------
 
@@ -333,10 +344,7 @@ class SweepExecutor:
         specs = list(specs)
         n = len(specs)
         results: List[Optional[RunResult]] = [None] * n
-        self._done = 0
-        self._total = n
-        if self.telemetry is not None:
-            self.telemetry.open_sweep(n_specs=n, jobs=self.jobs)
+        self._show("start", n)
 
         misses: List[int] = []
         hits = 0
@@ -351,19 +359,15 @@ class SweepExecutor:
         else:
             misses = list(range(n))
         for i, res in enumerate(results):
-            if res is None:
-                continue
-            self._done += 1
-            if self.telemetry is not None:
-                self.telemetry.run_done(specs[i].label, "cached",
-                                        self._done, n, result=res)
+            if res is not None:
+                self._show("run_done", specs[i].label, "cached")
 
         state = _SweepState()
         try:
             self._execute(specs, misses, results, state)
         except BaseException as exc:
-            # Close the sweep on every way out, so the hub's emitter,
-            # drain thread, stream and history row do not outlive it.
+            # Close the sweep on every way out: the view finishes and
+            # the history row records what completed.
             self._finalize(specs, results, misses, hits, state, t0,
                            interrupted=True)
             if isinstance(exc, KeyboardInterrupt):
@@ -399,26 +403,22 @@ class SweepExecutor:
                       state: _SweepState) -> None:
         for i in todo:
             try:
-                res = execute_spec(specs[i])
+                res, placed = _timed_execute(specs[i])
             except Exception as exc:
                 state.attempts[i] = state.attempts.get(i, 0) + 1
                 self._give_up(specs, i, state, repr(exc))
                 continue
             results[i] = res
-            self._complete(specs, i, res, state)
+            self._complete(specs, i, res, placed, state)
 
     def _pool_round(self, specs: List[RunSpec], todo: List[int],
                     results: List[Optional[RunResult]], state: _SweepState,
                     workers: int) -> List[int]:
         """One pool over ``todo``; returns the specs to run again."""
-        initializer, initargs = (None, ())
-        if self.telemetry is not None:
-            initializer, initargs = self.telemetry.pool_init()
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=initializer,
-                                   initargs=initargs)
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = {pool.submit(execute_spec, specs[i]): i for i in todo}
+            futures = {pool.submit(_timed_execute, specs[i]): i
+                       for i in todo}
             pending = set(futures)
             while pending:
                 finished, pending = wait(pending, timeout=self.timeout_s,
@@ -443,7 +443,7 @@ class SweepExecutor:
                 for fut in finished:
                     i = futures[fut]
                     try:
-                        res = fut.result()
+                        res, placed = fut.result()
                     except BrokenProcessPool:
                         broken = True
                         break
@@ -452,7 +452,7 @@ class SweepExecutor:
                         self._give_up(specs, i, state, repr(exc))
                     else:
                         results[i] = res
-                        self._complete(specs, i, res, state)
+                        self._complete(specs, i, res, placed, state)
                 if broken:
                     # A worker died (crash, OOM-kill, ...) and took the
                     # whole pool with it.  Everything unfinished goes into
@@ -503,16 +503,13 @@ class SweepExecutor:
             raise SweepFailure(f"{specs[i].label} failed after "
                                f"{state.attempts[i]} attempt(s): {error}")
         state.skipped.add(i)
-        if self.telemetry is not None:
-            self.telemetry.run_done(specs[i].label, "skipped",
-                                    self._done, self._total,
-                                    attempts=state.attempts[i])
+        self._show("run_done", specs[i].label, "skipped")
 
     def _complete(self, specs: List[RunSpec], i: int, res: RunResult,
-                  state: _SweepState) -> None:
+                  placed: Placement, state: _SweepState) -> None:
         """Bookkeeping for one finished run, and its cache entry: written
         now, so an interrupted sweep resumes through plain cache hits."""
-        state.completed.add(i)
+        state.completed[i] = placed
         state.events += res.events_processed
         state.sim_wall += res.sim_wall_s
         if self.cache is not None:
@@ -520,12 +517,18 @@ class SweepExecutor:
                 self.cache.put_spec(specs[i], res)
             except OSError:
                 pass   # a read-only cache dir must not kill the sweep
-        self._done += 1
-        if self.telemetry is not None:
-            outcome = "retried" if i in state.retried else "simulated"
-            self.telemetry.run_done(
-                specs[i].label, outcome, self._done, self._total, result=res,
-                attempts=state.attempts.get(i, 0) + 1)
+        self._show("run_done", specs[i].label,
+                   "retried" if i in state.retried else "simulated",
+                   res.sim_wall_s)
+
+    def _show(self, method: str, *args: Any) -> None:
+        """Tell the progress view; a view that raises is benched."""
+        if self.view is None:
+            return
+        try:
+            getattr(self.view, method)(*args)
+        except Exception:
+            self.view = None   # a broken renderer must not kill runs
 
     # ------------------------------------------------------------------
     # Reporting
@@ -551,14 +554,17 @@ class SweepExecutor:
             degraded=state.degraded,
             interrupted=interrupted,
         )
-        hub = self.telemetry
-        if hub is None:
+        stats = self.last_stats.as_dict()
+        self._show("finish", stats)
+        if self.history is None:
             return
-        # The run entries exist for the history row alone.
-        runs = (self._run_entries(specs, results, misses, state)
-                if hub.history is not None else None)
-        hub.close_sweep(self.last_stats.as_dict(), runs,
-                        interrupted=interrupted)
+        uid = time.strftime("%Y%m%d-%H%M%S") + f"-{os.urandom(3).hex()}"
+        try:
+            self.history.record_sweep(
+                uid, stats, self._run_entries(specs, results, misses, state),
+                interrupted=interrupted)
+        except Exception:
+            pass   # history is a sink, never a failure mode
 
     def _run_entries(self, specs: List[RunSpec],
                      results: List[Optional[RunResult]], misses: List[int],
@@ -568,7 +574,9 @@ class SweepExecutor:
         Each run records an ``outcome``: ``cached`` / ``simulated`` /
         ``retried`` (simulated, needed >1 attempt) / ``skipped`` /
         ``pending`` (no result: the sweep stopped first, or this spec
-        raised and stopped it — then its ``error`` says why).
+        raised and stopped it — then its ``error`` says why).  A run
+        simulated in this sweep also records the ``pid`` that ran it and
+        its wall-clock ``started`` / ``ended`` times.
         """
         missset = set(misses)
         runs = []
@@ -601,6 +609,9 @@ class SweepExecutor:
                 entry["energy_j"] = res.energy_joules
                 entry["rss_peak_kb"] = res.rss_peak_kb
                 entry["metrics"] = _history_metrics(res.metrics)
+            if i in state.completed:
+                entry["pid"], entry["started"], entry["ended"] = \
+                    state.completed[i]
             if i in state.errors:
                 entry["error"] = state.errors[i]
             runs.append(entry)

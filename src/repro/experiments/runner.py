@@ -10,10 +10,12 @@ speedup/error-bar numbers plotted in Figures 5-13.
 
 from __future__ import annotations
 
+import gc
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.params import NestParams
 from ..faults import FaultConfig, FaultInjector, FaultPlan
@@ -34,6 +36,11 @@ from ..workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .parallel import SweepExecutor
+
+try:
+    import resource as _resource
+except ImportError:  # pragma: no cover - non-POSIX
+    _resource = None
 
 #: The paper's baseline combination (§5.1).
 BASELINE = ("cfs", "schedutil")
@@ -62,6 +69,28 @@ def make_governor(name: str) -> Governor:
     raise ValueError(f"unknown governor {name!r}")
 
 
+def rss_peak_kb() -> int:
+    """This process's peak resident set size, in KiB (0 if unknown).
+
+    ``ru_maxrss`` is a process-lifetime high-water mark: in a pool worker
+    that has executed several runs it is the peak *so far*, not the peak
+    of the current run alone.
+    """
+    if _resource is None:
+        return 0
+    peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
+        peak //= 1024
+    return int(peak)
+
+
+def gc_totals() -> Tuple[int, int]:
+    """(collections, objects collected) summed over all GC generations."""
+    stats = gc.get_stats()
+    return (sum(s.get("collections", 0) for s in stats),
+            sum(s.get("collected", 0) for s in stats))
+
+
 def run_experiment(
     workload: Workload,
     machine: Machine,
@@ -75,7 +104,6 @@ def run_experiment(
     collect_events: bool = False,
     faults: Optional[FaultConfig] = None,
     policy_probe: Optional[Callable[[SelectionPolicy], None]] = None,
-    telemetry: Optional[Any] = None,
 ) -> RunResult:
     """Run one simulation to completion and collect its measurements.
 
@@ -92,18 +120,7 @@ def run_experiment(
     run (and after its own invariant check), before the policy is
     discarded — the verification oracle uses it to snapshot final nest
     membership, which never reaches the serialized result.
-
-    ``telemetry`` is a per-process
-    :class:`~repro.obs.telemetry.hub.WorkerTelemetry` emitter (installed
-    by the sweep executor's pool initializer); when present, a
-    wall-clock-gated heartbeat sink is piggybacked on the tracer so the
-    parent sees live sim-time progress.  The sink only *reads* engine
-    state — a telemetry-on run stays bit-identical to a telemetry-off
-    run.
     """
-    # Imported here: the telemetry hub pulls in multiprocessing, which
-    # importing the runner alone should not pay for.
-    from ..obs.telemetry.hub import gc_totals, rss_peak_kb
     wall_start = time.perf_counter()
     gc_base = gc_totals()
     engine = Engine(seed)
@@ -119,8 +136,6 @@ def run_experiment(
     kernel.runnable_observers.append(under.runnable_sink)
     fdist = FreqDistribution(machine)
     tracer.add_sink(fdist.segment_sink)
-    if telemetry is not None:
-        tracer.add_sink(telemetry.heartbeat_sink(engine))
 
     injector: Optional[FaultInjector] = None
     if faults is not None and faults.enabled:
@@ -255,9 +270,12 @@ def compare(
     ``executor`` fans them out over worker processes and consults its
     result cache; without one they run serially and uncached
     (``SweepExecutor(jobs=1)``).  Results come back in spec order, so the
-    aggregates are the same whichever executor ran them.
+    aggregates are the same whichever executor ran them.  If the
+    executor skipped a failed spec (``skip_failures``), this raises
+    :class:`~repro.experiments.parallel.SweepFailure` naming every
+    skipped run; the others are cached, so a rerun simulates only those.
     """
-    from .parallel import RunSpec, SweepExecutor
+    from .parallel import RunSpec, SweepExecutor, SweepFailure
 
     specs = [RunSpec(workload=workload, machine=machine, scheduler=scheduler,
                      governor=governor, seed=seed, scale=scale,
@@ -268,6 +286,12 @@ def compare(
     if executor is None:
         executor = SweepExecutor(jobs=1)
     results = executor.run(specs)
+    skipped = [spec.label for spec, res in zip(specs, results) if res is None]
+    if skipped:
+        # A speedup pairs the baseline with each candidate over the same
+        # seeds; dropping a run would compare different seed sets.
+        raise SweepFailure("compare needs every run; the sweep skipped "
+                           + ", ".join(skipped))
     n = len(seeds)
     stats: Dict[Tuple[str, str], ComboStats] = {}
     for i, (scheduler, governor) in enumerate(combos):

@@ -19,16 +19,16 @@ Designed to cost nothing when nobody is looking.  Per-run pieces:
 
 Sweep-level pieces (see DESIGN.md §8):
 
-* :mod:`repro.obs.telemetry` — live worker→parent record streaming
-  (heartbeats, per-run summaries) over a multiprocessing queue, with a
-  crash-safe JSONL stream and live/plain progress views (``--progress``).
+* :mod:`repro.obs.progress` — the live/plain progress views
+  (``--progress``) the sweep executor tells of each run as it finishes.
 * :mod:`repro.obs.history` — sqlite-backed run-history store behind the
-  ``repro history`` CLI: every completed sweep is recorded, ``history
-  diff`` gates wall-time and metric regressions, ``export-trajectory``
-  generates ``BENCH_trajectory.json`` entries.
+  ``repro history`` CLI: every sweep is recorded, with each simulated
+  run's worker pid and wall-clock times; ``history diff`` gates
+  wall-time and metric regressions, ``export-trajectory`` generates
+  ``BENCH_trajectory.json`` entries.
 * :mod:`repro.obs.dashboard` — ``repro obs dashboard``: a self-contained
-  static HTML rendering of a sweep plus its history (stdlib only, inline
-  CSS/SVG, no scripts).
+  static HTML rendering of a sweep plus its history, worker timeline
+  included (stdlib only, inline CSS/SVG, no scripts).
 """
 
 from .events import EVENT_KINDS, SchedEvent

@@ -13,8 +13,8 @@ Sections, each fed by one observability layer:
 * **Runs table** — per-run wall-time bars, outcome chips, makespan /
   energy / peak-RSS columns, attempts;
 * **Worker timeline** — an SVG Gantt strip per worker pid, drawn from
-  the sweep's telemetry JSONL stream (``run_start``/``run_end``
-  records), with heartbeat ticks;
+  the pid and wall-clock start and end of each run the sweep simulated
+  (its history run rows);
 * **History sparklines** — wall time and events/s across the archived
   sweeps, plus one perfbench ``sweep_wall_s`` sparkline per workload
   across ``BENCH_trajectory.json`` entries (the PR-over-PR perf
@@ -140,64 +140,41 @@ def _sparkline(values: Sequence[float], width: int = 220, height: int = 40,
 
 
 # ---------------------------------------------------------------------------
-# Worker timeline (SVG Gantt from the telemetry stream)
+# Worker timeline (SVG Gantt from the history run rows)
 # ---------------------------------------------------------------------------
 
-def _timeline_svg(records: List[Dict[str, Any]]) -> str:
-    """Per-pid activity strips from run_start/run_end/hb records."""
-    starts: Dict[tuple, float] = {}
-    spans: List[tuple] = []           # (pid, run, t0, t1, ok)
-    beats: List[tuple] = []           # (pid, ts)
-    t_min = t_max = None
-    for rec in records:
-        ts = rec.get("ts")
-        if not isinstance(ts, (int, float)):
-            continue
-        t_min = ts if t_min is None else min(t_min, ts)
-        t_max = ts if t_max is None else max(t_max, ts)
-        kind, pid, run = rec.get("t"), rec.get("pid"), rec.get("run")
-        if kind == "run_start":
-            starts[(pid, run)] = ts
-        elif kind in ("run_end", "run_error") and (pid, run) in starts:
-            spans.append((pid, run, starts.pop((pid, run)), ts,
-                          kind == "run_end"))
-        elif kind == "hb" and pid is not None:
-            beats.append((pid, ts))
-    # A run cut off by an interrupt has a start and no end: draw it to
-    # the end of the stream so the interruption is visible.
-    for (pid, run), t0 in starts.items():
-        if t_max is not None:
-            spans.append((pid, run, t0, t_max, False))
-    if not spans or t_min is None or t_max <= t_min:
-        return ('<p class="muted">no worker activity recorded '
-                '(fully cached sweep, or telemetry stream missing)</p>')
-    pids = sorted({pid for pid, *_ in spans})
+def _timeline_svg(runs: List[Dict[str, Any]]) -> str:
+    """Per-pid activity strips from the runs' pid/started/ended columns,
+    which the executor sets together, and only on the runs it simulated."""
+    spans = [r for r in runs if r["pid"] is not None]
+    if not spans:
+        return ('<p class="muted">no worker activity recorded (fully '
+                'cached sweep, or one recorded before history kept worker '
+                'times)</p>')
+    t_min = min(r["started"] for r in spans)
+    t_max = max(r["ended"] for r in spans)
+    pids = sorted({r["pid"] for r in spans})
     width, row_h, left = 900, 26, 70
     height = row_h * len(pids) + 30
-    scale = (width - left - 10) / (t_max - t_min)
+    scale = (width - left - 10) / max(t_max - t_min, 1e-9)
     parts = [f'<svg width="{width}" height="{height}" role="img" '
              f'aria-label="worker timeline">']
     for row, pid in enumerate(pids):
         y = 10 + row * row_h
         parts.append(f'<text x="2" y="{y + 13}" font-size="11" '
                      f'fill="#868e96">pid {_esc(pid)}</text>')
-        for s_pid, run, t0, t1, ok in spans:
-            if s_pid != pid:
+        for run in spans:
+            if run["pid"] != pid:
                 continue
+            t0, t1 = run["started"], run["ended"]
             x = left + (t0 - t_min) * scale
             w = max((t1 - t0) * scale, 2.0)
-            color = "#2f9e44" if ok else "#e03131"
+            color = OUTCOME_COLORS.get(run["outcome"], "#868e96")
             parts.append(
                 f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" '
                 f'height="{row_h - 8}" rx="2" fill="{color}" '
-                f'opacity="0.8"><title>{_esc(run)} '
+                f'opacity="0.8"><title>{_esc(run["label"])} '
                 f'({t1 - t0:.2f}s)</title></rect>')
-        for b_pid, ts in beats:
-            if b_pid != pid:
-                continue
-            x = left + (ts - t_min) * scale
-            parts.append(f'<rect x="{x:.1f}" y="{y + row_h - 7}" width="1" '
-                         f'height="4" fill="#1971c2"/>')
     axis_y = height - 14
     parts.append(f'<text x="{left}" y="{axis_y + 10}" font-size="10" '
                  f'fill="#868e96">0s</text>')
@@ -407,7 +384,6 @@ def _traces_section(traces_dir: Optional[Path]) -> str:
 
 def build_dashboard(history_path: Path,
                     sweep_ref: str = "last",
-                    stream_dir: Optional[Path] = None,
                     trajectory_path: Optional[Path] = None,
                     traces_dir: Optional[Path] = None) -> str:
     """The dashboard HTML for one archived sweep (raises KeyError if the
@@ -416,18 +392,12 @@ def build_dashboard(history_path: Path,
         sweep = store.resolve(sweep_ref)
         runs = store.runs_of(sweep["id"])
         history_html = _history_section(store)
-    records: List[Dict[str, Any]] = []
-    if stream_dir is not None:
-        stream = Path(stream_dir) / f"{sweep['uid']}.jsonl"
-        if stream.exists():
-            from .telemetry.hub import load_stream
-            records = load_stream(stream)
-    return render_dashboard(sweep, runs, records, history_html,
+    return render_dashboard(sweep, runs, history_html,
                             trajectory_path, traces_dir)
 
 
 def render_dashboard(sweep: Dict[str, Any], runs: List[Dict[str, Any]],
-                     records: List[Dict[str, Any]], history_html: str,
+                     history_html: str,
                      trajectory_path: Optional[Path] = None,
                      traces_dir: Optional[Path] = None) -> str:
     """Assemble the final single-file HTML from pre-fetched pieces."""
@@ -447,7 +417,7 @@ def render_dashboard(sweep: Dict[str, Any], runs: List[Dict[str, Any]],
 <h2>Analysis</h2>
 {_analysis_section(runs)}
 <h2>Worker timeline</h2>
-{_timeline_svg(records)}
+{_timeline_svg(runs)}
 <h2>History</h2>
 {history_html}
 <h2>Perf trajectory</h2>

@@ -1,14 +1,16 @@
 """Persistent run history: every finished sweep, queryable and diffable.
 
-The telemetry JSONL streams (``obs/telemetry``) answer "what is this
-sweep doing *right now*"; this module answers "how does it compare to
-every sweep that came before".  A :class:`HistoryStore` is a single
-sqlite file (usually ``<cache>/history.sqlite``) that
-:meth:`~repro.obs.telemetry.hub.TelemetryHub.close_sweep` appends to:
-one row per sweep (stats, git sha, wall time, hardening counters) and
-one row per run (spec key, outcome, wall time, makespan, energy, peak
-RSS, scalar metrics).  The runs table's ``engine`` column predates the
-single simulation engine; new rows leave it NULL.
+A sweep's history row is its one record: it answers "what did this sweep
+do, and how does it compare to every sweep that came before".  A
+:class:`HistoryStore` is a single sqlite file (usually
+``<cache>/history.sqlite``) that
+:class:`~repro.experiments.parallel.SweepExecutor` appends to when a
+sweep ends: one row per sweep (stats, git sha, wall time, hardening
+counters) and one row per run (spec key, outcome, wall time, makespan,
+energy, peak RSS, scalar metrics, and for a run simulated in that sweep
+the worker pid and wall-clock start and end the dashboard's timeline
+draws).  The runs table's ``engine`` column predates the single
+simulation engine; new rows leave it NULL.
 
 On top of the store sit the regression gates:
 
@@ -113,9 +115,15 @@ def _migrate_to_v1(con: sqlite3.Connection) -> None:
     con.execute("CREATE INDEX idx_runs_spec ON runs(spec_key)")
 
 
+def _migrate_to_v2(con: sqlite3.Connection) -> None:
+    """v1 -> v2: who ran each run and when (rows from v1 read NULL)."""
+    for column in ("pid INTEGER", "started REAL", "ended REAL"):
+        con.execute(f"ALTER TABLE runs ADD COLUMN {column}")
+
+
 #: Ordered migrations; entry *i* upgrades ``user_version`` i -> i+1.
 #: Append, never edit: old history files replay the whole chain.
-MIGRATIONS = [_migrate_to_v1]
+MIGRATIONS = [_migrate_to_v1, _migrate_to_v2]
 
 SCHEMA_VERSION = len(MIGRATIONS)
 
@@ -232,8 +240,8 @@ class HistoryStore:
                 """INSERT INTO runs (sweep_id, label, spec_key, seed,
                        outcome, cached, completed, attempts, sim_wall_s,
                        events, makespan_us, energy_j, rss_peak_kb,
-                       metrics_json, error)
-                   VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)""",
+                       metrics_json, error, pid, started, ended)
+                   VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)""",
                 [(sweep_id, r.get("label", "?"), r.get("spec_key"),
                   r.get("seed"), r.get("outcome", "?"),
                   int(bool(r.get("cached", False))),
@@ -243,7 +251,8 @@ class HistoryStore:
                   r.get("energy_j"), r.get("rss_peak_kb"),
                   json.dumps(r["metrics"], sort_keys=True)
                   if r.get("metrics") else None,
-                  r.get("error")) for r in runs])
+                  r.get("error"), r.get("pid"), r.get("started"),
+                  r.get("ended")) for r in runs])
         return int(sweep_id)
 
     # -- reading ---------------------------------------------------------

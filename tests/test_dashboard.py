@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sqlite3
 from html.parser import HTMLParser
 
 import pytest
@@ -17,8 +18,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.obs.dashboard import build_dashboard
-from repro.obs.history import HistoryStore
-from repro.obs.telemetry.hub import TelemetryHub
+from repro.obs.history import HistoryStore, _migrate_to_v1
 
 SPECS = [
     RunSpec(workload="configure-gcc", machine="ryzen_4650g",
@@ -65,16 +65,20 @@ def assert_self_contained(html_text: str) -> None:
 
 @pytest.fixture(scope="module")
 def swept(tmp_path_factory):
-    """Two sweeps (simulated, then fully cached) with full telemetry."""
+    """Two sweeps (simulated, then fully cached) recorded in history."""
     tmp = tmp_path_factory.mktemp("dash")
     cache = ResultCache(root=tmp / "cache")
-    hist_path = cache.root / "history.sqlite"
-    for label in ("first", "second"):
-        hub = TelemetryHub(stream_dir=cache.root / "telemetry",
-                           history=HistoryStore(hist_path),
-                           heartbeat_s=0.0, label=label)
-        SweepExecutor(jobs=2, cache=cache, telemetry=hub).run(SPECS)
+    for _ in range(2):
+        with HistoryStore(cache.root / "history.sqlite") as hist:
+            SweepExecutor(jobs=2, cache=cache, history=hist).run(SPECS)
     return tmp
+
+
+def timeline(html_text: str) -> str:
+    """The worker timeline's SVG (empty when the notice stands instead)."""
+    match = re.search(r'<svg[^>]*aria-label="worker timeline">.*?</svg>',
+                      html_text)
+    return match.group(0) if match else ""
 
 
 class TestStackedBar:
@@ -92,7 +96,6 @@ class TestBuildDashboard:
     def test_well_formed_and_self_contained(self, swept):
         html_text = build_dashboard(
             swept / "cache" / "history.sqlite", "last-1",
-            stream_dir=swept / "cache" / "telemetry",
             trajectory_path="BENCH_trajectory.json")
         assert_well_formed(html_text)
         assert_self_contained(html_text)
@@ -104,18 +107,55 @@ class TestBuildDashboard:
             assert spec.label in html_text
 
     def test_simulated_sweep_has_worker_timeline(self, swept):
-        html_text = build_dashboard(
-            swept / "cache" / "history.sqlite", "last-1",
-            stream_dir=swept / "cache" / "telemetry")
-        assert 'aria-label="worker timeline"' in html_text
-        assert "pid " in html_text
+        """One lane per distinct pid of the simulated runs, and one span
+        per run, titled with its label."""
+        path = swept / "cache" / "history.sqlite"
+        with HistoryStore(path) as store:
+            runs = store.runs_of(store.resolve("last-1")["id"])
+        assert all(r["pid"] is not None and r["started"] < r["ended"]
+                   for r in runs)
+        svg = timeline(build_dashboard(path, "last-1"))
+        lanes = re.findall(r">pid (\d+)</text>", svg)
+        assert sorted(map(int, lanes)) == sorted({r["pid"] for r in runs})
+        titles = re.findall(r"<title>(.*?) \([\d.]+s\)</title>", svg)
+        assert sorted(titles) == sorted(r["label"] for r in runs)
 
     def test_cached_sweep_renders_without_timeline(self, swept):
-        html_text = build_dashboard(
-            swept / "cache" / "history.sqlite", "last",
-            stream_dir=swept / "cache" / "telemetry")
+        path = swept / "cache" / "history.sqlite"
+        with HistoryStore(path) as store:
+            runs = store.runs_of(store.resolve("last")["id"])
+        assert all(r["outcome"] == "cached" and r["pid"] is None
+                   for r in runs)
+        html_text = build_dashboard(path, "last")
         assert_well_formed(html_text)
         assert "cached" in html_text
+        assert not timeline(html_text)
+        assert "no worker activity recorded" in html_text
+
+    def test_v1_history_renders_without_timeline(self, tmp_path):
+        """A store written before run rows kept their worker migrates to
+        v2 on open; its old rows read NULL and draw no lanes."""
+        path = tmp_path / "h.sqlite"
+        con = sqlite3.connect(str(path))
+        _migrate_to_v1(con)
+        con.execute("INSERT INTO sweeps (uid, ts) VALUES ('old', 1.0)")
+        con.execute("INSERT INTO runs (sweep_id, label, outcome, "
+                    "completed, sim_wall_s) VALUES (1, 'v1-run', "
+                    "'simulated', 1, 0.5)")
+        con.execute("PRAGMA user_version = 1")
+        con.commit()
+        con.close()
+        with HistoryStore(path) as store:
+            assert store.schema_version == 2
+            (row,) = store.runs_of(store.resolve("last")["id"])
+        assert row["label"] == "v1-run"
+        assert row["pid"] is None and row["started"] is None \
+            and row["ended"] is None
+        html_text = build_dashboard(path)
+        assert_well_formed(html_text)
+        assert "v1-run" in html_text
+        assert not timeline(html_text)
+        assert "no worker activity recorded" in html_text
 
     def test_history_sparkline_appears_with_two_sweeps(self, swept):
         html_text = build_dashboard(swept / "cache" / "history.sqlite")

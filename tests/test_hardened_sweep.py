@@ -7,8 +7,8 @@ executor's pool retry, timeout and degradation machinery end to end with
 real process pools.  A spec that raises is never retried.
 """
 
+import io
 import json
-import threading
 
 import pytest
 
@@ -20,8 +20,7 @@ from repro.experiments.parallel import (RunSpec, SweepExecutor, SweepFailure,
                                         execute_spec)
 from repro.faults import FaultConfig
 from repro.obs.history import HistoryStore
-from repro.obs.telemetry.hub import TelemetryHub, worker_telemetry
-from repro.obs.telemetry.records import read_stream
+from repro.obs.progress import PlainView
 
 SPECS = [
     RunSpec(workload="phoronix-libavif-avifenc-1", machine="5218_2s",
@@ -136,20 +135,14 @@ class TestFailureBudget:
         assert counted_calls() == [SPECS[0].label, BAD.label]
 
     def test_failed_sweep_closes_its_telemetry(self, tmp_path):
-        """A SweepFailure closes the hub as a finished sweep does."""
-        emitter = worker_telemetry()
+        """A SweepFailure finishes the view and records the history row
+        as a finished sweep does."""
+        shown = io.StringIO()
         with HistoryStore(tmp_path / "history.sqlite") as hist:
-            hub = TelemetryHub(stream_dir=tmp_path / "telemetry",
-                               history=hist)
             with pytest.raises(SweepFailure):
-                SweepExecutor(jobs=1, telemetry=hub).run([SPECS[0], BAD])
-            # Later in-process runs must not stream into the dead sweep.
-            assert worker_telemetry() is emitter
-            assert not [t for t in threading.enumerate()
-                        if t.name == "telemetry-drain"]
-            with open(hub.stream_path, encoding="utf-8") as fh:
-                ends = [r for r in read_stream(fh) if r["t"] == "sweep_end"]
-            assert [r["interrupted"] for r in ends] == [True]
+                SweepExecutor(jobs=1, view=PlainView(shown),
+                              history=hist).run([SPECS[0], BAD])
+            assert shown.getvalue().endswith("INTERRUPTED\n")
             (sweep,) = hist.sweeps()
             assert sweep["interrupted"] == 1
             runs = {r["label"]: r for r in hist.runs_of(sweep["id"])}
@@ -187,8 +180,7 @@ class TestCheckpointResume:
         calls = interrupt_second_run
 
         with HistoryStore(cache.root / "history.sqlite") as hist:
-            ex = SweepExecutor(jobs=1, cache=cache,
-                               telemetry=TelemetryHub(history=hist))
+            ex = SweepExecutor(jobs=1, cache=cache, history=hist)
             with pytest.raises(KeyboardInterrupt):
                 ex.run(SPECS)
             assert ex.last_stats.interrupted
@@ -213,8 +205,7 @@ class TestCheckpointResume:
 
         monkeypatch.undo()
         with HistoryStore(cache.root / "history.sqlite") as hist:
-            ex = SweepExecutor(jobs=1, cache=cache,
-                               telemetry=TelemetryHub(history=hist))
+            ex = SweepExecutor(jobs=1, cache=cache, history=hist)
             results = ex.run(SPECS)
             assert all(r is not None for r in results)
             assert ex.last_stats.cache_hits == 1

@@ -17,7 +17,6 @@ from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.obs.history import (HistoryStore, SCHEMA_VERSION,
                                append_trajectory, parse_perfbench,
                                trajectory_entries)
-from repro.obs.telemetry.hub import TelemetryHub
 
 STATS = {"n_specs": 2, "simulated": 2, "cache_hits": 0, "wall_s": 2.0,
          "events": 100, "workers": 2}
@@ -222,13 +221,11 @@ class TestExecutorIntegration:
                          scale=0.3) for s in ("cfs", "nest")]
         cache = ResultCache(root=tmp_path / "cache")
         with HistoryStore(tmp_path / "history.sqlite") as hist:
-            hub = TelemetryHub(history=hist, label="integration")
-            SweepExecutor(jobs=2, cache=cache, telemetry=hub).run(specs)
+            SweepExecutor(jobs=2, cache=cache, history=hist).run(specs)
             sweeps = hist.sweeps()
             assert len(sweeps) == 1
             assert sweeps[0]["n_specs"] == 2
             assert sweeps[0]["simulated"] == 2
-            assert sweeps[0]["label"] == "integration"
             runs = hist.runs_of(sweeps[0]["id"])
             assert {r["label"] for r in runs} == {s.label for s in specs}
             assert all(r["spec_key"] for r in runs)
@@ -236,8 +233,7 @@ class TestExecutorIntegration:
             # The history row is the sweep's one record.
             assert not (cache.root / "last-sweep.json").exists()
             # A second, fully-cached sweep must still be bit-stable.
-            hub2 = TelemetryHub(history=hist)
-            SweepExecutor(jobs=2, cache=cache, telemetry=hub2).run(specs)
+            SweepExecutor(jobs=2, cache=cache, history=hist).run(specs)
             diff = hist.diff("last", "last-1")
             assert not diff.has_regressions, diff.render()
 
@@ -433,8 +429,7 @@ class TestDerivedMetricGate:
                        scale=0.3)
         cache = ResultCache(root=tmp_path / "cache")
         with HistoryStore(tmp_path / "history.sqlite") as hist:
-            hub = TelemetryHub(history=hist)
-            SweepExecutor(jobs=1, cache=cache, telemetry=hub).run([spec])
+            SweepExecutor(jobs=1, cache=cache, history=hist).run([spec])
             metrics = hist.runs_of(hist.sweeps()[0]["id"])[0]["metrics"]
         derived = {k for k in metrics if k.startswith("derived.")}
         assert {"derived.wakeup_p50_us", "derived.warm_share",

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from repro.experiments.parallel import (RunSpec, SweepExecutor, default_jobs,
-                                        execute_spec)
+from repro.experiments.parallel import (RunSpec, SweepExecutor, SweepFailure,
+                                        default_jobs, execute_spec)
 from repro.experiments.runner import compare
 from repro.hw.machines import get_machine
 from repro.workloads.catalog import make_workload
@@ -124,3 +124,16 @@ class TestCompareWithExecutor:
             assert a.top_freq_fraction == b.top_freq_fraction
         assert plain.speedup_of("nest", "schedutil") == \
             pytest.approx(pooled.speedup_of("nest", "schedutil"))
+
+    def test_skipped_specs_are_named_not_aggregated(self):
+        """A speedup needs every seed of every combo, so an executor that
+        skips a failed spec makes compare() fail, naming each one."""
+        ex = SweepExecutor(jobs=1, skip_failures=True)
+        with pytest.raises(SweepFailure) as info:
+            compare("no-such-workload", "ryzen_4650g",
+                    combos=(("cfs", "schedutil"),), seeds=(1, 2),
+                    executor=ex)
+        assert ex.last_stats.skipped == 2
+        for seed in (1, 2):
+            assert (f"no-such-workload@1.0/ryzen_4650g/cfs-schedutil/"
+                    f"s{seed}") in str(info.value)

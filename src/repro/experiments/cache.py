@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -52,6 +53,9 @@ FORMAT_VERSION = 4
 
 #: Subdirectory of the cache root where corrupt entries are parked.
 QUARANTINE_DIR = ".quarantine"
+
+#: Name of an entry shard: the first two hex digits of its keys.
+_SHARD = re.compile(r"[0-9a-f]{2}")
 
 #: Exceptions that mean "this entry cannot be decoded" (as opposed to
 #: "this entry does not exist", which is a plain miss).
@@ -327,8 +331,13 @@ class ResultCache:
                 "session_hits": self.hits, "session_misses": self.misses}
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were deleted."""
+        """Remove every entry and the quarantine; returns how many entries
+        were deleted.  The rest of the root, such as the run history
+        (``history.sqlite``), stays."""
         n = self.stats()["entries"]
         if self.root.is_dir():
-            shutil.rmtree(self.root)
+            for path in self.root.iterdir():
+                if path.is_dir() and (path.name == QUARANTINE_DIR
+                                      or _SHARD.fullmatch(path.name)):
+                    shutil.rmtree(path)
         return n

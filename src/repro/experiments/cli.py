@@ -11,12 +11,11 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
     python -m repro sweep fig5           # the runs Figure 5's bench reads
     python -m repro sweep fig5 --seeds 2 --scale 0.3   # ...overridden
     python -m repro cache stats          # result-cache maintenance
-    python -m repro obs report           # digest of the newest recorded sweep
     python -m repro obs dashboard        # self-contained HTML dashboard
     python -m repro obs analyze fig2 --scale 0.3   # trace-analysis report
     python -m repro obs query fig2 --kind place --cpu 3   # event queries
     python -m repro history list         # archived sweeps (sqlite-backed)
-    python -m repro history diff last    # regression gate vs previous sweep
+    python -m repro history show         # the newest sweep and its runs
     python -m repro history export-trajectory --record .perfbench/*.out \
         --pr 7 --append BENCH_trajectory.json   # perf trajectory entries
     python -m repro describe fig5        # registry entry for an artefact
@@ -30,20 +29,21 @@ the content-addressed result cache under ``.repro-cache/`` unless
 (``--progress=plain`` for CI logs).  Every sweep archives itself into
 ``<cache>/history.sqlite`` (``--no-telemetry`` drops that row), with
 each simulated run's worker pid and wall-clock times.  That history row
-is the one record of a sweep: ``repro obs report`` digests the newest
-one, ``repro history diff`` gates a sweep against a baseline and
-``repro obs dashboard`` renders the whole thing, worker timeline
-included, as one self-contained HTML file.  A spec whose simulation
-raises stops the sweep at once (``--keep-going`` skips it instead); only
-a crashed or hung worker pool is retried (``--timeout`` bounds a hang).
+is the one record of a sweep: ``repro history list`` and ``show`` print
+it, and ``repro obs dashboard`` renders it, worker timeline included,
+as one self-contained HTML file.  A spec whose simulation raises stops
+the sweep at once (``--keep-going`` skips it instead); only a crashed or
+hung worker pool is retried (``--timeout`` bounds a hang).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -65,10 +65,16 @@ from .runner import STANDARD_COMBOS, compare
 __all__ = ["build_parser", "main"]
 
 
-def _history_path(cache_dir) -> Path:
-    """The history sqlite lives next to the result cache it describes."""
-    return ResultCache(Path(cache_dir) if cache_dir else None).root \
+def _existing_history(cache_dir) -> Optional[Path]:
+    """The history sqlite next to the result cache it describes, or None
+    (said on stderr) when no recorded sweep has created it."""
+    path = ResultCache(Path(cache_dir) if cache_dir else None).root \
         / "history.sqlite"
+    if not path.exists():
+        print(f"no run history at {path} — run a sweep without "
+              f"--no-telemetry first", file=sys.stderr)
+        return None
+    return path
 
 
 def _executor_from_args(args) -> SweepExecutor:
@@ -181,61 +187,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
-    if args.action == "dashboard":
-        return _cmd_obs_dashboard(args)
-    if args.action == "analyze":
-        return _cmd_obs_analyze(args)
-    if args.action == "query":
-        return _cmd_obs_query(args)
-    import json as _json
-
-    path = _history_path(args.cache_dir)
-    if not path.exists():
-        print(f"no run history at {path} — run a sweep or compare "
-              f"without --no-telemetry first", file=sys.stderr)
-        return 1
-    with HistoryStore(path) as store:
-        try:
-            sweep = store.resolve("last")
-        except KeyError:
-            print(f"run history at {path} is empty", file=sys.stderr)
-            return 1
-        runs = store.runs_of(sweep["id"])
-    st = _json.loads(sweep.pop("stats_json") or "{}")
-    if getattr(args, "json", False):
-        print(_json.dumps({"sweep": sweep, "stats": st, "runs": runs},
-                          sort_keys=True, indent=2))
-        return 0
-    print(f"last sweep: {st.get('n_specs', 0)} runs, "
-          f"{st.get('simulated', 0)} simulated, "
-          f"{st.get('cache_hits', 0)} cached, "
-          f"{st.get('wall_s', 0.0):.2f}s wall "
-          f"({st.get('workers', 0)} worker(s))")
-    if st.get("cache_used"):
-        print(f"  cache: {st.get('cache_hits', 0)} hit(s), "
-              f"{st.get('cache_misses', 0)} miss(es)")
-    if st.get("simulated"):
-        print(f"  {st.get('events', 0):,} engine events, "
-              f"{st.get('events_per_sec', 0.0):,.0f} events/s, "
-              f"{st.get('sim_wall_s', 0.0):.2f}s summed sim time")
-    if st.get("retried") or st.get("timeouts") or st.get("skipped") \
-            or st.get("degraded"):
-        print(f"  hardening: {st.get('retried', 0)} retried, "
-              f"{st.get('timeouts', 0)} timeout(s), "
-              f"{st.get('skipped', 0)} skipped"
-              + (", degraded to serial" if st.get("degraded") else ""))
-    if sweep["interrupted"]:
-        print("  NOTE: sweep was interrupted; completed runs are "
-              "cached and will be reused on the next run")
-    # Pending and skipped runs have no wall time or event count (NULL).
-    slowest = sorted(runs, key=lambda r: -(r["sim_wall_s"] or 0.0))
-    for run in slowest[:args.top]:
-        print(f"  {run['outcome']:10s} {run['sim_wall_s'] or 0.0:6.2f}s  "
-              f"{run['events'] or 0:>12,} ev  {run['label']}")
-    return 0
-
-
 def _analysis_events(args):
     """The (result, events, segments, n_cpus) a trace/analyze/query works
     on: the one place an experiment-or-workload argument is resolved.
@@ -305,11 +256,10 @@ def _cmd_obs_analyze(args) -> int:
         if args.out:
             print(f"report: {args.out} ({len(doc):,} bytes)")
     if args.baseline:
-        import json as _json
         try:
-            base = _json.loads(Path(args.baseline).read_text(
+            base = json.loads(Path(args.baseline).read_text(
                 encoding="utf-8"))
-        except (OSError, _json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             print(f"error: baseline report unreadable: {exc}",
                   file=sys.stderr)
             return 2
@@ -323,8 +273,6 @@ def _cmd_obs_analyze(args) -> int:
 
 def _cmd_obs_query(args) -> int:
     """Filter a run's event log by kind/cpu/task/time range."""
-    import json as _json
-
     from ..obs.analysis import EventFilter, filter_events, \
         render_events_table
     from ..obs.events import event_to_dict
@@ -345,8 +293,8 @@ def _cmd_obs_query(args) -> int:
     shown = matched[:args.limit] if args.limit else matched
     if args.json:
         for ev in shown:
-            print(_json.dumps(event_to_dict(ev), sort_keys=True,
-                              separators=(",", ":")))
+            print(json.dumps(event_to_dict(ev), sort_keys=True,
+                             separators=(",", ":")))
     else:
         print(render_events_table(shown, total=len(matched)))
         print(f"{len(matched)} of {len(events)} event(s) matched")
@@ -357,10 +305,8 @@ def _cmd_obs_dashboard(args) -> int:
     """Render the self-contained HTML dashboard for one archived sweep."""
     from ..obs.dashboard import build_dashboard
 
-    history = _history_path(args.cache_dir)
-    if not history.exists():
-        print(f"no run history at {history} — run a sweep without "
-              f"--no-telemetry first", file=sys.stderr)
+    history = _existing_history(args.cache_dir)
+    if history is None:
         return 1
     trajectory = Path(args.trajectory) if args.trajectory else None
     if trajectory is None:
@@ -380,83 +326,88 @@ def _cmd_obs_dashboard(args) -> int:
     return 0
 
 
-def _cmd_history(args) -> int:
-    if args.action == "export-trajectory":
-        return _cmd_history_export(args)
-    path = _history_path(args.cache_dir)
-    if not path.exists():
-        print(f"no run history at {path} — run a sweep without "
-              f"--no-telemetry first", file=sys.stderr)
+def _cmd_history_list(args) -> int:
+    path = _existing_history(args.cache_dir)
+    if path is None:
         return 1
     with HistoryStore(path) as store:
-        if args.action == "list":
-            sweeps = store.sweeps(limit=args.limit)
-            if not sweeps:
-                print("history is empty")
-                return 0
-            rows = []
-            for s in sweeps:
-                import time as _time
-                when = _time.strftime("%Y-%m-%d %H:%M:%S",
-                                      _time.localtime(s["ts"]))
-                flags = []
-                if s["interrupted"]:
-                    flags.append("interrupted")
-                if s["degraded"]:
-                    flags.append("degraded")
-                if s["skipped"]:
-                    flags.append(f"{s['skipped']} skipped")
-                rows.append([str(s["id"]), s["uid"], when,
-                             s["git_sha"] or "-", str(s["n_specs"]),
-                             str(s["simulated"]), str(s["cache_hits"]),
-                             f"{s['wall_s']:.2f}s",
-                             ",".join(flags) or "-",
-                             s["label"] or "-"])
-            print(render_table(
-                ["id", "sweep", "when", "git", "runs", "sim", "cached",
-                 "wall", "flags", "label"], rows,
-                title=f"run history at {path}"))
-            return 0
-        if args.action == "show":
-            try:
-                sweep = store.resolve(args.ref)
-            except KeyError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 1
-            print(f"sweep #{sweep['id']} {sweep['uid']} "
-                  f"(git {sweep['git_sha'] or '?'}"
-                  + (f", {sweep['label']}" if sweep["label"] else "") + ")")
-            st = {k: sweep[k] for k in ("n_specs", "simulated", "cache_hits",
-                                        "retried", "timeouts", "skipped")}
-            print("  " + ", ".join(f"{v} {k}" for k, v in st.items() if v))
-            print(f"  wall {sweep['wall_s']:.2f}s, "
-                  f"{sweep['events']:,} events, "
-                  f"{sweep['workers']} worker(s)")
-            for run in store.runs_of(sweep["id"]):
-                wall = (f"{run['sim_wall_s']:6.2f}s"
-                        if run["sim_wall_s"] is not None else "     -")
-                print(f"  {run['outcome']:10s} {wall}  "
-                      f"x{run['attempts']}  {run['label']}"
-                      + (f"  [{run['error']}]" if run["error"] else ""))
-            return 0
-        # diff
+        sweeps = store.sweeps(limit=args.limit)
+    if not sweeps:
+        print("history is empty")
+        return 0
+    rows = []
+    for s in sweeps:
+        when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(s["ts"]))
+        flags = []
+        if s["interrupted"]:
+            flags.append("interrupted")
+        if s["degraded"]:
+            flags.append("degraded")
+        if s["skipped"]:
+            flags.append(f"{s['skipped']} skipped")
+        rows.append([str(s["id"]), s["uid"], when, s["git_sha"] or "-",
+                     str(s["n_specs"]), str(s["simulated"]),
+                     str(s["cache_hits"]), f"{s['wall_s']:.2f}s",
+                     ",".join(flags) or "-", s["label"] or "-"])
+    print(render_table(
+        ["id", "sweep", "when", "git", "runs", "sim", "cached", "wall",
+         "flags", "label"], rows, title=f"run history at {path}"))
+    return 0
+
+
+def _cmd_history_show(args) -> int:
+    """One sweep's record: its counters, then every run in spec order."""
+    path = _existing_history(args.cache_dir)
+    if path is None:
+        return 1
+    with HistoryStore(path) as store:
         try:
-            diff = store.diff(args.ref, args.baseline,
-                              wall_tol=args.wall_tol,
-                              metric_tol=args.metric_tol,
-                              attribute=args.attribute,
-                              top_moves=args.top_moves)
+            sweep = store.resolve(args.ref)
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 1
-        print(diff.render())
-        return 1 if diff.has_regressions else 0
+        runs = store.runs_of(sweep["id"])
+    st = json.loads(sweep.pop("stats_json") or "{}")
+    if args.json:
+        print(json.dumps({"sweep": sweep, "stats": st, "runs": runs},
+                         sort_keys=True, indent=2))
+        return 0
+    print(f"sweep #{sweep['id']} {sweep['uid']} "
+          f"(git {sweep['git_sha'] or '?'}"
+          + (f", {sweep['label']}" if sweep["label"] else "") + "): "
+          f"{st.get('n_specs', 0)} runs, {st.get('simulated', 0)} simulated, "
+          f"{st.get('cache_hits', 0)} cached, "
+          f"{st.get('wall_s', 0.0):.2f}s wall "
+          f"({st.get('workers', 0)} worker(s))")
+    if st.get("cache_used"):
+        print(f"  cache: {st.get('cache_hits', 0)} hit(s), "
+              f"{st.get('cache_misses', 0)} miss(es)")
+    if st.get("simulated"):
+        print(f"  {st.get('events', 0):,} engine events, "
+              f"{st.get('events_per_sec', 0.0):,.0f} events/s, "
+              f"{st.get('sim_wall_s', 0.0):.2f}s summed sim time")
+    if st.get("retried") or st.get("timeouts") or st.get("skipped") \
+            or st.get("degraded"):
+        print(f"  hardening: {st.get('retried', 0)} retried, "
+              f"{st.get('timeouts', 0)} timeout(s), "
+              f"{st.get('skipped', 0)} skipped"
+              + (", degraded to serial" if st.get("degraded") else ""))
+    if sweep["interrupted"]:
+        print("  NOTE: sweep was interrupted; completed runs are "
+              "cached and will be reused on the next run")
+    # Pending and skipped runs have no wall time or event count (NULL).
+    for run in runs:
+        wall = ("      -" if run["sim_wall_s"] is None
+                else f"{run['sim_wall_s']:6.2f}s")
+        events = "-" if run["events"] is None else f"{run['events']:,}"
+        print(f"  {run['outcome']:10s} {wall}  {events:>12} ev  "
+              f"x{run['attempts']}  {run['label']}"
+              + (f"  [{run['error']}]" if run["error"] else ""))
+    return 0
 
 
 def _cmd_history_export(args) -> int:
     """perfbench/run.py stdouts -> BENCH_trajectory.json entries."""
-    import json as _json
-
     try:
         texts = [Path(p).read_text(encoding="utf-8") for p in args.record]
         entries = trajectory_entries(texts, pr=args.pr)
@@ -468,7 +419,7 @@ def _cmd_history_export(args) -> int:
         print(f"trajectory: merged {added} entr"
               f"{'y' if added == 1 else 'ies'} into {args.append}")
     else:
-        print(_json.dumps(entries, indent=2))
+        print(json.dumps(entries, indent=2))
     return 0
 
 
@@ -711,9 +662,9 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                         "otherwise).  Bare --progress means auto")
     p.add_argument("--no-telemetry", action="store_true",
                    help="write no history row, so the sweep leaves no "
-                        "record and 'obs report' describes the last sweep "
-                        "history recorded (--progress still renders its "
-                        "view)")
+                        "record and 'history show' describes the last "
+                        "sweep history recorded (--progress still renders "
+                        "its view)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="kill and retry the worker pool if no run completes "
                         "for this long (default: wait forever)")
@@ -808,20 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.set_defaults(fn=_cmd_cache)
 
     obs_p = sub.add_parser(
-        "obs", help="observability: reports, dashboard, trace analysis")
+        "obs", help="observability: dashboard, trace analysis, queries")
     obs_sub = obs_p.add_subparsers(dest="action", required=True)
-
-    oreport_p = obs_sub.add_parser(
-        "report", help="digest of the newest sweep in the run history; "
-                       "its run rows carry each simulated run's worker pid "
-                       "and times (a --no-telemetry sweep is not recorded "
-                       "there)")
-    oreport_p.add_argument("--cache-dir", default=None)
-    oreport_p.add_argument("--top", type=int, default=8,
-                           help="show the N slowest runs (default: 8)")
-    oreport_p.add_argument("--json", action="store_true",
-                           help="print the sweep's history rows (sweep, "
-                                "stats, runs) instead of the text digest")
 
     odash_p = obs_sub.add_parser(
         "dashboard", help="self-contained HTML dashboard of a sweep")
@@ -838,6 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "./BENCH_trajectory.json when present)")
     odash_p.add_argument("--traces-dir", default=None, metavar="DIR",
                          help="link Perfetto traces found here")
+    odash_p.set_defaults(fn=_cmd_obs_dashboard)
 
     def _add_analysis_source(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("experiment", nargs="?", default=None,
@@ -865,6 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     oana_p.add_argument("--top-moves", type=int, default=3,
                         help="baseline diff: metrics to rank "
                              "(default: 3)")
+    oana_p.set_defaults(fn=_cmd_obs_analyze)
 
     oq_p = obs_sub.add_parser(
         "query", help="filter a run's event log by kind/cpu/task/time")
@@ -880,37 +821,22 @@ def build_parser() -> argparse.ArgumentParser:
                       help="keep events at or before this simulated µs")
     oq_p.add_argument("--limit", type=int, default=50,
                       help="rows to print (default: 50; 0 = all)")
-
-    obs_p.set_defaults(fn=_cmd_obs)
+    oq_p.set_defaults(fn=_cmd_obs_query)
 
     hist_p = sub.add_parser(
-        "history", help="persistent run history and regression gates")
+        "history", help="persistent run history: every recorded sweep")
     hist_sub = hist_p.add_subparsers(dest="action", required=True)
     hlist_p = hist_sub.add_parser("list", help="recent sweeps, newest first")
     hlist_p.add_argument("--limit", type=int, default=20)
-    hshow_p = hist_sub.add_parser("show", help="one sweep's runs")
+    hlist_p.set_defaults(fn=_cmd_history_list)
+    hshow_p = hist_sub.add_parser(
+        "show", help="one sweep's counters and every run, in spec order")
     hshow_p.add_argument("ref", nargs="?", default="last",
                          help="'last', 'last-N', id, or uid prefix")
-    hdiff_p = hist_sub.add_parser(
-        "diff", help="gate a sweep against a baseline sweep "
-                     "(exit 1 on regression)")
-    hdiff_p.add_argument("ref", nargs="?", default="last",
-                         help="sweep under test (default: last)")
-    hdiff_p.add_argument("--baseline", default="last-1", metavar="REF",
-                         help="baseline sweep (default: last-1)")
-    hdiff_p.add_argument("--wall-tol", type=float, default=0.5,
-                         help="relative wall-time regression tolerance "
-                              "(default: 0.5 = flag >1.5x slower)")
-    hdiff_p.add_argument("--metric-tol", type=float, default=0.0,
-                         help="relative drift tolerance for deterministic "
-                              "outputs (default: 0 = bit-stable)")
-    hdiff_p.add_argument("--attribute", action="store_true",
-                         help="rank, per matched run, which metrics "
-                              "(incl. derived.* paper metrics) moved "
-                              "most vs the baseline")
-    hdiff_p.add_argument("--top-moves", type=int, default=3,
-                         help="attribution: metrics to rank per run "
-                              "(default: 3)")
+    hshow_p.add_argument("--json", action="store_true",
+                         help="print the sweep's history rows (sweep, "
+                              "stats, runs) instead of the text digest")
+    hshow_p.set_defaults(fn=_cmd_history_show)
     hexp_p = hist_sub.add_parser(
         "export-trajectory",
         help="BENCH_trajectory.json entries from perfbench/run.py "
@@ -925,9 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
     hexp_p.add_argument("--append", default=None, metavar="PATH",
                         help="merge into this trajectory file instead of "
                              "printing the entries")
-    for sp in (hlist_p, hshow_p, hdiff_p):
+    hexp_p.set_defaults(fn=_cmd_history_export)
+    for sp in (hlist_p, hshow_p):
         sp.add_argument("--cache-dir", default=None)
-    hist_p.set_defaults(fn=_cmd_history)
 
     verify_p = sub.add_parser(
         "verify", help="property-based fuzzing and repro replay")

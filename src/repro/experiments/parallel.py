@@ -236,15 +236,14 @@ class SweepStats:
 
 
 def _scalar_metrics(metrics: Dict[str, object]) -> Dict[str, float]:
-    """Scalar instruments (counters/gauges) of a serialized registry.
+    """The counters of a serialized registry.
 
     History rows and the dashboard plot these; histograms stay in the
     cached result only.
     """
     out: Dict[str, float] = {}
     for name, entry in metrics.items():
-        if isinstance(entry, dict) and entry.get("type") in ("counter",
-                                                             "gauge"):
+        if isinstance(entry, dict) and entry.get("type") == "counter":
             out[name] = entry["value"]
     return out
 
@@ -255,9 +254,8 @@ def _history_metrics(metrics: Dict[str, object]) -> Dict[str, float]:
 
     Derived metrics are computed parent-side from the already serialized
     registry — strictly post-hoc, nothing moves in the simulation — and
-    are gated by ``repro history diff`` exactly like counters (rows
-    from before the analysis layer simply lack the keys, which the
-    gate's key intersection skips).
+    the dashboard's Analysis panel renders them (rows from before the
+    analysis layer simply lack the keys).
     """
     from ..obs.analysis.report import derived_metrics
     out = _scalar_metrics(metrics)

@@ -28,9 +28,9 @@ class RunResult:
     total_wakeups: int = 0
     wakeup_latency_us: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
-    #: Serialized observability registry (obs/metrics.py): counters, gauges
-    #: and histograms from the kernel (``kernel.*``) and the selection
-    #: policy (``nest.*``, ``smove.*``, ...).  Deterministic and cached
+    #: Serialized observability registry (obs/metrics.py): counters and
+    #: histograms from the kernel (``kernel.*``) and the selection policy
+    #: (``nest.*``, ``smove.*``, ...).  Deterministic and cached
     #: with the result; rebuild instruments with
     #: ``MetricsRegistry.from_dict``.
     metrics: Dict[str, Any] = field(default_factory=dict)

@@ -10,7 +10,7 @@ Designed to cost nothing when nobody is looking.  Per-run pieces:
   ``if obs.enabled:``, so a run with no sinks attached allocates no event
   objects and pays one attribute read per potential emission.
 * :mod:`repro.obs.metrics` — the :class:`~repro.obs.metrics.MetricsRegistry`
-  of named counters, gauges and fixed-bucket histograms.  Always on (the
+  of named counters and fixed-bucket histograms.  Always on (the
   kernel's and every policy's counters live here) and serialized into
   :class:`~repro.metrics.summary.RunResult` and the result cache.
 * :mod:`repro.obs.export` — exporters: Perfetto/Chrome ``trace_event``
@@ -23,9 +23,8 @@ Sweep-level pieces (see DESIGN.md §8):
   (``--progress``) the sweep executor tells of each run as it finishes.
 * :mod:`repro.obs.history` — sqlite-backed run-history store behind the
   ``repro history`` CLI: every sweep is recorded, with each simulated
-  run's worker pid and wall-clock times; ``history diff`` gates
-  wall-time and metric regressions, ``export-trajectory`` generates
-  ``BENCH_trajectory.json`` entries.
+  run's worker pid and wall-clock times; ``history show`` prints one,
+  ``export-trajectory`` generates ``BENCH_trajectory.json`` entries.
 * :mod:`repro.obs.dashboard` — ``repro obs dashboard``: a self-contained
   static HTML rendering of a sweep plus its history, worker timeline
   included (stdlib only, inline CSS/SVG, no scripts).
@@ -33,14 +32,13 @@ Sweep-level pieces (see DESIGN.md §8):
 
 from .events import EVENT_KINDS, SchedEvent
 from .log import EventLog
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "EVENT_KINDS",
     "SchedEvent",
     "EventLog",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]

@@ -1,13 +1,12 @@
 """Cross-run diff attribution: which derived metrics moved, ranked.
 
-Two entry points share the ranking core:
-
-* :func:`rank_moves` — compare two flat ``{name: number}`` maps (e.g.
-  history rows' scalar+derived metrics) and rank by relative movement.
+* :func:`rank_moves` — the ranking core: compare two flat
+  ``{name: number}`` maps and rank by relative movement.
 * :func:`diff_reports` — compare two full analysis reports (from
-  :func:`~repro.obs.analysis.report.analyze_run`), adding the per-tier
-  latency deltas the flat maps cannot carry, and render the
-  human-readable "run A is slower than run B because…" attribution.
+  :func:`~repro.obs.analysis.report.analyze_run`) through that core,
+  adding the per-tier latency deltas the flat maps cannot carry; with
+  :func:`render_attribution` it backs ``repro obs analyze --baseline``,
+  the human-readable "run A is slower than run B because…" verdict.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ the reference reports live as golden files.
 :func:`derived_metrics` is the sweep-side sibling: a pure function of a
 run's *serialized metrics registry* (no event log needed) computing the
 paper-level scalars — wakeup-latency percentiles, placement-tier shares,
-the warm share — that ride into history rows and are gated by ``repro
-history diff`` exactly like raw counters.
+the warm share — that ride into history rows beside the raw counters,
+where the dashboard's Analysis panel reads them.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ def derived_metrics(metrics: Dict[str, Any]) -> Dict[str, float]:
 
     Pure and post-hoc: computed by the sweep parent from the already
     serialized registry, never in the simulation.  Keys carry the
-    ``derived.`` prefix so history's metric gate treats them exactly
-    like raw counters (old history rows without them are skipped by the
-    gate's key intersection).
+    ``derived.`` prefix, so they sit beside the raw counters in a
+    history row's metrics and the dashboard's Analysis panel can pick
+    them out (history rows from before them lack the keys).
     """
     out: Dict[str, float] = {}
     hist = metrics.get("kernel.wakeup_latency_us")

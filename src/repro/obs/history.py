@@ -1,8 +1,7 @@
-"""Persistent run history: every finished sweep, queryable and diffable.
+"""Persistent run history: every finished sweep, one row each.
 
 A sweep's history row is its one record: it answers "what did this sweep
-do, and how does it compare to every sweep that came before".  A
-:class:`HistoryStore` is a single sqlite file (usually
+do".  A :class:`HistoryStore` is a single sqlite file (usually
 ``<cache>/history.sqlite``) that
 :class:`~repro.experiments.parallel.SweepExecutor` appends to when a
 sweep ends: one row per sweep (stats, git sha, wall time, hardening
@@ -10,19 +9,13 @@ counters) and one row per run (spec key, outcome, wall time, makespan,
 energy, peak RSS, scalar metrics, and for a run simulated in that sweep
 the worker pid and wall-clock start and end the dashboard's timeline
 draws).  The runs table's ``engine`` column predates the single
-simulation engine; new rows leave it NULL.
+simulation engine; new rows leave it NULL.  ``repro history list`` and
+``show`` print the rows, and ``repro obs dashboard`` renders them.
 
-On top of the store sit the regression gates:
-
-* :meth:`HistoryStore.diff` compares two sweeps run-by-run (matched on
-  ``spec_key``) and flags wall-time regressions beyond a relative
-  tolerance and *any* drift in deterministic outputs (makespan, energy,
-  metrics — those must be bit-stable unless ``ENGINE_VERSION`` moved);
-  ``repro history diff <ref>`` exits non-zero when a gate fires.
-* :func:`trajectory_entries` turns ``perfbench/run.py --trace 0``
-  stdouts into ``BENCH_trajectory.json`` entries (one per PR and
-  workload), so the perf trajectory is *generated* from measurements
-  instead of hand-written.
+:func:`trajectory_entries` turns ``perfbench/run.py --trace 0`` stdouts
+into ``BENCH_trajectory.json`` entries (one per PR and workload), so the
+perf trajectory is *generated* from measurements instead of
+hand-written.
 
 Schema versioning: the sqlite ``user_version`` pragma tracks the schema
 generation; :data:`MIGRATIONS` is an ordered list whose *i*-th entry
@@ -41,13 +34,12 @@ import re
 import sqlite3
 import subprocess
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["HistoryStore", "HistoryDiff", "Regression", "parse_perfbench",
-           "trajectory_entries", "append_trajectory", "git_sha", "host"]
+__all__ = ["HistoryStore", "parse_perfbench", "trajectory_entries",
+           "append_trajectory", "git_sha", "host"]
 
 #: Same-host seed-tree medians written by ``perfbench/seed_reference.py``
 #: (relative to the checkout root, like ``BENCH_trajectory.json``).
@@ -126,49 +118,6 @@ def _migrate_to_v2(con: sqlite3.Connection) -> None:
 MIGRATIONS = [_migrate_to_v1, _migrate_to_v2]
 
 SCHEMA_VERSION = len(MIGRATIONS)
-
-
-@dataclass
-class Regression:
-    """One gate violation found by :meth:`HistoryStore.diff`."""
-
-    kind: str          # "wall" | "metric" | "missing" | "outcome"
-    label: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.label}: {self.detail}"
-
-
-@dataclass
-class HistoryDiff:
-    """The result of comparing a sweep against a baseline sweep."""
-
-    current: Dict[str, Any]
-    baseline: Dict[str, Any]
-    regressions: List[Regression] = field(default_factory=list)
-    improvements: List[str] = field(default_factory=list)
-    #: Per-run "what moved most" summaries (``diff(attribute=True)``).
-    attributions: List[str] = field(default_factory=list)
-    compared: int = 0
-
-    @property
-    def has_regressions(self) -> bool:
-        return bool(self.regressions)
-
-    def render(self) -> str:
-        lines = [f"history diff: sweep #{self.current['id']} "
-                 f"({self.current['uid']}) vs baseline #{self.baseline['id']} "
-                 f"({self.baseline['uid']}) — {self.compared} run(s) compared"]
-        for reg in self.regressions:
-            lines.append(f"  REGRESSION {reg}")
-        for imp in self.improvements:
-            lines.append(f"  improved   {imp}")
-        if not self.regressions:
-            lines.append("  no regressions")
-        for attr in self.attributions:
-            lines.append(f"  {attr}")
-        return "\n".join(lines)
 
 
 class HistoryStore:
@@ -299,109 +248,6 @@ class HistoryStore:
         if row is None:
             raise KeyError(f"no sweep matches {ref!r}")
         return dict(row)
-
-    # -- regression gate -------------------------------------------------
-
-    def diff(self, current_ref: str = "last", baseline_ref: str = "last-1",
-             wall_tol: float = 0.5, metric_tol: float = 0.0,
-             attribute: bool = False, top_moves: int = 3) -> HistoryDiff:
-        """Compare two archived sweeps run-by-run.
-
-        Runs are matched on ``spec_key`` (falling back to label).  A run
-        that *simulated* on both sides gates on wall time:
-        ``current > baseline * (1 + wall_tol)`` is a regression (cached
-        hits are skipped — they replay the producing run's wall time).
-        Deterministic outputs (makespan, energy, scalar metrics — which
-        since the analysis layer include the ``derived.*`` paper
-        metrics) gate at ``metric_tol`` relative drift **whenever both
-        sides completed**, cached or not: those must not move unless the
-        engine version did.
-
-        ``attribute=True`` additionally ranks, per matched run, the
-        ``top_moves`` metrics that moved most relative to the baseline
-        (the history-level cross-run attribution; ``repro obs analyze
-        --baseline`` gives the deeper per-tier latency attribution).
-        """
-        cur = self.resolve(current_ref)
-        base = self.resolve(baseline_ref)
-        diff = HistoryDiff(current=cur, baseline=base)
-        base_runs = {(r["spec_key"] or r["label"]): r
-                     for r in self.runs_of(base["id"])}
-        for run in self.runs_of(cur["id"]):
-            key = run["spec_key"] or run["label"]
-            other = base_runs.get(key)
-            if other is None:
-                continue   # spec not in baseline: nothing to gate against
-            diff.compared += 1
-            label = run["label"]
-            if run["outcome"] in ("skipped", "pending"):
-                if other["completed"]:
-                    diff.regressions.append(Regression(
-                        "outcome", label,
-                        f"{other['outcome']} in baseline, now "
-                        f"{run['outcome']}"))
-                continue
-            if (not run["cached"] and not other["cached"]
-                    and run["sim_wall_s"] and other["sim_wall_s"]):
-                ratio = run["sim_wall_s"] / other["sim_wall_s"]
-                if ratio > 1.0 + wall_tol:
-                    diff.regressions.append(Regression(
-                        "wall", label,
-                        f"{other['sim_wall_s']:.3f}s -> "
-                        f"{run['sim_wall_s']:.3f}s ({ratio:.2f}x, "
-                        f"tolerance {1.0 + wall_tol:.2f}x)"))
-                elif ratio < 1.0 - wall_tol:
-                    diff.improvements.append(
-                        f"{label}: {other['sim_wall_s']:.3f}s -> "
-                        f"{run['sim_wall_s']:.3f}s ({ratio:.2f}x)")
-            if run["completed"] and other["completed"]:
-                self._gate_metrics(diff, label, run, other, metric_tol)
-                if attribute:
-                    self._attribute(diff, label, run, other, top_moves)
-        return diff
-
-    @staticmethod
-    def _attribute(diff: HistoryDiff, label: str, run: Dict[str, Any],
-                   other: Dict[str, Any], top_moves: int) -> None:
-        """Rank which metrics moved most between two matched runs."""
-        from .analysis.diff import rank_moves
-
-        def flat(r: Dict[str, Any]) -> Dict[str, float]:
-            out = {k: v for k, v in (r.get("metrics") or {}).items()
-                   if isinstance(v, (int, float))}
-            for scalar in ("makespan_us", "energy_j"):
-                if r.get(scalar) is not None:
-                    out[scalar] = r[scalar]
-            return out
-
-        moves = rank_moves(flat(run), flat(other), top=top_moves)
-        if not moves:
-            diff.attributions.append(f"{label}: no metric moved")
-            return
-        detail = "; ".join(m.render() for m in moves)
-        diff.attributions.append(f"{label}: moved most — {detail}")
-
-    @staticmethod
-    def _gate_metrics(diff: HistoryDiff, label: str, run: Dict[str, Any],
-                      other: Dict[str, Any], tol: float) -> None:
-        scalars = [("makespan_us", run.get("makespan_us"),
-                    other.get("makespan_us")),
-                   ("energy_j", run.get("energy_j"), other.get("energy_j")),
-                   ("events", run.get("events"), other.get("events"))]
-        cur_m, base_m = run.get("metrics") or {}, other.get("metrics") or {}
-        for name in sorted(cur_m.keys() & base_m.keys()):
-            scalars.append((name, cur_m[name], base_m[name]))
-        for name, a, b in scalars:
-            if a is None or b is None:
-                continue
-            if b == 0:
-                drift = 0.0 if a == 0 else float("inf")
-            else:
-                drift = abs(a - b) / abs(b)
-            if drift > tol:
-                diff.regressions.append(Regression(
-                    "metric", label, f"{name}: {b} -> {a} "
-                    f"(drift {drift:.2%}, tolerance {tol:.2%})"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Named counters, gauges and fixed-bucket histograms.
+"""Named counters and fixed-bucket histograms.
 
 The registry is the one counter store: the kernel and every policy keep
 typed instruments here instead of ad-hoc stats dicts, and they serialize
@@ -28,22 +28,6 @@ class Counter:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-class Gauge:
-    """A point-in-time integer value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, v: int) -> None:
-        self.value = v
 
 
 class Histogram:
@@ -76,10 +60,6 @@ class Histogram:
         self.count += 1
         self.sum += v
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def quantile(self, p: float) -> Optional[int]:
         """Nearest-rank quantile as a bucket upper edge.
 
@@ -90,20 +70,14 @@ class Histogram:
         from ..metrics.quantiles import histogram_quantile
         return histogram_quantile(self.edges, self.counts, p)
 
-    def bucket_labels(self) -> List[str]:
-        labels = [f"<={e}" for e in self.edges]
-        labels.append(f">{self.edges[-1]}")
-        return labels
-
 
 class MetricsRegistry:
     """A flat namespace of instruments, created on first use."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument factories (idempotent per name) ----------------------
@@ -113,12 +87,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str,
                   edges: Optional[Sequence[int]] = None) -> Histogram:
@@ -139,8 +107,6 @@ class MetricsRegistry:
         out: Dict[str, Any] = {}
         for name, c in self._counters.items():
             out[prefix + name] = {"type": "counter", "value": c.value}
-        for name, g in self._gauges.items():
-            out[prefix + name] = {"type": "gauge", "value": g.value}
         for name, h in self._histograms.items():
             out[prefix + name] = {
                 "type": "histogram",
@@ -160,8 +126,6 @@ class MetricsRegistry:
             kind = entry["type"]
             if kind == "counter":
                 reg.counter(name).value = entry["value"]
-            elif kind == "gauge":
-                reg.gauge(name).value = entry["value"]
             elif kind == "histogram":
                 h = reg.histogram(name, entry["edges"])
                 h.counts = list(entry["counts"])

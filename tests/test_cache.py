@@ -6,10 +6,12 @@ import dataclasses
 import json
 
 from repro.core.params import NestParams
-from repro.experiments.cache import (ResultCache, result_from_jsonable,
+from repro.experiments.cache import (QUARANTINE_DIR, ResultCache,
+                                     result_from_jsonable,
                                      result_to_jsonable, spec_key)
 from repro.experiments.cli import main
 from repro.experiments.parallel import RunSpec, SweepExecutor, execute_spec
+from repro.obs.history import HistoryStore
 
 from test_parallel import SPECS, assert_results_identical
 
@@ -134,6 +136,27 @@ class TestMaintenance:
         assert "1 entries" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", root]) == 0
         assert "cleared 1" in capsys.readouterr().out
+
+    def test_cli_clear_keeps_the_run_history(self, tmp_path, capsys):
+        """``cache clear`` drops the entries and the quarantine; the run
+        history beside them survives, and a rerun simulates every spec."""
+        root = tmp_path / "cache"
+        argv = ["compare", "--workload", "phoronix-libavif-avifenc-1",
+                "--machine", "5218_2s", "--scale", "0.3", "--seeds", "1",
+                "--jobs", "1", "--cache-dir", str(root)]
+        assert main(argv) == 0
+        with HistoryStore(root / "history.sqlite") as store:
+            uid = store.sweeps()[0]["uid"]
+        (root / QUARANTINE_DIR).mkdir()
+        (root / QUARANTINE_DIR / "torn.json").write_text("{")
+        capsys.readouterr()
+        assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+        assert "cleared 4 cached result(s)" in capsys.readouterr().out
+        assert not (root / QUARANTINE_DIR).exists()
+        assert main(["history", "list", "--cache-dir", str(root)]) == 0
+        assert uid in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "(4 simulated, 0 cached)" in capsys.readouterr().out
 
     def test_cli_compare_uses_cache(self, tmp_path, capsys):
         argv = ["compare", "--workload", "phoronix-libavif-avifenc-1",

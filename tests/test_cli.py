@@ -186,11 +186,11 @@ class TestObservabilityCli:
     def test_trace_unknown_name_is_error(self):
         assert main(["trace", "quake3"]) == 2
 
-    def test_obs_report_without_sweep_is_error(self, tmp_path):
-        assert main(["obs", "report", "--cache-dir",
+    def test_history_show_without_sweep_is_error(self, tmp_path):
+        assert main(["history", "show", "--cache-dir",
                      str(tmp_path / "empty")]) == 1
 
-    def test_obs_report_after_sweep(self, tmp_path, capsys):
+    def test_history_show_after_sweep(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         rc = main(["compare", "--workload", "configure-gcc",
                    "--machine", "ryzen_4650g", "--seeds", "1",
@@ -198,12 +198,12 @@ class TestObservabilityCli:
                    "--cache-dir", cache_dir, "--progress"])
         assert rc == 0
         capsys.readouterr()
-        assert main(["obs", "report", "--cache-dir", cache_dir]) == 0
+        assert main(["history", "show", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "last sweep: 4 runs" in out
+        assert "4 runs, 4 simulated, 0 cached" in out
         assert "cache: 0 hit(s), 4 miss(es)" in out
 
-    def test_obs_report_json(self, tmp_path, capsys):
+    def test_history_show_json(self, tmp_path, capsys):
         import json as _json
         cache_dir = str(tmp_path / "cache")
         rc = main(["compare", "--workload", "configure-gcc",
@@ -212,20 +212,20 @@ class TestObservabilityCli:
                    "--cache-dir", cache_dir, "--progress"])
         assert rc == 0
         capsys.readouterr()
-        assert main(["obs", "report", "--cache-dir", cache_dir,
+        assert main(["history", "show", "--cache-dir", cache_dir,
                      "--json"]) == 0
         report = _json.loads(capsys.readouterr().out)
         assert report["stats"]["n_specs"] == 4
         assert len(report["runs"]) == 4
         # sort_keys canonicalization: a second read emits the same doc.
-        assert main(["obs", "report", "--cache-dir", cache_dir,
+        assert main(["history", "show", "--cache-dir", cache_dir,
                      "--json"]) == 0
         assert _json.loads(capsys.readouterr().out) == report
 
-    def test_obs_report_lists_pending_runs(self, tmp_path, capsys,
-                                           monkeypatch):
+    def test_history_show_lists_pending_runs(self, tmp_path, capsys,
+                                             monkeypatch):
         """An interrupted sweep's history rows hold no wall time or event
-        count for the runs it never reached; the report lists them."""
+        count for the runs it never reached; ``history show`` lists them."""
         from repro.experiments import parallel
         real = parallel.execute_spec
         calls = []
@@ -243,8 +243,7 @@ class TestObservabilityCli:
                   "--machine", "ryzen_4650g", "--seeds", "1",
                   "--scale", "0.3", "--jobs", "1", "--cache-dir", cache_dir])
         capsys.readouterr()
-        assert main(["obs", "report", "--cache-dir", cache_dir,
-                     "--top", "4"]) == 0
+        assert main(["history", "show", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "sweep was interrupted" in out
         rows = [ln.split() for ln in out.splitlines() if "configure-gcc" in ln]
@@ -389,20 +388,21 @@ class TestObservabilityCli:
         assert "left in place" in out
         assert victim.exists()
 
-    def test_obs_report_shape(self, tmp_path, capsys):
+    def test_history_show_shape(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         self._populate_cache(cache_dir, capsys)
-        assert main(["obs", "report", "--cache-dir", cache_dir,
-                     "--top", "2"]) == 0
+        assert main(["history", "show", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
-        assert lines[0].startswith("last sweep: 4 runs")
-        assert "worker(s)" in lines[0]
+        assert lines[0].startswith("sweep #1 ")
+        assert "4 runs" in lines[0] and "worker(s)" in lines[0]
         assert any("engine events" in ln and "events/s" in ln
                    for ln in lines)
-        # --top bounds the slowest-runs listing; each row names its run.
+        # Every run is listed, in spec order; each row names its run.
         rows = [ln for ln in lines if "configure-gcc" in ln]
-        assert len(rows) == 2
+        assert [ln.split()[-1].split("/")[2] for ln in rows] == [
+            "cfs-schedutil", "cfs-performance", "nest-schedutil",
+            "nest-performance"]
         assert all("s  " in ln and "ev" in ln for ln in rows)
 
 

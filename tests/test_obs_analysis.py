@@ -8,8 +8,8 @@ The central contracts under test:
   simulations — and the fig2 reference report is pinned byte-for-byte in ``tests/data/golden_analysis.json``
   (regenerate via tests/golden_regen.py after an intentional change);
 * ``derived.*`` metrics are a pure function of a serialized metrics
-  registry and ride into history rows, where ``repro history diff``
-  gates on them (exit 1) and ``--attribute`` ranks what moved;
+  registry and ride into history rows, where the dashboard's Analysis
+  panel reads them;
 * the ``repro obs analyze`` / ``repro obs query`` CLI round-trips all
   of the above, including ``--events`` JSONL dumps and ``--baseline``
   cross-run attribution.

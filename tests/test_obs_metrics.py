@@ -1,35 +1,21 @@
-"""Tests for the metrics registry: counters, gauges, histograms."""
+"""Tests for the metrics registry: counters and histograms."""
 
 import json
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
     def test_starts_at_zero(self):
         assert Counter("x").value == 0
 
-    def test_inc(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
     def test_direct_attribute_increment(self):
-        """Hot paths bypass inc() and bump .value directly."""
+        """Instruments bump .value directly."""
         c = Counter("x")
         c.value += 1
         assert c.value == 1
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(7)
-        assert g.value == 7
 
 
 class TestHistogram:
@@ -74,13 +60,7 @@ class TestHistogram:
             h.observe(v)
         assert h.count == 3
         assert h.sum == 6
-        assert h.mean == 2.0
-
-    def test_mean_of_empty_is_zero(self):
-        assert Histogram("h", (1,)).mean == 0.0
-
-    def test_bucket_labels(self):
-        assert Histogram("h", (1, 5)).bucket_labels() == ["<=1", "<=5", ">5"]
+        assert h.sum / h.count == 2.0
 
     def test_counts_has_overflow_slot(self):
         assert len(Histogram("h", (1, 2, 3)).counts) == 4
@@ -90,7 +70,6 @@ class TestMetricsRegistry:
     def test_factories_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h", (1, 2)) is reg.histogram("h")
 
     def test_histogram_lookup_without_edges_requires_registration(self):
@@ -99,19 +78,17 @@ class TestMetricsRegistry:
 
     def test_counters_view(self):
         reg = MetricsRegistry()
-        reg.counter("a").inc(2)
+        reg.counter("a").value += 2
         reg.counter("b")
         assert reg.counters() == {"a": 2, "b": 0}
 
     def test_as_dict_shapes(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.gauge("g").set(9)
+        reg.counter("c").value += 3
         h = reg.histogram("h", (1, 10))
         h.observe(5)
         d = reg.as_dict()
         assert d["c"] == {"type": "counter", "value": 3}
-        assert d["g"] == {"type": "gauge", "value": 9}
         assert d["h"] == {"type": "histogram", "edges": [1, 10],
                           "counts": [0, 1, 0], "count": 1, "sum": 5}
 
@@ -123,8 +100,7 @@ class TestMetricsRegistry:
     def test_round_trip_through_json(self):
         """The cache contract: as_dict -> JSON -> from_dict is exact."""
         reg = MetricsRegistry()
-        reg.counter("c").inc(7)
-        reg.gauge("g").set(-2)
+        reg.counter("c").value += 7
         h = reg.histogram("h", (1, 2, 4))
         for v in (0, 1, 2, 3, 9):
             h.observe(v)

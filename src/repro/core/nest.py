@@ -171,9 +171,10 @@ class NestPolicy(NestCore):
 
         if impatient:
             # §3.1: the chosen core joins the primary nest directly, to
-            # expand it, and the impatience counter resets.  nest.expand is
-            # emitted even when the core already was primary.
-            if cpu not in masks.primary:
+            # expand it, and the impatience counter resets.  A core that
+            # already was primary stays put, and no nest.expand is logged.
+            expand = cpu not in masks.primary
+            if expand:
                 masks.expand(cpu)
             self._c_impatient.value += 1
             task.impatience = 0
@@ -181,8 +182,9 @@ class NestPolicy(NestCore):
                 now = self.kernel.engine.now
                 obs.emit(now, oev.PLACE_IMPATIENT, cpu=cpu, task=task.tid,
                          value=examined)
-                obs.emit(now, oev.NEST_EXPAND, cpu=cpu, task=task.tid,
-                         value=len(masks.primary))
+                if expand:
+                    obs.emit(now, oev.NEST_EXPAND, cpu=cpu, task=task.tid,
+                             value=len(masks.primary))
         else:
             # A pick outside both nests enters the reserve while it has
             # room; otherwise it joins no nest (§3.1).

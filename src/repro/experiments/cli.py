@@ -348,10 +348,10 @@ def _cmd_history_list(args) -> int:
         rows.append([str(s["id"]), s["uid"], when, s["git_sha"] or "-",
                      str(s["n_specs"]), str(s["simulated"]),
                      str(s["cache_hits"]), f"{s['wall_s']:.2f}s",
-                     ",".join(flags) or "-", s["label"] or "-"])
+                     ",".join(flags) or "-"])
     print(render_table(
         ["id", "sweep", "when", "git", "runs", "sim", "cached", "wall",
-         "flags", "label"], rows, title=f"run history at {path}"))
+         "flags"], rows, title=f"run history at {path}"))
     return 0
 
 
@@ -373,8 +373,7 @@ def _cmd_history_show(args) -> int:
                          sort_keys=True, indent=2))
         return 0
     print(f"sweep #{sweep['id']} {sweep['uid']} "
-          f"(git {sweep['git_sha'] or '?'}"
-          + (f", {sweep['label']}" if sweep["label"] else "") + "): "
+          f"(git {sweep['git_sha'] or '?'}): "
           f"{st.get('n_specs', 0)} runs, {st.get('simulated', 0)} simulated, "
           f"{st.get('cache_hits', 0)} cached, "
           f"{st.get('wall_s', 0.0):.2f}s wall "

@@ -37,8 +37,7 @@ class RunQueue:
 
     __slots__ = ("cpu", "_heap", "_seq", "_queued", "nr_queued",
                  "die_queued", "min_vruntime", "busy_avg", "blocked_load",
-                 "placement_pending", "last_busy_us", "nr_switches",
-                 "currently_busy")
+                 "placement_pending", "last_busy_us", "currently_busy")
 
     def __init__(self, cpu: int, now: int = 0,
                  die_queued: Optional[List[int]] = None) -> None:
@@ -58,7 +57,6 @@ class RunQueue:
         self.blocked_load = PeltAvg(now)
         self.placement_pending = 0    # count of in-flight placements (§3.4)
         self.last_busy_us = 0                 # when the cpu last ran a task
-        self.nr_switches = 0
         self.currently_busy = False           # maintained by the kernel
 
     # ---- queue operations ----------------------------------------------

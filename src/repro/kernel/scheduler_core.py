@@ -356,7 +356,6 @@ class Kernel:
             self._rt_c_kills = m.counter("rt_kills")
             self._rt_h_recovery = m.histogram("rt_recovery_latency_us",
                                               RT_RECOVERY_EDGES)
-        task.wcet_cycles = float(rt.wcet_cycles)
         primary = rt.primary
         if primary is None:
             task.deadline_us = self.engine.now + rt.deadline_us
@@ -633,12 +632,9 @@ class Kernel:
             if self.obs.enabled:
                 self.obs.emit(now, oev.SCHED_DISPATCH, cpu=cpu,
                               task=task.tid, value=latency)
-        if task.exec_start_us is None:
-            task.exec_start_us = now
         cs.current = task
         cs.stint_start = now
         cs.vr_last_update = now
-        rq.nr_switches += 1
 
         self._set_thread_activity(cpu, busy=True)
         self.tracer.begin(cpu, now, self.freq.freq_mhz(cpu), task.tid)
@@ -769,8 +765,8 @@ class Kernel:
                 if action.us <= 0:
                     continue
                 self._block(task, BlockReason.TIMER)
-                task.sleep_event = self.engine.after(
-                    action.us, EventKind.IO, self._timer_wake, (task,))
+                self.engine.after(action.us, EventKind.IO,
+                                  self._timer_wake, (task,))
                 return "blocked"
 
             if isinstance(action, WaitChildren):
@@ -847,7 +843,6 @@ class Kernel:
         self.rqs[cpu].blocked_load.add(task.pelt.value * 0.5)
 
     def _timer_wake(self, task: Task) -> None:
-        task.sleep_event = None
         if task.state is not TaskState.SLEEPING:
             return
         # Timer wakeups are initiated by the interrupt on the previous cpu.
@@ -901,7 +896,6 @@ class Kernel:
         task.total_runtime_us += now - cs.stint_start
         task.prev_cpu = cpu
         task.cpu = None
-        task.last_ran_us = now
         cs.current = None
         self._set_thread_activity(cpu, busy=False)
         self.tracer.end(cpu, now)

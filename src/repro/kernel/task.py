@@ -38,12 +38,11 @@ class Task:
         "tid", "name", "generator", "parent", "children", "live_children",
         "state", "block_reason", "cpu", "prev_cpu", "core_history",
         "impatience", "remaining_cycles", "vruntime", "pelt",
-        "run_start_us", "run_freq_mhz", "last_ran_us", "enqueued_us",
-        "completion_event", "sleep_event", "created_us", "exited_us",
-        "exec_start_us", "total_cycles", "total_runtime_us", "n_migrations",
+        "run_start_us", "run_freq_mhz", "enqueued_us", "completion_event",
+        "exited_us", "total_cycles", "total_runtime_us", "n_migrations",
         "n_wakeups", "wakeup_latency_us", "resume_value", "waited_by",
         "waiting_for", "util_est",
-        "deadline_us", "wcet_cycles", "backup", "backup_of", "rt_channel",
+        "deadline_us", "backup", "backup_of", "rt_channel",
         "rt_activated_us", "rt_killed", "rt_accounted",
     )
 
@@ -83,15 +82,9 @@ class Task:
 
         self.run_start_us: Optional[int] = None   # start of current stint
         self.run_freq_mhz = 0                     # freq pricing the stint
-        self.last_ran_us = now
         self.enqueued_us: Optional[int] = None
-
-        self.completion_event = None              # engine Event handles
-        self.sleep_event = None
-
-        self.created_us = now
+        self.completion_event = None              # engine Event handle
         self.exited_us: Optional[int] = None
-        self.exec_start_us: Optional[int] = None
 
         # Statistics.
         self.total_cycles = 0.0
@@ -110,7 +103,6 @@ class Task:
         # ``backup`` and holds the activation channel; the backup points
         # back via ``backup_of``.
         self.deadline_us: Optional[int] = None
-        self.wcet_cycles = 0.0
         self.backup: Optional["Task"] = None
         self.backup_of: Optional["Task"] = None
         self.rt_channel: Any = None

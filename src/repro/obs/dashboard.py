@@ -215,8 +215,7 @@ def _summary_section(sweep: Dict[str, Any],
         counts[run["outcome"]] = counts.get(run["outcome"], 0) + 1
     head = (f'<p class="muted">sweep <code>{_esc(sweep.get("uid"))}</code>'
             f' — {_esc(when)} — git <code>{_esc(sweep.get("git_sha"))}</code>'
-            + (f' — {_esc(sweep.get("label"))}' if sweep.get("label")
-               else "") + '</p>')
+            '</p>')
     return (head + f'<div class="tiles">{"".join(tiles)}</div>'
             + (f'<p>{" · ".join(badges)}</p>' if badges else "")
             + "<h2>Outcomes</h2>" + _stacked_bar(counts))

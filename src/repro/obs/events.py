@@ -41,6 +41,8 @@ PLACE_IMPATIENT = "place.impatient"    # §3.1 impatient expansion via CFS
 PLACE_CFS = "place.cfs"                # fell through to CFS
 
 # --- nest membership transitions (Figure 1's blue arrows) ----------------
+# Nest and scx_nest share one mask core (sched/nestcore.py) and emit
+# these alike; scx_nest's compaction timer demotes with nest.compact.
 NEST_PROMOTE = "nest.promote"          # reserve -> primary
 NEST_EXPAND = "nest.expand"            # impatient: CFS pick -> primary
 NEST_COMPACT = "nest.compact"          # stale primary core demoted (§3.1)
@@ -85,12 +87,7 @@ RT_DEADLINE_MISS = "rt.deadline_miss"    # job lost or finished late
 NEST_OFFLINE_EVICT = "nest.offline_evict"  # offline core evicted from nests
 
 # --- scx_nest comparator (sched/scxnest.py; DESIGN.md §11) ---------------
-# Mask transitions mirror the nest.* contract: ``value`` is the primary
-# mask size *after* the transition, and together with NEST_OFFLINE_EVICT
-# they are exhaustive over primary-mask mutations (oracle replay).
-SCXNEST_PROMOTE = "scxnest.promote"        # reserve -> primary (warm hit)
-SCXNEST_EXPAND = "scxnest.expand"          # impatient: CFS pick -> primary
-SCXNEST_COMPACT = "scxnest.compact"        # compaction timer fired: demoted
+# The mechanisms only scx_nest has; its mask transitions are nest.* above.
 SCXNEST_COMPACT_ARM = "scxnest.compact_arm"      # per-core timer armed
 SCXNEST_COMPACT_CANCEL = "scxnest.compact_cancel"  # core reused: timer void
 SCXNEST_VTIME_PULL = "scxnest.vtime_pull"  # idle core pulled the min-vtime
@@ -101,8 +98,7 @@ EVENT_KINDS = frozenset({
     PLACE_ATTACH, PLACE_PRIMARY, PLACE_RESERVE, PLACE_IMPATIENT, PLACE_CFS,
     NEST_PROMOTE, NEST_EXPAND, NEST_COMPACT, NEST_EXIT_DEMOTE,
     NEST_OFFLINE_EVICT,
-    SCXNEST_PROMOTE, SCXNEST_EXPAND, SCXNEST_COMPACT, SCXNEST_COMPACT_ARM,
-    SCXNEST_COMPACT_CANCEL, SCXNEST_VTIME_PULL,
+    SCXNEST_COMPACT_ARM, SCXNEST_COMPACT_CANCEL, SCXNEST_VTIME_PULL,
     SCHED_FORK, SCHED_WAKEUP, SCHED_DISPATCH, SCHED_PREEMPT, SCHED_MIGRATE,
     SPIN_START, SPIN_STOP,
     FREQ_STEP, FREQ_REQUEST,
@@ -137,26 +133,19 @@ PLACEMENT_KINDS = (
     PLACE_ATTACH, PLACE_PRIMARY, PLACE_RESERVE, PLACE_IMPATIENT, PLACE_CFS,
 )
 
-#: Transitions that add the event's cpu to the primary nest / remove it.
-#: Together with ``NEST_OFFLINE_EVICT`` (which may also evict a
-#: reserve-only core) these are *exhaustive*: every mutation of the
-#: primary set emits exactly one of them, which is what lets the
-#: verification oracle (repro.verify.oracle) replay primary membership
-#: from the event log alone.
+#: Transitions that add the event's cpu to the primary nest (always a
+#: non-member) / remove it.  Together with ``NEST_OFFLINE_EVICT`` (which
+#: may also evict a reserve-only core) these are *exhaustive*: every
+#: mutation of the primary set emits exactly one of them, under Nest and
+#: scx_nest alike, which is what lets the verification oracle
+#: (repro.verify.oracle) replay primary membership from the event log
+#: alone.
 PRIMARY_ADD_KINDS = frozenset({NEST_PROMOTE, NEST_EXPAND})
 PRIMARY_REMOVE_KINDS = frozenset({NEST_COMPACT, NEST_EXIT_DEMOTE})
 
 #: Placement commit kinds (the kernel accepted the policy's choice and
 #: recorded the core in the task's §3.3 attachment history).
 COMMIT_KINDS = frozenset({SCHED_FORK, SCHED_WAKEUP})
-
-#: scx_nest primary-mask transitions (same exhaustiveness contract as the
-#: PRIMARY_*_KINDS above, for the ``scxnest.mask_replay`` oracle check).
-SCXNEST_PRIMARY_ADD_KINDS = frozenset({SCXNEST_PROMOTE, SCXNEST_EXPAND})
-SCXNEST_PRIMARY_REMOVE_KINDS = frozenset({SCXNEST_COMPACT})
-SCXNEST_TRANSITION_KINDS = frozenset({
-    SCXNEST_PROMOTE, SCXNEST_EXPAND, SCXNEST_COMPACT,
-})
 
 #: Short tier names of the placement kinds, in presentation order
 #: (``place.attach`` -> ``attach`` ...).  Analysis reports key latency

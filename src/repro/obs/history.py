@@ -8,9 +8,10 @@ sweep ends: one row per sweep (stats, git sha, wall time, hardening
 counters) and one row per run (spec key, outcome, wall time, makespan,
 energy, peak RSS, scalar metrics, and for a run simulated in that sweep
 the worker pid and wall-clock start and end the dashboard's timeline
-draws).  The runs table's ``engine`` column predates the single
-simulation engine; new rows leave it NULL.  ``repro history list`` and
-``show`` print the rows, and ``repro obs dashboard`` renders them.
+draws).  Two columns have no writer and new rows leave them NULL: the
+runs table's ``engine``, which predates the single simulation engine,
+and the sweeps table's ``label``.  ``repro history list`` and ``show``
+print the rows, and ``repro obs dashboard`` renders them.
 
 :func:`trajectory_entries` turns ``perfbench/run.py --trace 0`` stdouts
 into ``BENCH_trajectory.json`` entries (one per PR and workload), so the
@@ -159,18 +160,17 @@ class HistoryStore:
 
     def record_sweep(self, uid: str, stats: Dict[str, Any],
                      runs: Sequence[Dict[str, Any]],
-                     label: Optional[str] = None,
                      interrupted: bool = False,
                      sha: Optional[str] = None,
                      ts: Optional[float] = None) -> int:
         """Archive one finished sweep; returns its integer history id."""
         with self._con:
             cur = self._con.execute(
-                """INSERT INTO sweeps (uid, ts, label, git_sha, interrupted,
+                """INSERT INTO sweeps (uid, ts, git_sha, interrupted,
                        n_specs, simulated, cache_hits, retried, timeouts,
                        skipped, degraded, workers, wall_s, events, stats_json)
-                   VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)""",
-                (uid, ts if ts is not None else time.time(), label,
+                   VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)""",
+                (uid, ts if ts is not None else time.time(),
                  sha if sha is not None else git_sha(),
                  int(bool(interrupted)),
                  int(stats.get("n_specs", 0)),
@@ -220,8 +220,8 @@ class HistoryStore:
         out = []
         for row in rows:
             d = dict(row)
-            d["metrics"] = (json.loads(d.pop("metrics_json"))
-                            if d.get("metrics_json") else {})
+            metrics_json = d.pop("metrics_json")
+            d["metrics"] = json.loads(metrics_json) if metrics_json else {}
             out.append(d)
         return out
 

@@ -12,9 +12,8 @@ the metadata the rest of the system derives its behaviour from:
 * ``invariant_groups`` — which policy-specific oracle families
   (``nest.*``, ``scxnest.*``, ``rt.*``) apply to runs of this policy;
   the oracle gates those checks through :func:`invariant_groups_of`;
-* ``uses_nest_params`` / ``default_params`` — whether the factory
-  consumes a :class:`~repro.core.params.NestParams` override and what it
-  defaults to;
+* ``uses_nest_params`` — whether the factory consumes a
+  :class:`~repro.core.params.NestParams` override;
 * ``fuzz_weight`` — how many slots the policy occupies in the fuzz
   generator's scheduler pool (:func:`fuzz_scheduler_pool`).
 
@@ -50,8 +49,6 @@ class PolicyInfo:
     invariant_groups: FrozenSet[str] = field(default_factory=frozenset)
     #: Whether the factory consumes the NestParams override.
     uses_nest_params: bool = False
-    #: Lazy default parameter object (None for parameterless policies).
-    default_params: Optional[Callable[[], Any]] = None
     #: Slots in the fuzz generator's scheduler pool (0 = never fuzzed;
     #: the drift test forbids 0 for registered built-ins).
     fuzz_weight: int = 1
@@ -64,7 +61,6 @@ def register_policy(name: str, factory: PolicyFactory, *,
                     description: str = "",
                     invariant_groups: Tuple[str, ...] = (),
                     uses_nest_params: bool = False,
-                    default_params: Optional[Callable[[], Any]] = None,
                     fuzz_weight: int = 1,
                     replace: bool = False) -> PolicyInfo:
     """Register ``factory`` under the (case-insensitive) short ``name``.
@@ -78,7 +74,6 @@ def register_policy(name: str, factory: PolicyFactory, *,
     info = PolicyInfo(name=key, factory=factory, description=description,
                       invariant_groups=frozenset(invariant_groups),
                       uses_nest_params=uses_nest_params,
-                      default_params=default_params,
                       fuzz_weight=fuzz_weight)
     _REGISTRY[key] = info
     return info
@@ -176,8 +171,7 @@ register_policy(
     description="the paper's Nest policy: primary/reserve nests, "
                 "attachment, impatience, warm-core spinning (§3)",
     invariant_groups=("nest",),
-    uses_nest_params=True, default_params=_nest_defaults,
-    fuzz_weight=3)
+    uses_nest_params=True, fuzz_weight=3)
 register_policy(
     "smove", _make_smove,
     description="S_move (§2.2): frequency-gated child-on-waker-core "
@@ -192,4 +186,4 @@ register_policy(
     description="Meta's scx_nest variant: global vtime dispatch queue + "
                 "Nest-style warm-core masks with timer-driven compaction",
     invariant_groups=("scxnest",),
-    uses_nest_params=True, default_params=_nest_defaults)
+    uses_nest_params=True)

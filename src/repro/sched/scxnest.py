@@ -29,7 +29,8 @@ impatience, failed primary searches increment it, and a task that failed
 is promoted straight into the primary mask.  Unlike the paper's Nest
 there is no task→core attachment and no warm-core spinning.  The masks,
 their scans and the hotplug repair are the mask core shared with Nest
-(``sched/nestcore.py``).
+(``sched/nestcore.py``), and its mask transitions log as Nest's do
+(``nest.promote``, ``nest.expand``, ``nest.compact``).
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class ScxNestPolicy(NestCore):
                         now = self.kernel.engine.now
                         obs.emit(now, oev.PLACE_RESERVE, cpu=cpu,
                                  task=task.tid, value=examined)
-                        obs.emit(now, oev.SCXNEST_PROMOTE, cpu=cpu,
+                        obs.emit(now, oev.NEST_PROMOTE, cpu=cpu,
                                  task=task.tid,
                                  value=len(self._masks.primary))
                     return cpu
@@ -257,7 +258,7 @@ class ScxNestPolicy(NestCore):
                 self._masks.expand(cpu)
                 self._c_expand.value += 1
                 if obs.enabled:
-                    obs.emit(self.kernel.engine.now, oev.SCXNEST_EXPAND,
+                    obs.emit(self.kernel.engine.now, oev.NEST_EXPAND,
                              cpu=cpu, task=task.tid,
                              value=len(self._masks.primary))
         else:
@@ -382,7 +383,7 @@ class ScxNestPolicy(NestCore):
             if self.params.compaction_enabled and kernel.cpu_is_idle(cpu):
                 self._arm_compaction(cpu)
             return
-        self._demote(cpu, oev.SCXNEST_COMPACT)
+        self._demote(cpu, oev.NEST_COMPACT)
 
     def _forget_cpu(self, cpu: int) -> None:
         """Hotplug disarms the core's compaction timer."""

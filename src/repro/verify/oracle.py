@@ -15,9 +15,10 @@ on every fuzzed scenario for the cost of one list walk.
 The paper mapping:
 
 * §3.1 — nest membership is replayed exactly from the ``nest.*``
-  transition events (every primary-set mutation emits one), disjointness
-  and the ``R_max`` reserve bound are checked on the final snapshot, and
-  placement-tier counters must sum to the placement count;
+  transition events, which Nest and scx_nest both log (every
+  primary-set mutation emits one), disjointness and the ``R_max``
+  reserve bound are checked on the final snapshot, and placement-tier
+  counters must sum to the placement count;
 * §3.2 — warm-core spins start/stop strictly alternately per cpu;
 * §3.3 — attachment hits must target the core the replayed two-wakeup
   history says the task is attached to, and disabled features must leave
@@ -274,44 +275,34 @@ class EventCounterMatch(_CounterMatch):
 
 class PrimaryReplay(_Replay):
     """§3.1: the primary nest replayed from events is always consistent —
-    promotions add non-members, demotions remove members, the size each
-    transition reports matches the replayed set, primary hits target
-    members, and the final replayed set equals the live snapshot.
-
-    The class attributes parametrise the replay per policy family:
-    which kinds add and remove members, which adds must find the core
-    absent, which transitions report the size, and which placements must
-    target a member.
+    promotions and expansions add non-members, demotions remove members,
+    the size each transition reports matches the replayed set, primary
+    hits target members, and the final replayed set equals the live
+    snapshot.  Nest and scx_nest log their shared mask core's
+    transitions alike, so this one replay certifies both.
     """
 
     name = "nest.primary_replay"
-    group = "nest"
     needs_log = True
-    noun = "nest"
-    adds = oev.PRIMARY_ADD_KINDS
-    # nest.expand may be idempotent: an impatient task bypasses the
-    # primary search, so CFS can pick a core that is already a member
-    # (§3.1 expansion is then a no-op).  nest.promote cannot — the
-    # reserve is disjoint from the primary.
-    strict_adds = frozenset({oev.NEST_PROMOTE})
-    removes = oev.PRIMARY_REMOVE_KINDS
-    transitions = oev.NEST_TRANSITION_KINDS
-    placed = frozenset({oev.PLACE_ATTACH, oev.PLACE_PRIMARY})
+    kinds = oev.NEST_TRANSITION_KINDS | {oev.PLACE_ATTACH, oev.PLACE_PRIMARY}
+
+    @classmethod
+    def applies(cls, art: "RunArtifacts") -> bool:
+        return super().applies(art) and (_in_group(art, "nest")
+                                         or _in_group(art, "scxnest"))
 
     def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
         super().__init__(art, counts)
-        self.kinds = (self.adds | self.removes | self.placed
-                      | {oev.NEST_OFFLINE_EVICT})
         self._primary: set = set()
 
     def feed(self, ev: SchedEvent) -> None:
         kind, primary = ev.kind, self._primary
-        if kind in self.adds:
-            if ev.cpu in primary and kind in self.strict_adds:
+        if kind in oev.PRIMARY_ADD_KINDS:
+            if ev.cpu in primary:
                 self.flag(f"{kind} of cpu {ev.cpu} already in primary",
                           t=ev.t)
             primary.add(ev.cpu)
-        elif kind in self.removes:
+        elif kind in oev.PRIMARY_REMOVE_KINDS:
             if ev.cpu not in primary:
                 self.flag(f"{kind} of cpu {ev.cpu} not in primary", t=ev.t)
             primary.discard(ev.cpu)
@@ -319,8 +310,8 @@ class PrimaryReplay(_Replay):
             primary.discard(ev.cpu)   # may have been reserve-only
         elif ev.cpu not in primary:
             self.flag(f"{kind} chose cpu {ev.cpu} outside the replayed "
-                      f"primary {self.noun} {sorted(primary)}", t=ev.t)
-        if kind in self.transitions and ev.value != len(primary):
+                      f"primary nest {sorted(primary)}", t=ev.t)
+        if kind in oev.NEST_TRANSITION_KINDS and ev.value != len(primary):
             self.flag(f"{kind} reports primary size {ev.value}, replay "
                       f"says {len(primary)}", t=ev.t)
 
@@ -768,34 +759,18 @@ class ScxnestEventCounterMatch(_CounterMatch):
         return {
             oev.PLACE_PRIMARY: _counter(m, "scxnest.primary_hits"),
             oev.PLACE_RESERVE: _counter(m, "scxnest.reserve_hits"),
-            oev.SCXNEST_PROMOTE: _counter(m, "scxnest.reserve_hits"),
+            oev.NEST_PROMOTE: _counter(m, "scxnest.reserve_hits"),
             oev.PLACE_IMPATIENT: _counter(m, "scxnest.impatient_placements"),
             oev.PLACE_CFS: (_counter(m, "scxnest.cfs_fallbacks")
                             - _counter(m, "scxnest.impatient_placements")),
-            oev.SCXNEST_EXPAND: _counter(m, "scxnest.expansions"),
-            oev.SCXNEST_COMPACT: _counter(m, "scxnest.compactions"),
+            oev.NEST_EXPAND: _counter(m, "scxnest.expansions"),
+            oev.NEST_COMPACT: _counter(m, "scxnest.compactions"),
             oev.SCXNEST_COMPACT_ARM: _counter(m, "scxnest.compact_arms"),
             oev.SCXNEST_COMPACT_CANCEL: _counter(m,
                                                  "scxnest.compact_cancels"),
             oev.SCXNEST_VTIME_PULL: _counter(m, "scxnest.vtime_pulls"),
             oev.NEST_OFFLINE_EVICT: _counter(m, "scxnest.offline_evictions"),
         }
-
-
-class MaskReplay(PrimaryReplay):
-    """The primary mask replayed from ``scxnest.*`` transition events is
-    always consistent, by :class:`PrimaryReplay`'s rules.  Both adds are
-    strict here: the policy guards membership before emitting (unlike
-    nest.expand, which may be idempotent)."""
-
-    name = "scxnest.mask_replay"
-    group = "scxnest"
-    noun = "mask"
-    adds = oev.SCXNEST_PRIMARY_ADD_KINDS
-    strict_adds = oev.SCXNEST_PRIMARY_ADD_KINDS
-    removes = oev.SCXNEST_PRIMARY_REMOVE_KINDS
-    transitions = oev.SCXNEST_TRANSITION_KINDS
-    placed = frozenset({oev.PLACE_PRIMARY})
 
 
 #: The oracle, in evaluation order.  Names are stable: repro files,
@@ -822,7 +797,6 @@ INVARIANTS: Tuple[Tuple[str, Any], ...] = (
     ("rt.activation_pairing", ActivationPairing),
     ("scxnest.accounting", check_scxnest_accounting),
     ("scxnest.event_counter_match", ScxnestEventCounterMatch),
-    ("scxnest.mask_replay", MaskReplay),
 )
 
 

@@ -238,8 +238,8 @@ class TestImpatience:
 
     def test_expansion_onto_a_primary_core_changes_no_nest(self):
         """An impatient task whose CFS pick is already primary leaves both
-        nests as they were, yet still emits one nest.expand (valued at the
-        unchanged primary size) and counts one impatient placement."""
+        nests as they were: one place.impatient, no nest.expand (the
+        primary did not grow) and one impatient placement counted."""
         eng, kern, policy = make()
         events = eng.obs.attach_memory()
         policy.primary.add(2)
@@ -249,8 +249,9 @@ class TestImpatience:
         t.impatience = NestParams().r_impatient
         assert policy.select_cpu_wakeup(t, waker_cpu=2) == 2
         assert policy.primary == {2} and policy.reserve == {5}
-        expands = [ev for ev in events if ev.kind == oev.NEST_EXPAND]
-        assert [(ev.cpu, ev.value) for ev in expands] == [(2, 1)]
+        impatient = [ev for ev in events if ev.kind == oev.PLACE_IMPATIENT]
+        assert [(ev.cpu, ev.task) for ev in impatient] == [(2, t.tid)]
+        assert not [ev for ev in events if ev.kind == oev.NEST_EXPAND]
         assert policy.metrics.counters()["impatient_placements"] == 1
 
     def test_impatience_disabled_by_ablation(self):

@@ -219,8 +219,7 @@ class TestBuildDashboard:
             st.record_sweep("u1", {"n_specs": 1, "simulated": 1}, [
                 {"label": "<img src=x onerror=alert(1)>",
                  "outcome": "simulated", "cached": False, "completed": True,
-                 "sim_wall_s": 1.0, "error": "<script>evil</script>"}],
-                label="<b>bold</b>")
+                 "sim_wall_s": 1.0, "error": "<script>evil</script>"}])
         html_text = build_dashboard(tmp_path / "h.sqlite")
         assert "<img src=x" not in html_text
         assert "<script>" not in html_text

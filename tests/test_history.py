@@ -82,6 +82,17 @@ class TestRecordAndResolve:
         assert runs[0]["metrics"] == {"nest.x": 3.5}
         assert runs[0]["rss_peak_kb"] == 64
 
+    def test_every_run_row_has_the_same_keys(self, store):
+        # A pending run has no metrics; its row still reads metrics={}
+        # and carries no raw metrics_json column.
+        pending = {"label": "b", "spec_key": "k2", "outcome": "pending"}
+        sid = store.record_sweep("u1", STATS,
+                                 [run_row("a", "k1"), pending])
+        simulated, waiting = store.runs_of(sid)
+        assert waiting["metrics"] == {}
+        assert set(waiting) == set(simulated)
+        assert "metrics_json" not in simulated
+
     def test_resolve_forms(self, store):
         i1 = store.record_sweep("20260101-aaa", STATS, [])
         store.record_sweep("20260202-bbb", STATS, [])

@@ -362,10 +362,10 @@ class TestEndToEnd:
         art = run_scenario(self.SCENARIO)
         size = 0
         for ev in art.events:
-            if ev.kind in oev.SCXNEST_PRIMARY_ADD_KINDS:
+            if ev.kind in oev.PRIMARY_ADD_KINDS:
                 size += 1
                 assert ev.value == size
-            elif ev.kind in oev.SCXNEST_PRIMARY_REMOVE_KINDS:
+            elif ev.kind in oev.PRIMARY_REMOVE_KINDS:
                 size -= 1
                 assert ev.value == size
             elif ev.kind == oev.NEST_OFFLINE_EVICT:

@@ -5,8 +5,9 @@ monkeypatches a real scx_nest branch into a subtly wrong one — a bug a
 refactor could plausibly introduce — runs the real simulator, and
 asserts the *external* oracle convicts it.  Both mutants survive
 ``ScxNestPolicy.check_invariants`` (counters stay consistent, the masks
-stay disjoint), so the conviction proves the scxnest.* oracle families
-have teeth of their own.
+stay disjoint), so the conviction proves that the policy families the
+oracle applies to scx_nest (the shared ``nest.primary_replay`` and the
+scxnest.* checks) have teeth of their own.
 """
 
 from unittest import mock
@@ -39,7 +40,7 @@ def test_unmutated_baseline_is_clean():
 
 def test_oracle_catches_silent_compaction():
     # Mutation: the compaction timer demotes the core and bumps the
-    # counter but forgets to emit SCXNEST_COMPACT — the event stream no
+    # counter but forgets to emit NEST_COMPACT — the event stream no
     # longer tells the truth about the mask.
     real = ScxNestPolicy._compaction_fired
 
@@ -57,25 +58,26 @@ def test_oracle_catches_silent_compaction():
 
     with mock.patch.object(ScxNestPolicy, "_compaction_fired", silent):
         names = _convict()
-    assert names & {"scxnest.event_counter_match", "scxnest.mask_replay"}, \
+    assert names & {"scxnest.event_counter_match", "nest.primary_replay"}, \
         names
 
 
 def test_oracle_catches_promotion_that_never_happens():
-    # Mutation: the reserve-hit branch emits SCXNEST_PROMOTE and counts
+    # Mutation: the reserve-hit branch emits NEST_PROMOTE and counts
     # the hit, but the mask transition itself is dropped — the core
     # silently stays in the reserve.
     with mock.patch.object(NestMasks, "promote",
                            lambda self, cpu: None):
         names = _convict()
-    assert "scxnest.mask_replay" in names, names
+    assert "nest.primary_replay" in names, names
 
 
 def test_mutants_do_not_trip_the_generic_families():
-    # The convictions above must come from the scxnest.* families —
+    # The convictions above must come from the policy families —
     # accounting stays internally consistent, so a suite without the
     # replay/event invariants would wave both mutants through.
     with mock.patch.object(NestMasks, "promote",
                            lambda self, cpu: None):
         names = _convict()
-    assert all(n.startswith("scxnest.") for n in names), names
+    assert all(n.startswith("scxnest.") or n == "nest.primary_replay"
+               for n in names), names

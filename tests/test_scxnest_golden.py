@@ -67,6 +67,21 @@ def test_digest_fingerprints_the_report():
         json.loads(SCXNEST_GOLDEN_PATH.read_text(encoding="utf-8")))
 
 
+def test_mask_transitions_reach_the_analyzers_and_the_trace():
+    # scx_nest logs its mask transitions as nest.* kinds, so the nest
+    # analyzer and the Perfetto exporter cover it with no code of its own.
+    from repro.obs.export import chrome_trace
+    dynamics = scxnest_golden_report()["analyzers"]["nest_dynamics"]
+    assert dynamics["transitions"] == 23
+    assert dynamics["by_kind"] == {"nest.compact": 9, "nest.expand": 4,
+                                   "nest.promote": 10}
+    res, machine = scxnest_golden_run()
+    doc = chrome_trace(res.trace_segments, res.events, n_cpus=machine.n_cpus)
+    sizes = [e for e in doc["traceEvents"]
+             if e["ph"] == "C" and e["name"] == "primary nest size"]
+    assert len(sizes) == 23
+
+
 def test_text_digest_renders():
     text = report_text(scxnest_golden_report())
     assert "latency:" in text and "warm cores:" in text

@@ -109,6 +109,17 @@ def test_catches_phantom_promote(nest_art):
     assert "nest.primary_replay" in names
 
 
+def test_catches_expand_of_a_primary_member(nest_art):
+    # An expansion must grow the primary: a nest.expand of a core the
+    # replay already holds, valued at the unchanged size, is convicted.
+    events = list(nest_art.events)
+    first_add = next(e for e in events if e.kind in oev.PRIMARY_ADD_KINDS)
+    idx = events.index(first_add)
+    events.insert(idx + 1, first_add._replace(kind=oev.NEST_EXPAND))
+    broken = _copy_with(nest_art, events=events)
+    assert _names(check_run(broken)) == {"nest.primary_replay"}
+
+
 def test_catches_snapshot_mismatch(nest_art):
     snap = nest_art.nest
     wrong = NestSnapshot(primary=snap.primary | {nest_art.machine.n_cpus - 1,
@@ -216,6 +227,15 @@ def ftrt_art():
 
 def test_ftrt_faulted_run_passes_every_invariant(ftrt_art):
     assert check_run(ftrt_art) == []
+
+
+def test_primary_replay_stands_down_outside_the_nest_policies(ftrt_art):
+    # FT-RT keeps no nests: the replay covers Nest and scx_nest only, so
+    # a demotion of a core no replay holds goes unjudged here.
+    events = [SchedEvent(t=0, kind=oev.NEST_COMPACT, cpu=0)] \
+        + list(ftrt_art.events)
+    broken = _copy_with(ftrt_art, events=events)
+    assert "nest.primary_replay" not in _names(check_run(broken))
 
 
 def test_catches_miss_before_any_fault(ftrt_art):

@@ -11,7 +11,9 @@ long-idle core restarts from a low request (and a low actual frequency).
 
 from __future__ import annotations
 
-from ..kernel.pelt import PELT_MAX, decay_factor
+from math import exp
+
+from ..kernel.pelt import LN_Y, PELT_MAX
 from ..obs import events as oev
 from ..obs.log import EventLog
 from .base import Governor
@@ -52,10 +54,10 @@ class SchedutilGovernor(Governor):
         delta = now - busy.last_update_us
         if delta > 0:
             if rq.currently_busy:
-                y = decay_factor(delta)
+                y = exp(LN_Y * delta)
                 util = util * y + PELT_MAX * (1.0 - y)
             elif util != 0.0:
-                util = util * decay_factor(delta)
+                util = util * exp(LN_Y * delta)
         # ...bumped immediately by the utilisation estimates of the tasks
         # now attached to the cpu (the kernel's util_est): a wakeup of a
         # known-busy task raises the request without waiting for PELT.

@@ -24,13 +24,12 @@ PELT_MAX = 1024
 #: Half-life of the decaying average, in microseconds (Linux: 32 ms).
 HALFLIFE_US = 32_000
 
-_LN2_OVER_HL = math.log(2.0) / HALFLIFE_US
-
-#: Memo of delta -> y^delta.  Simulation deltas repeat heavily (tick
-#: periods, ramp intervals, slice lengths), so the exp() is computed once
-#: per distinct delta.  Bounded so pathological workloads cannot leak.
-_DECAY_CACHE: dict = {}
-_DECAY_CACHE_MAX = 1 << 16
+#: ``ln y``, so that ``y^d == exp(LN_Y * d)``: ``-(ln 2 / HALFLIFE_US)``
+#: exactly, since negation rounds nothing.  The hot paths (here, the
+#: runqueue's ``load_avg`` and schedutil's request) compute
+#: ``exp(LN_Y * delta)`` inline for a positive delta, which is
+#: :func:`decay_factor` bit for bit.
+LN_Y = -math.log(2.0) / HALFLIFE_US
 _exp = math.exp
 
 
@@ -38,13 +37,7 @@ def decay_factor(delta_us: int) -> float:
     """The factor y^delta by which an average decays over ``delta_us``."""
     if delta_us <= 0:
         return 1.0
-    y = _DECAY_CACHE.get(delta_us)
-    if y is None:
-        if len(_DECAY_CACHE) >= _DECAY_CACHE_MAX:
-            _DECAY_CACHE.clear()
-        y = _exp(-_LN2_OVER_HL * delta_us)
-        _DECAY_CACHE[delta_us] = y
-    return y
+    return _exp(LN_Y * delta_us)
 
 
 class PeltAvg:
@@ -63,16 +56,16 @@ class PeltAvg:
     def update(self, now: int, running: bool) -> float:
         """Advance the average to ``now``; returns the new value.
 
-        Decay is lazy: a zero average stays zero without touching the
-        decay table (the common case for long-idle cores).
+        Decay is lazy: a zero average stays zero without computing a
+        decay factor (the common case for long-idle cores).
         """
         delta = now - self.last_update_us
         if delta > 0:
             if running:
-                y = decay_factor(delta)
+                y = _exp(LN_Y * delta)
                 self.value = self.value * y + PELT_MAX * (1.0 - y)
             elif self.value != 0.0:
-                self.value = self.value * decay_factor(delta)
+                self.value = self.value * _exp(LN_Y * delta)
             self.last_update_us = now
         return self.value
 
@@ -82,11 +75,11 @@ class PeltAvg:
         if delta <= 0:
             return self.value
         if running:
-            y = decay_factor(delta)
+            y = _exp(LN_Y * delta)
             return self.value * y + PELT_MAX * (1.0 - y)
         if self.value == 0.0:
             return 0.0
-        return self.value * decay_factor(delta)
+        return self.value * _exp(LN_Y * delta)
 
     def add(self, amount: float) -> None:
         """Add a contribution (e.g. blocked load of a departing task)."""

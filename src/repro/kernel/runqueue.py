@@ -22,9 +22,10 @@ The runqueue also carries the signals the placement heuristics read:
 from __future__ import annotations
 
 import heapq
+from math import exp
 from typing import List, Optional
 
-from .pelt import PELT_MAX, PeltAvg, decay_factor
+from .pelt import LN_Y, PELT_MAX, PeltAvg
 from .task import Task, TaskState
 
 #: Vruntime credit granted to waking sleepers (Linux's sleeper fairness:
@@ -135,14 +136,14 @@ class RunQueue:
         delta = now - busy.last_update_us
         if delta > 0:
             if self.currently_busy:
-                y = decay_factor(delta)
+                y = exp(LN_Y * delta)
                 v = v * y + PELT_MAX * (1.0 - y)
             elif v != 0.0:
-                v = v * decay_factor(delta)
+                v = v * exp(LN_Y * delta)
         blocked = self.blocked_load
         bv = blocked.value
         if bv != 0.0:
             delta = now - blocked.last_update_us
             if delta > 0:
-                bv = bv * decay_factor(delta)
+                bv = bv * exp(LN_Y * delta)
         return v + bv

@@ -929,6 +929,10 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _enter_idle(self, cpu: int, after_block: bool) -> None:
+        """Start the warm-core spin if the policy asks for one and the
+        sibling is idle.  Otherwise there is nothing to report: the cpu
+        idles only after ``_stop_running`` took its task off, which
+        reported the thread idle at this instant."""
         cs = self.cpus[cpu]
         spin_ticks = float(self.policy.spin_ticks()) if after_block else 0.0
         if spin_ticks > 0:
@@ -944,8 +948,6 @@ class Kernel:
                 cs.spin_event = self.engine.after(
                     int(round(spin_ticks * TICK_US)), EventKind.SPIN_STOP,
                     self._spin_timeout, (cpu,))
-                return
-        self._set_thread_activity(cpu, busy=False)
 
     def _spin_timeout(self, cpu: int) -> None:
         cs = self.cpus[cpu]
@@ -984,7 +986,8 @@ class Kernel:
         if sib != cpu:
             if busy and self.cpus[sib].spinning:
                 self._stop_spin(sib)
-            self._reprice_running(sib)
+            if self.cpus[sib].current is not None:
+                self._reprice_running(sib)
 
     def _on_core_freq_change(self, physical_core: int, mhz: int) -> None:
         now = self.engine.now
@@ -993,7 +996,8 @@ class Kernel:
             self.obs.emit(now, oev.FREQ_STEP, cpu=physical_core, value=mhz)
         for cpu in self.smt_siblings_of[physical_core]:
             self.tracer.freq_change(cpu, now, mhz)
-            self._reprice_running(cpu)
+            if self.cpus[cpu].current is not None:
+                self._reprice_running(cpu)
 
     # ------------------------------------------------------------------
     # Ticks

@@ -17,6 +17,10 @@ on the change, and compare the printed lines::
 
     PYTHONPATH=src python tests/equivalence_digest.py --seed 1 --scenarios 300
     PYTHONPATH=src python tests/equivalence_digest.py --seed 2 --scenarios 150
+
+Those two lines are also pinned in ``tests/data/equivalence_digests.json``
+(``tests/golden_regen.py`` writes it, CI's golden-drift step compares it),
+so a bit-identical change proves itself without a parent tree.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ from repro.verify.generate import ScenarioGenerator  # noqa: E402
 GRID_WORKLOAD = "configure-llvm_ninja"
 GRID_SCALE = 0.3
 GRID_SEED = 1
+
+#: The (seed, scenarios) corpora whose lines the golden pins.
+PINNED = ((1, 300), (2, 150))
+EQUIVALENCE_GOLDEN_PATH = (Path(__file__).resolve().parent / "data"
+                           / "equivalence_digests.json")
 
 
 def grid_specs(machines: Optional[Iterable[str]] = None,
@@ -82,6 +91,17 @@ def digest(seed: int, scenarios: int,
     return h.hexdigest()
 
 
+def line(seed: int, scenarios: int) -> str:
+    """The printed line: the digest and the corpus it covers."""
+    return (f"{digest(seed, scenarios)}  seed={seed} "
+            f"scenarios={scenarios} grid={len(grid_specs())}")
+
+
+def golden_json() -> str:
+    """The pinned lines of :data:`PINNED`, as the golden file's text."""
+    return json.dumps([line(seed, n) for seed, n in PINNED], indent=2) + "\n"
+
+
 def main(argv: Optional[list] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seed", type=int, default=1,
@@ -89,9 +109,7 @@ def main(argv: Optional[list] = None) -> int:
     ap.add_argument("--scenarios", type=int, default=300,
                     help="fuzz scenarios 0..N-1 to hash (default 300)")
     args = ap.parse_args(argv)
-    n_grid = len(grid_specs())
-    print(f"{digest(args.seed, args.scenarios)}  seed={args.seed} "
-          f"scenarios={args.scenarios} grid={n_grid}")
+    print(line(args.seed, args.scenarios))
     return 0
 
 

@@ -9,6 +9,10 @@
 * ``tests/data/golden_digests.json`` — result and event-log digests of
   the pinned reference runs, the bit-identity guard for engine changes
   (test_golden_digests.py).
+* ``tests/data/equivalence_digests.json`` — the two pinned lines of
+  ``tests/equivalence_digest.py`` (fuzz corpora plus the machine ×
+  policy grid).  Too slow for tier-1 (about 10 s); CI's golden-drift
+  step compares it.
 
 Run after an *intentional* simulator, exporter or analyzer change::
 
@@ -36,6 +40,8 @@ from test_scxnest_golden import (SCXNEST_GOLDEN_PATH,  # noqa: E402
                                  scxnest_golden_report)
 from test_golden_digests import (DIGEST_GOLDEN_PATH,  # noqa: E402
                                  digests_json, golden_digests)
+from equivalence_digest import (EQUIVALENCE_GOLDEN_PATH,  # noqa: E402
+                                golden_json as equivalence_json)
 
 
 def regenerate(out: Optional[Path] = None) -> Path:
@@ -74,6 +80,14 @@ def regenerate_digests(out: Optional[Path] = None) -> Path:
     return out
 
 
+def regenerate_equivalence(out: Optional[Path] = None) -> Path:
+    """Write the pinned equivalence lines (default: the checked-in path)."""
+    out = Path(out) if out is not None else EQUIVALENCE_GOLDEN_PATH
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(equivalence_json(), encoding="utf-8")
+    return out
+
+
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         print(f"wrote {regenerate(Path(sys.argv[1]))}")
@@ -82,3 +96,4 @@ if __name__ == "__main__":
         print(f"wrote {regenerate_analysis()}")
         print(f"wrote {regenerate_scxnest()}")
         print(f"wrote {regenerate_digests()}")
+        print(f"wrote {regenerate_equivalence()}")

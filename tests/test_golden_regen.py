@@ -6,10 +6,12 @@ from the pinning test's fixture — both need a human decision, never a
 silent fix.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import equivalence_digest
 import golden_regen
 from test_golden_digests import DIGEST_GOLDEN_PATH
 from test_obs_analysis import ANALYSIS_GOLDEN_PATH
@@ -54,6 +56,17 @@ def test_digests_default_path_is_the_pinned_golden():
     assert golden_regen.DIGEST_GOLDEN_PATH == DIGEST_GOLDEN_PATH
     assert DIGEST_GOLDEN_PATH.exists()
     assert DIGEST_GOLDEN_PATH.name == "golden_digests.json"
+
+
+def test_equivalence_golden_pins_the_two_corpora():
+    # Regenerating it takes ~10 s, so tier-1 checks only the wiring; CI's
+    # golden-drift step compares the lines themselves.
+    path = golden_regen.EQUIVALENCE_GOLDEN_PATH
+    assert path == equivalence_digest.EQUIVALENCE_GOLDEN_PATH
+    lines = json.loads(path.read_text(encoding="utf-8"))
+    assert [ln.split()[1:3] for ln in lines] == [
+        [f"seed={seed}", f"scenarios={n}"]
+        for seed, n in equivalence_digest.PINNED]
 
 
 def test_regen_script_cli_matches_golden(tmp_path):

@@ -3,10 +3,12 @@ blocking, barriers, channels, spinning, balancing."""
 
 import pytest
 
+from repro.core.params import NestParams
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.schedutil import SchedutilGovernor
 from repro.hw.energy import PowerParams
-from repro.hw.freqmodel import SPEED_SHIFT
+from repro.hw.freqmodel import SPEED_SHIFT, FreqModel
 from repro.hw.machines import Machine
 from repro.hw.topology import Topology
 from repro.hw.turbo import XEON_5218
@@ -543,3 +545,53 @@ class TestActivityPricing:
         kern._set_thread_activity(0, busy=True)
         kern._set_thread_activity(0, busy=False)
         assert calls == []
+
+
+class TestActivityReports:
+    """The kernel reports a thread's activity only when it changes, and
+    re-prices only a sibling that is running a task.  Neither re-report
+    could change a result; each cost a frequency re-evaluation or an
+    event re-push."""
+
+    SPECS = (
+        dict(workload="configure-llvm_ninja", scale=0.3, scheduler="cfs"),
+        dict(workload="configure-llvm_ninja", scale=0.3, scheduler="nest",
+             nest_params=NestParams(spin_enabled=True)),
+        dict(workload="hackbench", scale=1.0, scheduler="cfs"),
+    )
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        """Every activity report and re-price of the three runs, with the
+        state it met: (thread state before, reported state) and (cpu,
+        whether it had a current task)."""
+        reports, reprices = [], []
+        set_state = FreqModel.set_thread_state
+        reprice = Kernel._reprice_running
+
+        def recording_set_state(model, cpu, busy, spinning):
+            reports.append((model.thread_state(cpu), (busy, spinning)))
+            return set_state(model, cpu, busy, spinning)
+
+        def recording_reprice(kern, cpu):
+            reprices.append((cpu, kern.cpus[cpu].current is not None))
+            return reprice(kern, cpu)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FreqModel, "set_thread_state", recording_set_state)
+            mp.setattr(Kernel, "_reprice_running", recording_reprice)
+            for fields in self.SPECS:
+                execute_spec(RunSpec(machine="5218_2s", seed=1, **fields))
+        return reports, reprices
+
+    def test_every_report_changes_the_thread_state(self, calls):
+        reports, _ = calls
+        assert len(reports) > 1000
+        unchanged = sum(before == after for before, after in reports)
+        assert unchanged == 0, f"{unchanged} of {len(reports)} reports"
+
+    def test_only_a_running_sibling_is_repriced(self, calls):
+        _, reprices = calls
+        assert reprices
+        idle = sum(not running for _, running in reprices)
+        assert idle == 0, f"{idle} of {len(reprices)} re-prices"

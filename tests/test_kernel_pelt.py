@@ -1,9 +1,20 @@
 """Tests for PELT load tracking."""
 
+import gc
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernel.pelt import (HALFLIFE_US, PELT_MAX, PeltAvg, decay_factor)
+from repro.experiments.parallel import RunSpec, execute_spec
+from repro.governors import schedutil
+from repro.governors.schedutil import HEADROOM, SchedutilGovernor
+from repro.kernel import pelt, runqueue
+from repro.kernel.pelt import (HALFLIFE_US, LN_Y, PELT_MAX, PeltAvg,
+                               decay_factor)
+from repro.kernel.runqueue import RunQueue
+from test_kernel_core import TINY, make_kernel
 
 
 class TestDecayFactor:
@@ -19,6 +30,12 @@ class TestDecayFactor:
     def test_composition(self):
         assert decay_factor(10_000) * decay_factor(22_000) == \
             pytest.approx(decay_factor(32_000))
+
+    def test_exponent_is_the_negated_rate(self):
+        # Negation is exact, so exp(LN_Y * d) is exp(-(ln 2 / HL) * d).
+        rate = math.log(2.0) / HALFLIFE_US
+        assert LN_Y == -rate
+        assert decay_factor(12_345) == math.exp(-rate * 12_345)
 
 
 class TestPeltAvg:
@@ -100,3 +117,60 @@ def test_idle_decay_is_multiplicative(d1, d2):
     b = PeltAvg(0, value=900.0)
     b.update(d1 + d2, False)
     assert a.value == pytest.approx(b.value, rel=1e-9)
+
+
+def reference_decay(value, delta, running):
+    """``value`` advanced by ``delta`` µs, built on :func:`decay_factor`."""
+    y = decay_factor(delta)
+    if running:
+        return value * y + PELT_MAX * (1.0 - y)
+    return value * y
+
+
+@given(st.integers(1, 10**8), st.floats(0, PELT_MAX), st.floats(0, PELT_MAX),
+       st.booleans())
+def test_inlined_decay_equals_decay_factor(delta, value, blocked, running):
+    """Property: every site that inlines the decay computes exactly
+    (``==``) what :func:`decay_factor` gives."""
+    expect = reference_decay(value, delta, running)
+
+    avg = PeltAvg(0, value=value)
+    assert avg.peek(delta, running) == expect
+    assert avg.update(delta, running) == expect
+
+    rq = RunQueue(0)
+    rq.busy_avg.value = value
+    rq.blocked_load.value = blocked
+    rq.currently_busy = running
+    assert rq.load_avg(delta) == \
+        expect + reference_decay(blocked, delta, False)
+
+    eng, kern = make_kernel(governor=SchedutilGovernor())
+    eng.now = delta
+    rq = kern.rqs[0]
+    rq.busy_avg.value = value
+    rq.currently_busy = running
+    mhz = int(HEADROOM * TINY.max_turbo_mhz * expect / PELT_MAX)
+    assert kern.governor.request_mhz(0) == \
+        min(max(mhz, TINY.min_mhz), TINY.max_turbo_mhz)
+
+
+def test_decay_retains_no_memory_across_runs():
+    """The decay keeps nothing between runs: after four configure runs,
+    the modules that compute it hold under 16 KiB of live allocations."""
+    modules = (pelt, runqueue, schedutil)
+    tracemalloc.start()
+    try:
+        for seed in (1, 2, 3, 4):
+            execute_spec(RunSpec(workload="configure-llvm_ninja",
+                                 machine="5218_2s", scheduler="cfs",
+                                 governor="schedutil", seed=seed, scale=0.3))
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    snapshot = snapshot.filter_traces(
+        [tracemalloc.Filter(True, m.__file__) for m in modules])
+    retained = {stat.traceback[0].filename: stat.size
+                for stat in snapshot.statistics("filename")}
+    assert sum(retained.values()) < 16 * 1024, retained

@@ -165,6 +165,8 @@ def test_decay_retains_no_memory_across_runs():
             execute_spec(RunSpec(workload="configure-llvm_ninja",
                                  machine="5218_2s", scheduler="cfs",
                                  governor="schedutil", seed=seed, scale=0.3))
+        # A full collection frees the runs' reference cycles and empties
+        # the builtin free lists, so every trace left is a live object.
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:

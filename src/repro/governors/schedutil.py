@@ -66,11 +66,8 @@ class SchedutilGovernor(Governor):
         if current is not None:
             est += max(current.util_est, current.pelt.peek(now, True))
         if rq.nr_queued:
-            queued = rq._queued
-            for item in rq._heap:
-                task = item[2]
-                if task.tid in queued:
-                    est += task.util_est
+            for task in rq.live_tasks():
+                est += task.util_est
         if est > PELT_MAX:
             est = PELT_MAX
         if est > util:

@@ -25,12 +25,15 @@ placed on a just-vacated warm core starts fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..sim.engine import Engine
 from ..sim.events import Event, EventKind
 from .topology import Topology
 from .turbo import TurboTable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..governors.base import Governor
 
 
 @dataclass(frozen=True)
@@ -123,16 +126,6 @@ AMD_BOOST = PMParams(
 FreqListener = Callable[[int, int], None]
 
 
-class GovernorProtocol:
-    """What the frequency model needs from a power governor (see governors/)."""
-
-    def floor_mhz(self, cpu: int) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def request_mhz(self, cpu: int) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 class _CoreState:
     """Mutable DVFS state of one physical core."""
 
@@ -158,7 +151,7 @@ class FreqModel:
         topology: Topology,
         turbo: TurboTable,
         pm: PMParams,
-        governor: GovernorProtocol,
+        governor: "Governor",
     ) -> None:
         self.engine = engine
         self.topology = topology
@@ -225,13 +218,6 @@ class FreqModel:
 
     def active_physical_cores(self, socket: int) -> int:
         return self._socket_active[socket]
-
-    def idle_duration(self, cpu: int, now: int) -> Optional[int]:
-        """How long the physical core of ``cpu`` has been fully idle."""
-        st = self._cores[self._pc_of[cpu]]
-        if st.idle_since is None:
-            return None
-        return now - st.idle_since
 
     # ---- state transitions ----------------------------------------------
 

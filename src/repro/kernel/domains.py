@@ -79,9 +79,6 @@ class DomainHierarchy:
         """Domain stack for ``cpu``, lowest level first."""
         return self._per_cpu[cpu]
 
-    def top_domain(self, cpu: int) -> Domain:
-        return self._per_cpu[cpu][-1]
-
     def llc_domain(self, cpu: int) -> Domain:
         """The die-level (last-level-cache) domain of ``cpu``."""
         for dom in self._per_cpu[cpu]:

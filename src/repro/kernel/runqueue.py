@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from math import exp
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .pelt import LN_Y, PELT_MAX, PeltAvg
 from .task import Task, TaskState
@@ -108,6 +108,17 @@ class RunQueue:
             self.die_queued[0] -= 1
             return True
         return False
+
+    def live_tasks(self) -> Iterator[Task]:
+        """The task of each live heap entry, in heap order.
+
+        Not deduplicated: a task pushed again before its stale entry
+        surfaced has two live entries and is yielded twice.
+        """
+        queued = self._queued
+        for _vr, _seq, task in self._heap:
+            if task.tid in queued:
+                yield task
 
     def steal_one(self) -> Optional[Task]:
         """Remove the task best suited for migration (largest vruntime,

@@ -378,10 +378,8 @@ class Kernel:
         rq = self.rqs[cpu]
         seen = set()
         queued: List[Task] = []
-        for item in rq._heap:
-            t = item[2]
-            if t.tid in rq._queued and t.tid not in seen \
-                    and t.deadline_us is not None:
+        for t in rq.live_tasks():
+            if t.tid not in seen and t.deadline_us is not None:
                 seen.add(t.tid)
                 queued.append(t)
         queued.sort(key=lambda t: t.tid)

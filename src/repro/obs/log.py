@@ -43,11 +43,6 @@ class EventLog:
         self.attach(events.append)
         return events
 
-    def detach_all(self) -> None:
-        """Remove every sink; the log goes back to costing nothing."""
-        self._sinks.clear()
-        self.enabled = False
-
     def emit(self, t: int, kind: str, cpu: int = -1, task: int = -1,
              value: int = 0) -> None:
         """Dispatch one event.  Callers must have checked ``enabled``."""

@@ -60,16 +60,6 @@ class Histogram:
         self.count += 1
         self.sum += v
 
-    def quantile(self, p: float) -> Optional[int]:
-        """Nearest-rank quantile as a bucket upper edge.
-
-        Shares rank math with :func:`repro.metrics.quantiles.percentile`
-        (a property test pins the agreement).  ``None`` when the
-        histogram is empty or the rank falls in the overflow bucket.
-        """
-        from ..metrics.quantiles import histogram_quantile
-        return histogram_quantile(self.edges, self.counts, p)
-
 
 class MetricsRegistry:
     """A flat namespace of instruments, created on first use."""

@@ -143,9 +143,6 @@ class NestCore(SelectionPolicy):
     def reserve(self) -> Set[int]:
         return self._masks.reserve
 
-    def nest_sizes(self) -> Tuple[int, int]:
-        return len(self._masks.primary), len(self._masks.reserve)
-
     # ------------------------------------------------------------------
     # The scans
     # ------------------------------------------------------------------

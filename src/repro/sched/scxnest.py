@@ -80,10 +80,6 @@ class GlobalVtimeQueue:
         """The key's stored virtual time (clock value for new keys)."""
         return self._vtime.get(key, self.vtime_now)
 
-    def lag(self, key: int) -> int:
-        """How far the key trails the queue clock (0 for new keys)."""
-        return self.vtime_now - self.vtime_of(key)
-
     def charge(self, key: int, amount_us: Optional[int] = None,
                weight: int = 1) -> int:
         """Advance the key's vtime by ``amount_us / weight`` (default one
@@ -116,10 +112,6 @@ class GlobalVtimeQueue:
             return None
         _vtime, _seq, key, payload = heapq.heappop(self._heap)
         return key, payload
-
-    def forget(self, key: int) -> None:
-        """Drop a key's stored vtime (task exited)."""
-        self._vtime.pop(key, None)
 
 
 class ScxNestPolicy(NestCore):
@@ -158,7 +150,8 @@ class ScxNestPolicy(NestCore):
         return "Scxnest"
 
     def check_invariants(self) -> None:
-        """Tier accounting adds up and the masks obey §3.1."""
+        """Tier accounting adds up, no timer or queue outcome outnumbers
+        its cause, and the masks obey §3.1."""
         c = self.metrics.counters()
         hits = c["primary_hits"] + c["reserve_hits"] + c["cfs_fallbacks"]
         if hits != c["placements"]:
@@ -182,6 +175,11 @@ class ScxNestPolicy(NestCore):
                 f"scxnest counter inconsistency: compactions"
                 f"({c['compactions']}) + cancels({c['compact_cancels']}) "
                 f"exceed arms({c['compact_arms']})")
+        if c["vtime_pulls"] > c["vtime_enqueues"]:
+            raise AssertionError(
+                f"scxnest counter inconsistency: vtime pulls"
+                f"({c['vtime_pulls']}) exceed enqueues"
+                f"({c['vtime_enqueues']})")
         self._masks.check()
 
     # ------------------------------------------------------------------

@@ -61,13 +61,6 @@ class Event:
         """
         self.cancelled = True
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.time, int(self.kind), self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time}, {self.kind.name}, seq={self.seq}{state})"

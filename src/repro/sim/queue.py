@@ -3,9 +3,9 @@
 The heap stores flat ``(time, kind, seq, event)`` tuples rather than the
 :class:`Event` objects themselves.  The sequence number is unique, so heap
 comparisons always resolve within the first three integers and never fall
-through to the event object — every sift comparison is a C-level int
-compare instead of a Python-level ``Event.__lt__`` call, which is the
-single hottest operation of a simulation.
+through to the event object, which defines no ordering — every sift
+comparison, the single hottest operation of a simulation, is a C-level
+int compare.
 """
 
 from __future__ import annotations
@@ -80,8 +80,3 @@ class EventQueue:
         while heap and heap[0][3].cancelled:
             heappop(heap)
         return heap[0][0] if heap else None
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-        self._live = 0

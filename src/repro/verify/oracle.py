@@ -4,21 +4,23 @@ Each invariant is a pure function of the :class:`RunArtifacts` of one
 simulation — the serialized :class:`RunResult`, the structured event log
 and the final nest snapshot — yielding the :class:`Violation`\\ s it
 found.  The oracle never re-runs the simulator; it *replays* what the
-observability layer recorded.  Checks that only read the result's
-metrics or the snapshot are plain functions; every check that reads the
-log is an :class:`~repro.obs.analysis.base.Analyzer` that declares the
-event kinds it needs, and :func:`check_run` feeds them all from one
-routed :func:`~repro.obs.analysis.base.run_analyzers` pass that also
-counts events per kind.  So anything the oracle can catch, it can catch
-on every fuzzed scenario for the cost of one list walk.
+observability layer recorded, in one routed
+:func:`~repro.obs.analysis.base.run_analyzers` pass.  One analyzer is
+fed every event: it counts events per kind and checks each timestamp
+and field.  A check that replays events in order is an
+:class:`~repro.obs.analysis.base.Analyzer` fed only the kinds it
+declares; every other check is a plain function of the artifacts and
+the per-kind counts.  So anything the oracle can catch, it can catch on
+every fuzzed scenario for the cost of one list walk.
 
 The paper mapping:
 
 * §3.1 — nest membership is replayed exactly from the ``nest.*``
   transition events, which Nest and scx_nest both log (every
   primary-set mutation emits one), disjointness and the ``R_max``
-  reserve bound are checked on the final snapshot, and placement-tier
-  counters must sum to the placement count;
+  reserve bound are checked on the final snapshot, and each placement
+  tier's counter must equal its events (the tiers' sum is the policies'
+  own self-check, which fails the run before the oracle sees it);
 * §3.2 — warm-core spins start/stop strictly alternately per cpu;
 * §3.3 — attachment hits must target the core the replayed two-wakeup
   history says the task is attached to, and disabled features must leave
@@ -96,38 +98,77 @@ def _in_group(art: "RunArtifacts", group: str) -> bool:
     return group in invariant_groups_of(art.scenario.scheduler)
 
 
-class _KindCounts(Analyzer):
-    """Events per kind, counted once for every check that compares
-    counters with the event log (complete when ``finish`` runs)."""
+def _capped(invariant: str, problems: List[str]) -> List[Violation]:
+    """A count check's violations, at most ``MAX_PER_INVARIANT``."""
+    return [Violation(invariant, p) for p in problems[:MAX_PER_INVARIANT]]
 
-    name = "kind_counts"
 
-    def __init__(self) -> None:
+class _EveryEvent(Analyzer):
+    """The one analyzer fed every event.
+
+    It counts events per kind (complete when ``finish`` runs) for every
+    check that compares counters with the log, and it decides two
+    invariants as it counts: ``clock.monotonic`` (event timestamps never
+    run backwards and stay within the run) and ``events.vocabulary``
+    (every event uses a known kind and plausible cpu/task fields).
+    """
+
+    name = "every_event"
+    kinds = None
+
+    def __init__(self, art: "RunArtifacts") -> None:
         self.counts: Dict[str, int] = {}
+        self.clock: List[Violation] = []
+        self.vocabulary: List[Violation] = []
+        self._n_cpus = art.machine.n_cpus
+        self._end = art.result.makespan_us
+        self._last = 0    # timestamp of the last event fed
 
     def feed(self, ev: SchedEvent) -> None:
+        kind, t = ev.kind, ev.t
         counts = self.counts
-        counts[ev.kind] = counts.get(ev.kind, 0) + 1
+        counts[kind] = counts.get(kind, 0) + 1
+        if t < self._last and not self.clock:
+            seen = sum(counts.values()) - 1    # events fed before this one
+            self.clock.append(Violation(
+                "clock.monotonic",
+                f"event #{seen} ({kind}) at t={t} after t={self._last}", t=t))
+        self._last = t
+        if kind not in oev.EVENT_KINDS:
+            problem = f"unknown kind {kind!r}"
+        elif not -1 <= ev.cpu < self._n_cpus:
+            problem = f"cpu {ev.cpu} outside [-1, {self._n_cpus})"
+        elif ev.task < -1:
+            problem = f"task id {ev.task}"
+        else:
+            return
+        if len(self.vocabulary) < MAX_PER_INVARIANT:
+            self.vocabulary.append(Violation(
+                "events.vocabulary", f"{kind}: {problem}", t=t))
 
-    def finish(self, ctx: AnalysisContext) -> Dict[str, int]:
-        return self.counts
+    def finish(self, ctx: AnalysisContext) -> Dict[str, List[Violation]]:
+        if self.counts and not self.clock and self._last > self._end:
+            self.clock.append(Violation(
+                "clock.monotonic", f"last event at t={self._last} beyond "
+                f"makespan {self._end}", t=self._last))
+        return {"clock.monotonic": self.clock,
+                "events.vocabulary": self.vocabulary}
 
 
 class _Replay(Analyzer):
-    """An invariant that reads the event log, as one analyzer of
-    :func:`check_run`'s pass.
+    """An invariant that replays the event log in order, as one analyzer
+    of :func:`check_run`'s pass.
 
     Built from the run's artifacts and the shared per-kind counts, fed
-    only the ``kinds`` it declares (none: it reads only the counts), and
-    ``finish`` returns its violations, at most ``MAX_PER_INVARIANT``.
-    Unless a check replays as it is fed, ``feed`` keeps the events for
-    ``finish`` to decide on.
+    only the ``kinds`` it declares, and ``finish`` returns its
+    violations, at most ``MAX_PER_INVARIANT``.  Unless a check replays
+    as it is fed, ``feed`` keeps the events for ``finish`` to decide on.
     A check whose ``applies`` is false is left out of the pass: one of a
     policy family (``group``) on a run outside it, or one that stands
     down on an empty log (``needs_log``).
     """
 
-    kinds: Optional[FrozenSet[str]] = frozenset()
+    kinds: FrozenSet[str]
     group: Optional[str] = None
     needs_log = False
 
@@ -157,7 +198,8 @@ class _Replay(Analyzer):
 # Invariants
 # ---------------------------------------------------------------------------
 
-def check_completed(art: "RunArtifacts") -> Iterable[Violation]:
+def check_completed(art: "RunArtifacts",
+                    counts: Dict[str, int]) -> Iterable[Violation]:
     """The simulation ran to its end without crashing."""
     res = art.result
     if res.makespan_us < 0:
@@ -168,109 +210,40 @@ def check_completed(art: "RunArtifacts") -> Iterable[Violation]:
         yield Violation("run.completed", "engine processed no events")
 
 
-class ClockMonotonic(_Replay):
-    """Event timestamps never run backwards and stay within the run."""
-
-    name = "clock.monotonic"
-    kinds = None
-    _last = 0    # timestamp of the last event fed
-    _seen = 0    # events fed so far
-
-    def feed(self, ev: SchedEvent) -> None:
-        if ev.t < self._last and not self.found:
-            self.flag(f"event #{self._seen} ({ev.kind}) at t={ev.t} after "
-                      f"t={self._last}", t=ev.t)
-        self._last = ev.t
-        self._seen += 1
-
-    def finish(self, ctx: AnalysisContext) -> List[Violation]:
-        end = self.art.result.makespan_us
-        if self._seen and not self.found and self._last > end:
-            self.flag(f"last event at t={self._last} beyond makespan {end}",
-                      t=self._last)
-        return self.found
-
-
-class Vocabulary(_Replay):
-    """Every event uses a known kind and plausible cpu/task fields."""
-
-    name = "events.vocabulary"
-    kinds = None
-
-    def __init__(self, art: "RunArtifacts", counts: Dict[str, int]) -> None:
-        super().__init__(art, counts)
-        self._n_cpus = art.machine.n_cpus
-
-    def feed(self, ev: SchedEvent) -> None:
-        if ev.kind not in oev.EVENT_KINDS:
-            problem = f"unknown kind {ev.kind!r}"
-        elif not -1 <= ev.cpu < self._n_cpus:
-            problem = f"cpu {ev.cpu} outside [-1, {self._n_cpus})"
-        elif ev.task < -1:
-            problem = f"task id {ev.task}"
-        else:
-            return
-        self.flag(f"{ev.kind}: {problem}", t=ev.t)
-
-
-def check_placement_accounting(art: "RunArtifacts") -> Iterable[Violation]:
-    """§3.1: every placement is claimed by exactly one search tier."""
-    if not _in_group(art, "nest"):
-        return
-    m = art.result.metrics
-    tiers = {k: _counter(m, f"nest.{k}") for k in
-             ("attachment_hits", "primary_hits", "reserve_hits",
-              "cfs_fallbacks")}
-    placements = _counter(m, "nest.placements")
-    if sum(tiers.values()) != placements:
-        yield Violation("nest.placement_accounting",
-                        f"{tiers} sums to {sum(tiers.values())} "
-                        f"!= placements {placements}")
-
-
-class _CounterMatch(_Replay):
+def _event_counter_match(art: "RunArtifacts", counts: Dict[str, int],
+                         group: str,
+                         mirrors: Dict[str, int]) -> List[Violation]:
     """The event log and the metrics registry tell the same story: each
     mirrored kind's event count equals its counters, and the ``place.*``
-    events sum to the ``<group>.placements`` counter.  Subclasses give
-    the ``expected`` mirror."""
-
-    needs_log = True
-
-    def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
-        raise NotImplementedError
-
-    def finish(self, ctx: AnalysisContext) -> List[Violation]:
-        m = self.art.result.metrics
-        counts = self.counts
-        for kind, want in self.expected(m).items():
-            got = counts.get(kind, 0)
-            if got != want:
-                self.flag(f"{got} {kind} event(s) but counters say {want}")
-        total_place = sum(counts.get(k, 0) for k in oev.PLACEMENT_KINDS)
-        placements = _counter(m, f"{self.group}.placements")
-        if total_place != placements:
-            self.flag(f"{total_place} place.* events != placements "
-                      f"counter {placements}")
-        return self.found
+    events sum to the ``<group>.placements`` counter.  Checked on runs of
+    the ``group`` policy family that logged events."""
+    if not (art.events and _in_group(art, group)):
+        return []
+    problems = [f"{counts.get(kind, 0)} {kind} event(s) but counters say "
+                f"{want}" for kind, want in mirrors.items()
+                if counts.get(kind, 0) != want]
+    total_place = sum(counts.get(k, 0) for k in oev.PLACEMENT_KINDS)
+    placements = _counter(art.result.metrics, f"{group}.placements")
+    if total_place != placements:
+        problems.append(f"{total_place} place.* events != placements "
+                        f"counter {placements}")
+    return _capped(f"{group}.event_counter_match", problems)
 
 
-class EventCounterMatch(_CounterMatch):
+def check_event_counter_match(art: "RunArtifacts",
+                              counts: Dict[str, int]) -> List[Violation]:
     """Nest's event log and counters tell the same story."""
-
-    name = "nest.event_counter_match"
-    group = "nest"
-
-    def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
-        return {
-            oev.PLACE_ATTACH: _counter(m, "nest.attachment_hits"),
-            oev.PLACE_PRIMARY: _counter(m, "nest.primary_hits"),
-            oev.PLACE_IMPATIENT: _counter(m, "nest.impatient_placements"),
-            oev.NEST_PROMOTE: _counter(m, "nest.reserve_hits"),
-            oev.NEST_COMPACT: (_counter(m, "nest.compactions")
-                               - _counter(m, "nest.exit_demotions")),
-            oev.NEST_EXIT_DEMOTE: _counter(m, "nest.exit_demotions"),
-            oev.NEST_OFFLINE_EVICT: _counter(m, "nest.offline_evictions"),
-        }
+    m = art.result.metrics
+    return _event_counter_match(art, counts, "nest", {
+        oev.PLACE_ATTACH: _counter(m, "nest.attachment_hits"),
+        oev.PLACE_PRIMARY: _counter(m, "nest.primary_hits"),
+        oev.PLACE_IMPATIENT: _counter(m, "nest.impatient_placements"),
+        oev.NEST_PROMOTE: _counter(m, "nest.reserve_hits"),
+        oev.NEST_COMPACT: (_counter(m, "nest.compactions")
+                           - _counter(m, "nest.exit_demotions")),
+        oev.NEST_EXIT_DEMOTE: _counter(m, "nest.exit_demotions"),
+        oev.NEST_OFFLINE_EVICT: _counter(m, "nest.offline_evictions"),
+    })
 
 
 class PrimaryReplay(_Replay):
@@ -323,7 +296,8 @@ class PrimaryReplay(_Replay):
         return self.found
 
 
-def check_final_state(art: "RunArtifacts") -> Iterable[Violation]:
+def check_final_state(art: "RunArtifacts",
+                      counts: Dict[str, int]) -> Iterable[Violation]:
     """§3.1: primary ∩ reserve = ∅, |reserve| ≤ R_max, members are cpus."""
     snap = art.nest
     if snap is None:
@@ -389,29 +363,24 @@ class Attachment(_Replay):
         return self.found
 
 
-class FeatureLegality(_Replay):
+def check_feature_legality(art: "RunArtifacts",
+                           counts: Dict[str, int]) -> List[Violation]:
     """Disabled §3 features must leave no event footprint."""
-
-    name = "nest.feature_legality"
-    group = "nest"
-    needs_log = True
-
-    def finish(self, ctx: AnalysisContext) -> List[Violation]:
-        p = self.art.scenario.nest_params or DEFAULT_PARAMS
-        rules = (
-            (p.attachment_enabled, oev.PLACE_ATTACH, "attachment"),
-            (p.reserve_enabled, oev.PLACE_RESERVE, "reserve"),
-            (p.reserve_enabled, oev.NEST_PROMOTE, "reserve"),
-            (p.impatience_enabled, oev.PLACE_IMPATIENT, "impatience"),
-            (p.compaction_enabled, oev.NEST_COMPACT, "compaction"),
-            (p.spin_enabled, oev.SPIN_START, "spin"),
-        )
-        for enabled, kind, feature in rules:
-            n = self.counts.get(kind, 0)
-            if not enabled and n:
-                self.flag(f"{feature} disabled but {n} {kind} event(s) "
-                          f"emitted")
-        return self.found
+    if not (art.events and _in_group(art, "nest")):
+        return []
+    p = art.scenario.nest_params or DEFAULT_PARAMS
+    rules = (
+        (p.attachment_enabled, oev.PLACE_ATTACH, "attachment"),
+        (p.reserve_enabled, oev.PLACE_RESERVE, "reserve"),
+        (p.reserve_enabled, oev.NEST_PROMOTE, "reserve"),
+        (p.impatience_enabled, oev.PLACE_IMPATIENT, "impatience"),
+        (p.compaction_enabled, oev.NEST_COMPACT, "compaction"),
+        (p.spin_enabled, oev.SPIN_START, "spin"),
+    )
+    return _capped("nest.feature_legality", [
+        f"{feature} disabled but {counts[kind]} {kind} event(s) emitted"
+        for enabled, kind, feature in rules
+        if not enabled and counts.get(kind, 0)])
 
 
 class WakeupDispatch(_Replay):
@@ -469,7 +438,8 @@ class LatencyAccounting(_Replay):
         return self.found
 
 
-def check_histograms(art: "RunArtifacts") -> Iterable[Violation]:
+def check_histograms(art: "RunArtifacts",
+                     counts: Dict[str, int]) -> Iterable[Violation]:
     """Serialized instruments are internally consistent."""
     m = art.result.metrics
     for name, entry in m.items():
@@ -555,77 +525,70 @@ class SpinPairing(_Replay):
     # Spins still open at the end are legal: the engine stopped mid-spin.
 
 
-class FaultConsistency(_Replay):
+def check_fault_consistency(art: "RunArtifacts",
+                            counts: Dict[str, int]) -> List[Violation]:
     """The deterministic fault plan re-derived from the seed reconciles
     with the injected-fault counters and the fault event stream."""
-
-    name = "faults.consistency"
-
-    @classmethod
-    def applies(cls, art: "RunArtifacts") -> bool:
-        config = art.scenario.faults
-        return config is not None and config.enabled
-
-    def finish(self, ctx: AnalysisContext) -> List[Violation]:
-        art = self.art
-        config = art.scenario.faults
-        m = art.result.metrics
-        machine = art.machine
-        plan = FaultPlan.generate(config, machine.n_cpus,
-                                  machine.topology.n_physical_cores,
-                                  machine.nominal_mhz, machine.min_mhz,
-                                  RngRegistry(art.scenario.seed),
-                                  n_sockets=machine.topology.n_sockets)
-        injected = int(art.result.extra.get("faults_injected", -1))
-        if injected != len(plan):
-            self.flag(f"result reports {injected} planned faults, the "
-                      f"re-derived plan has {len(plan)}")
-        planned = plan.counts()
-        family_counters = {
-            KIND_CPU_OFFLINE: (_counter(m, "kernel.fault_cpu_offline")
-                               + _counter(m, "kernel.fault_offline_skipped")),
-            KIND_THERMAL_CAP: _counter(m, "kernel.fault_thermal_caps"),
-            KIND_STRAGGLER: (_counter(m, "kernel.fault_stragglers")
-                             + _counter(m, "kernel.fault_straggler_skipped")),
-            KIND_CORE_FAILURE: (
-                _counter(m, "kernel.fault_core_failures")
-                + _counter(m, "kernel.fault_core_failure_skipped")),
-        }
-        for kind, handled in family_counters.items():
-            if handled > planned.get(kind, 0):
-                self.flag(f"{handled} {kind} faults handled but only "
-                          f"{planned.get(kind, 0)} were planned")
-        # Core failures offline the thread through the same hotplug
-        # machinery, so an online event may repay either an offline fault
-        # or a failure.
-        if _counter(m, "kernel.fault_cpu_online") \
-                > (_counter(m, "kernel.fault_cpu_offline")
-                   + _counter(m, "kernel.fault_core_failures")):
-            self.flag("more cpus brought online than taken offline")
-        if art.events:
-            counts = self.counts
-            offline_events = counts.get(oev.FAULT_CPU_OFFLINE, 0)
-            offline_expected = (_counter(m, "kernel.fault_cpu_offline")
-                                + _counter(m, "kernel.fault_core_failures"))
-            if offline_events != offline_expected:
-                self.flag(f"{offline_events} {oev.FAULT_CPU_OFFLINE} events "
-                          f"but offline + core-failure counters "
-                          f"= {offline_expected}")
-            event_mirrors = (
-                (oev.FAULT_CPU_ONLINE, "kernel.fault_cpu_online"),
-                (oev.FAULT_THERMAL_CAP, "kernel.fault_thermal_caps"),
-                (oev.FAULT_STRAGGLER, "kernel.fault_stragglers"),
-                (oev.FAULT_CORE_FAILURE, "kernel.fault_core_failures"),
-            )
-            for kind, counter in event_mirrors:
-                if counts.get(kind, 0) != _counter(m, counter):
-                    self.flag(f"{counts.get(kind, 0)} {kind} events but "
-                              f"{counter} = {_counter(m, counter)}")
-            jitter_events = counts.get(oev.FAULT_JITTER_ON, 0)
-            if (config.tick_jitter_us > 0) != (jitter_events == 1):
-                self.flag(f"tick_jitter_us={config.tick_jitter_us} but "
-                          f"{jitter_events} jitter_on event(s)")
-        return self.found
+    config = art.scenario.faults
+    if config is None or not config.enabled:
+        return []
+    m = art.result.metrics
+    machine = art.machine
+    plan = FaultPlan.generate(config, machine.n_cpus,
+                              machine.topology.n_physical_cores,
+                              machine.nominal_mhz, machine.min_mhz,
+                              RngRegistry(art.scenario.seed),
+                              n_sockets=machine.topology.n_sockets)
+    found: List[str] = []
+    injected = int(art.result.extra.get("faults_injected", -1))
+    if injected != len(plan):
+        found.append(f"result reports {injected} planned faults, the "
+                     f"re-derived plan has {len(plan)}")
+    planned = plan.counts()
+    family_counters = {
+        KIND_CPU_OFFLINE: (_counter(m, "kernel.fault_cpu_offline")
+                           + _counter(m, "kernel.fault_offline_skipped")),
+        KIND_THERMAL_CAP: _counter(m, "kernel.fault_thermal_caps"),
+        KIND_STRAGGLER: (_counter(m, "kernel.fault_stragglers")
+                         + _counter(m, "kernel.fault_straggler_skipped")),
+        KIND_CORE_FAILURE: (
+            _counter(m, "kernel.fault_core_failures")
+            + _counter(m, "kernel.fault_core_failure_skipped")),
+    }
+    for kind, handled in family_counters.items():
+        if handled > planned.get(kind, 0):
+            found.append(f"{handled} {kind} faults handled but only "
+                         f"{planned.get(kind, 0)} were planned")
+    # Core failures offline the thread through the same hotplug
+    # machinery, so an online event may repay either an offline fault
+    # or a failure.
+    if _counter(m, "kernel.fault_cpu_online") \
+            > (_counter(m, "kernel.fault_cpu_offline")
+               + _counter(m, "kernel.fault_core_failures")):
+        found.append("more cpus brought online than taken offline")
+    if art.events:
+        offline_events = counts.get(oev.FAULT_CPU_OFFLINE, 0)
+        offline_expected = (_counter(m, "kernel.fault_cpu_offline")
+                            + _counter(m, "kernel.fault_core_failures"))
+        if offline_events != offline_expected:
+            found.append(f"{offline_events} {oev.FAULT_CPU_OFFLINE} events "
+                         f"but offline + core-failure counters "
+                         f"= {offline_expected}")
+        event_mirrors = (
+            (oev.FAULT_CPU_ONLINE, "kernel.fault_cpu_online"),
+            (oev.FAULT_THERMAL_CAP, "kernel.fault_thermal_caps"),
+            (oev.FAULT_STRAGGLER, "kernel.fault_stragglers"),
+            (oev.FAULT_CORE_FAILURE, "kernel.fault_core_failures"),
+        )
+        for kind, counter in event_mirrors:
+            if counts.get(kind, 0) != _counter(m, counter):
+                found.append(f"{counts.get(kind, 0)} {kind} events but "
+                             f"{counter} = {_counter(m, counter)}")
+        jitter_events = counts.get(oev.FAULT_JITTER_ON, 0)
+        if (config.tick_jitter_us > 0) != (jitter_events == 1):
+            found.append(f"tick_jitter_us={config.tick_jitter_us} but "
+                         f"{jitter_events} jitter_on event(s)")
+    return _capped("faults.consistency", found)
 
 
 class MissCausality(_Replay):
@@ -664,18 +627,27 @@ class MissCausality(_Replay):
 
 class BackupDisjoint(_Replay):
     """A backup admitted against a known primary core must land on a
-    different physical core — otherwise one failure takes both copies."""
+    different physical core — otherwise one failure takes both copies.
+    The primary's cpu (``value``, -1 for none) must be a cpu of the
+    machine; a backup cpu outside it is ``events.vocabulary``'s to flag,
+    and -1 places on no core, so neither is compared."""
 
     name = "rt.backup_disjoint"
     kinds = frozenset({oev.RT_BACKUP_PLACE})
 
     def feed(self, ev: SchedEvent) -> None:
-        topo = self.art.machine.topology
-        if ev.value >= 0 and (topo.physical_core_of(ev.cpu)
-                              == topo.physical_core_of(ev.value)):
-            self.flag(f"backup {ev.task} placed on cpu {ev.cpu}, the same "
-                      f"physical core as its primary's cpu {ev.value}",
-                      t=ev.t)
+        machine = self.art.machine
+        n = machine.n_cpus
+        if not -1 <= ev.value < n:
+            self.flag(f"backup {ev.task} names primary cpu {ev.value}, "
+                      f"outside [-1, {n})", t=ev.t)
+        elif ev.value >= 0 and 0 <= ev.cpu < n:
+            topo = machine.topology
+            if topo.physical_core_of(ev.cpu) \
+                    == topo.physical_core_of(ev.value):
+                self.flag(f"backup {ev.task} placed on cpu {ev.cpu}, the "
+                          f"same physical core as its primary's cpu "
+                          f"{ev.value}", t=ev.t)
 
 
 class ActivationPairing(_Replay):
@@ -715,108 +687,74 @@ class ActivationPairing(_Replay):
         return self.found
 
 
-def check_scxnest_accounting(art: "RunArtifacts") -> Iterable[Violation]:
-    """scx_nest tier accounting: every placement is claimed by exactly
-    one of primary / reserve / global-queue fallback, impatient
-    placements are a subset of the fallbacks, and compaction-timer
-    outcomes never exceed the timers armed."""
-    if not _in_group(art, "scxnest"):
-        return
-    m = art.result.metrics
-    tiers = {k: _counter(m, f"scxnest.{k}") for k in
-             ("primary_hits", "reserve_hits", "cfs_fallbacks")}
-    placements = _counter(m, "scxnest.placements")
-    if sum(tiers.values()) != placements:
-        yield Violation("scxnest.accounting",
-                        f"{tiers} sums to {sum(tiers.values())} "
-                        f"!= placements {placements}")
-    if _counter(m, "scxnest.impatient_placements") > tiers["cfs_fallbacks"]:
-        yield Violation("scxnest.accounting",
-                        f"impatient placements "
-                        f"{_counter(m, 'scxnest.impatient_placements')} "
-                        f"exceed cfs fallbacks {tiers['cfs_fallbacks']}")
-    fired = (_counter(m, "scxnest.compactions")
-             + _counter(m, "scxnest.compact_cancels"))
-    if fired > _counter(m, "scxnest.compact_arms"):
-        yield Violation("scxnest.accounting",
-                        f"{fired} compaction-timer outcomes but only "
-                        f"{_counter(m, 'scxnest.compact_arms')} arms")
-    if _counter(m, "scxnest.vtime_pulls") \
-            > _counter(m, "scxnest.vtime_enqueues"):
-        yield Violation("scxnest.accounting",
-                        f"{_counter(m, 'scxnest.vtime_pulls')} vtime pulls "
-                        f"exceed {_counter(m, 'scxnest.vtime_enqueues')} "
-                        f"enqueues")
-
-
-class ScxnestEventCounterMatch(_CounterMatch):
+def check_scxnest_event_counter_match(
+        art: "RunArtifacts", counts: Dict[str, int]) -> List[Violation]:
     """scx_nest's event log and counters tell the same story."""
-
-    name = "scxnest.event_counter_match"
-    group = "scxnest"
-
-    def expected(self, m: Dict[str, Any]) -> Dict[str, int]:
-        return {
-            oev.PLACE_PRIMARY: _counter(m, "scxnest.primary_hits"),
-            oev.PLACE_RESERVE: _counter(m, "scxnest.reserve_hits"),
-            oev.NEST_PROMOTE: _counter(m, "scxnest.reserve_hits"),
-            oev.PLACE_IMPATIENT: _counter(m, "scxnest.impatient_placements"),
-            oev.PLACE_CFS: (_counter(m, "scxnest.cfs_fallbacks")
-                            - _counter(m, "scxnest.impatient_placements")),
-            oev.NEST_EXPAND: _counter(m, "scxnest.expansions"),
-            oev.NEST_COMPACT: _counter(m, "scxnest.compactions"),
-            oev.SCXNEST_COMPACT_ARM: _counter(m, "scxnest.compact_arms"),
-            oev.SCXNEST_COMPACT_CANCEL: _counter(m,
-                                                 "scxnest.compact_cancels"),
-            oev.SCXNEST_VTIME_PULL: _counter(m, "scxnest.vtime_pulls"),
-            oev.NEST_OFFLINE_EVICT: _counter(m, "scxnest.offline_evictions"),
-        }
+    m = art.result.metrics
+    return _event_counter_match(art, counts, "scxnest", {
+        oev.PLACE_PRIMARY: _counter(m, "scxnest.primary_hits"),
+        oev.PLACE_RESERVE: _counter(m, "scxnest.reserve_hits"),
+        oev.NEST_PROMOTE: _counter(m, "scxnest.reserve_hits"),
+        oev.PLACE_IMPATIENT: _counter(m, "scxnest.impatient_placements"),
+        oev.PLACE_CFS: (_counter(m, "scxnest.cfs_fallbacks")
+                        - _counter(m, "scxnest.impatient_placements")),
+        oev.NEST_EXPAND: _counter(m, "scxnest.expansions"),
+        oev.NEST_COMPACT: _counter(m, "scxnest.compactions"),
+        oev.SCXNEST_COMPACT_ARM: _counter(m, "scxnest.compact_arms"),
+        oev.SCXNEST_COMPACT_CANCEL: _counter(m, "scxnest.compact_cancels"),
+        oev.SCXNEST_VTIME_PULL: _counter(m, "scxnest.vtime_pulls"),
+        oev.NEST_OFFLINE_EVICT: _counter(m, "scxnest.offline_evictions"),
+    })
 
 
 #: The oracle, in evaluation order.  Names are stable: repro files,
-#: shrinking and the mutation canary key off them.  A function checks the
-#: result and snapshot; an analyzer class replays the event log.
+#: shrinking and the mutation canary key off them.  A function decides
+#: from the result, the snapshot and the per-kind event counts; an
+#: analyzer class replays the events it declares, in order; ``None``
+#: marks the two invariants the every-event analyzer decides.
 INVARIANTS: Tuple[Tuple[str, Any], ...] = (
     ("run.completed", check_completed),
-    ("clock.monotonic", ClockMonotonic),
-    ("events.vocabulary", Vocabulary),
-    ("nest.placement_accounting", check_placement_accounting),
-    ("nest.event_counter_match", EventCounterMatch),
+    ("clock.monotonic", None),
+    ("events.vocabulary", None),
+    ("nest.event_counter_match", check_event_counter_match),
     ("nest.primary_replay", PrimaryReplay),
     ("nest.final_state", check_final_state),
     ("nest.attachment", Attachment),
-    ("nest.feature_legality", FeatureLegality),
+    ("nest.feature_legality", check_feature_legality),
     ("sched.wakeup_dispatch", WakeupDispatch),
     ("sched.latency_accounting", LatencyAccounting),
     ("metrics.histograms", check_histograms),
     ("freq.sanity", FreqSanity),
     ("spin.pairing", SpinPairing),
-    ("faults.consistency", FaultConsistency),
+    ("faults.consistency", check_fault_consistency),
     ("rt.miss_causality", MissCausality),
     ("rt.backup_disjoint", BackupDisjoint),
     ("rt.activation_pairing", ActivationPairing),
-    ("scxnest.accounting", check_scxnest_accounting),
-    ("scxnest.event_counter_match", ScxnestEventCounterMatch),
+    ("scxnest.event_counter_match", check_scxnest_event_counter_match),
 )
 
 
 def check_run(art: "RunArtifacts") -> List[Violation]:
     """Evaluate every invariant against one run's artifacts.
 
-    The log-reading invariants that apply to the run share one routed
-    pass over ``art.events`` with a per-kind event count.
+    The every-event analyzer and the replays that apply to the run share
+    one routed pass over ``art.events``; the functions then read the
+    per-kind counts it left.
     """
     if art.error is not None:
         return [Violation("run.completed", f"simulation crashed: {art.error}")]
     if art.result is None:   # pragma: no cover - execute() guarantees one
         return [Violation("run.completed", "no result produced")]
-    counts = _KindCounts()
-    replays = [check(art, counts.counts) for _name, check in INVARIANTS
+    every = _EveryEvent(art)
+    replays = [check(art, every.counts) for _name, check in INVARIANTS
                if isinstance(check, type) and check.applies(art)]
     verdicts = run_analyzers(art.events, AnalysisContext(),
-                             [counts, *replays])
+                             [every, *replays])
+    verdicts.update(verdicts.pop(every.name))
     out: List[Violation] = []
     for name, check in INVARIANTS:
-        out.extend(verdicts.get(name, ()) if isinstance(check, type)
-                   else check(art))
+        if check is None or isinstance(check, type):
+            out.extend(verdicts.get(name, ()))
+        else:
+            out.extend(check(art, every.counts))
     return out

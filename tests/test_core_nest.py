@@ -305,12 +305,6 @@ class TestFlagAndSpin:
         _, _, nospin = make(NestParams(spin_enabled=False))
         assert nospin.spin_ticks() == 0
 
-    def test_nest_sizes(self):
-        _, _, policy = make()
-        policy.primary.update({1, 2})
-        policy.reserve.add(3)
-        assert policy.nest_sizes() == (2, 1)
-
     def test_policy_name(self):
         _, _, policy = make()
         assert policy.name == "Nest"

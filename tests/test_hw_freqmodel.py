@@ -172,15 +172,6 @@ class TestIdleDecay:
         eng.run(until=eng.now + 30_000)
         assert fm.freq_mhz(0) >= f
 
-    def test_idle_duration(self):
-        eng, fm, _ = make()
-        fm.set_thread_state(0, busy=True, spinning=False)
-        fm.set_thread_state(0, busy=False, spinning=False)
-        eng.run(until=100)
-        assert fm.idle_duration(0, eng.now) == 100
-        fm.set_thread_state(0, busy=True, spinning=False)
-        assert fm.idle_duration(0, eng.now) is None
-
 
 class TestListeners:
     def test_listener_called_on_change(self):

@@ -79,6 +79,15 @@ class TestRunQueue:
         assert rq.pop() is b
         assert rq.pop() is None
 
+    def test_live_tasks_skips_removed_entries_in_heap_order(self):
+        rq = RunQueue(0)
+        tasks = [mk_task(tid, vr) for tid, vr in ((1, 30), (2, 10), (3, 20))]
+        for t in tasks:
+            rq.push(t)
+        rq.remove(tasks[2])
+        assert [t.tid for t in rq.live_tasks()] == [2, 1]
+        assert len(rq) == 2
+
     def test_steal_one_takes_largest_vruntime(self):
         rq = RunQueue(0)
         rq.push(mk_task(1, 10))
@@ -179,7 +188,7 @@ class TestDomains:
     def test_numa_groups_are_sockets(self):
         topo = Topology(2, 2, 2)
         h = DomainHierarchy(topo)
-        numa = h.top_domain(0)
+        numa = h.domains_of(0)[-1]
         assert numa.name == "NUMA"
         assert len(numa.groups) == 2
         assert sorted(sum(numa.groups, ())) == topo.all_cpus()

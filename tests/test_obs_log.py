@@ -17,12 +17,6 @@ class TestEventLog:
         log.attach(lambda ev: None)
         assert log.enabled is True
 
-    def test_detach_all_disables(self):
-        log = EventLog()
-        log.attach(lambda ev: None)
-        log.detach_all()
-        assert log.enabled is False
-
     def test_memory_sink_collects_events(self):
         log = EventLog()
         events = log.attach_memory()

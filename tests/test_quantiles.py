@@ -101,8 +101,11 @@ class TestHistogramQuantile:
 
     @given(values=samples_on_edges, p=percentiles)
     def test_matches_the_obs_histogram_method(self, values, p):
+        # The obs Histogram's buckets feed histogram_quantile in
+        # derived_metrics: observed on-edge samples give back the
+        # sample percentile.
         hist = Histogram("h", EDGES)
         for v in values:
             hist.observe(v)
-        assert hist.quantile(p) == \
-            histogram_quantile(EDGES, list(hist.counts), p)
+        assert histogram_quantile(hist.edges, hist.counts, p) == \
+            percentile(values, p)

@@ -101,12 +101,6 @@ class TestGlobalVtimeQueue:
         with pytest.raises(ValueError):
             q.charge(1, amount_us=-5)
 
-    def test_forget_resets_a_key_to_the_clock(self):
-        q = GlobalVtimeQueue()
-        q.charge(1)
-        q.forget(1)
-        assert q.vtime_of(1) == q.vtime_now
-
 
 class TestNestMasks:
     def test_promote_moves_reserve_to_primary(self):
@@ -230,6 +224,12 @@ class TestSelection:
         for i in range(6):
             policy.select_cpu_fork(noop_task(kern, f"t{i}"), parent_cpu=0)
         policy.check_invariants()
+
+    def test_self_check_rejects_more_pulls_than_enqueues(self):
+        eng, kern, policy = make()
+        policy.metrics.counter("vtime_pulls").value += 1
+        with pytest.raises(AssertionError, match="vtime pulls"):
+            policy.check_invariants()
 
 
 class TestCompactionTimer:

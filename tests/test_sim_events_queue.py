@@ -11,21 +11,6 @@ def _noop(*args):
 
 
 class TestEvent:
-    def test_sort_key_orders_by_time_first(self):
-        a = Event(10, EventKind.TICK, 0, _noop)
-        b = Event(5, EventKind.BALANCE, 1, _noop)
-        assert b < a
-
-    def test_sort_key_orders_by_kind_on_time_tie(self):
-        a = Event(10, EventKind.COMPLETION, 5, _noop)
-        b = Event(10, EventKind.TICK, 0, _noop)
-        assert a < b   # completions run before ticks at the same instant
-
-    def test_sort_key_orders_by_seq_last(self):
-        a = Event(10, EventKind.WAKEUP, 0, _noop)
-        b = Event(10, EventKind.WAKEUP, 1, _noop)
-        assert a < b
-
     def test_cancel_flag(self):
         e = Event(0, EventKind.IO, 0, _noop)
         assert not e.cancelled
@@ -88,13 +73,6 @@ class TestEventQueue:
         q.schedule(7, EventKind.IO, _noop)
         q.cancel(ev)
         assert q.peek_time() == 7
-
-    def test_clear(self):
-        q = EventQueue()
-        q.schedule(1, EventKind.IO, _noop)
-        q.clear()
-        assert not q
-        assert q.pop() is None
 
     def test_len_tracks_live_events(self):
         q = EventQueue()

@@ -10,7 +10,9 @@ convict it.
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.params import DEFAULT_PARAMS
 from repro.experiments.parallel import RunSpec
 from repro.obs import events as oev
 from repro.obs.events import SchedEvent
@@ -93,9 +95,7 @@ def test_catches_counter_event_divergence(nest_art):
     broken = _copy_with(nest_art,
                         result=dataclasses.replace(nest_art.result,
                                                    metrics=metrics))
-    names = _names(check_run(broken))
-    assert "nest.placement_accounting" in names
-    assert "nest.event_counter_match" in names
+    assert "nest.event_counter_match" in _names(check_run(broken))
 
 
 def test_catches_phantom_promote(nest_art):
@@ -144,6 +144,29 @@ def test_catches_reserve_overflow_and_overlap(nest_art):
                                    r_max=snap.r_max)
         broken = _copy_with(nest_art, nest=overlapping)
         assert "nest.final_state" in _names(check_run(broken))
+
+
+def test_catches_attach_off_the_attached_core(nest_art):
+    # The first attachment hit, retargeted: the task's replayed commit
+    # history attaches it elsewhere, and the new cpu is outside the
+    # replayed primary nest as well.
+    events = list(nest_art.events)
+    idx, attach = next((i, e) for i, e in enumerate(events)
+                       if e.kind == oev.PLACE_ATTACH)
+    events[idx] = attach._replace(
+        cpu=(attach.cpu + 1) % nest_art.machine.n_cpus)
+    broken = _copy_with(nest_art, events=events)
+    assert _names(check_run(broken)) == {"nest.attachment",
+                                         "nest.primary_replay"}
+
+
+def test_catches_events_of_a_disabled_feature(nest_art):
+    # The run warm-spins; a scenario that claims spinning was disabled
+    # convicts its spin.start events, and nothing else.
+    no_spin = dataclasses.replace(nest_art.scenario,
+                                  nest_params=DEFAULT_PARAMS.without("spin"))
+    broken = _copy_with(nest_art, scenario=no_spin)
+    assert _names(check_run(broken)) == {"nest.feature_legality"}
 
 
 def test_catches_double_commit(nest_art):
@@ -282,6 +305,20 @@ def test_fallback_backup_placement_not_convicted(ftrt_art):
     assert "rt.backup_disjoint" not in _names(check_run(broken))
 
 
+def test_backup_cpus_outside_the_machine_are_flagged(ftrt_art):
+    # A backup cpu outside the machine is a vocabulary fault; a primary
+    # cpu outside it breaks the disjointness record itself.
+    events = list(ftrt_art.events)
+    idx, place = next((i, e) for i, e in enumerate(events)
+                      if e.kind == oev.RT_BACKUP_PLACE)
+    n = ftrt_art.machine.n_cpus
+    for field, verdict in (("cpu", "events.vocabulary"),
+                           ("value", "rt.backup_disjoint")):
+        events[idx] = place._replace(**{field: n})
+        broken = _copy_with(ftrt_art, events=events)
+        assert _names(check_run(broken)) == {verdict}
+
+
 def test_catches_unpaired_activation_event(ftrt_art):
     last = ftrt_art.events[-1]
     events = list(ftrt_art.events) + [
@@ -304,6 +341,27 @@ def test_catches_kill_outside_failure_instant(ftrt_art):
     events.insert(0, kill._replace(t=0))
     broken = _copy_with(ftrt_art, events=events)
     assert "rt.activation_pairing" in _names(check_run(broken))
+
+
+#: Every known event kind, and one unknown one.
+ANY_KIND = st.sampled_from(sorted(oev.EVENT_KINDS) + ["sched.wat"])
+
+
+@pytest.mark.parametrize("fixture", ["nest_art", "ftrt_art"])
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_malformed_event_gets_a_verdict_not_a_crash(fixture, request,
+                                                      data):
+    # The fuzzer shrinks on verdicts: a log the oracle cannot parse must
+    # still come back as a list of violations, never as an exception.
+    art = request.getfixturevalue(fixture)
+    events = list(art.events)
+    idx = data.draw(st.integers(0, len(events) - 1))
+    events[idx] = events[idx]._replace(
+        kind=data.draw(ANY_KIND), cpu=data.draw(st.integers()),
+        task=data.draw(st.integers()), value=data.draw(st.integers()))
+    assert isinstance(check_run(_copy_with(art, events=events)), list)
 
 
 def test_violation_formatting():

@@ -2,22 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
-
-
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("empty sample")
-    return sum(values) / len(values)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation."""
-    if not values:
-        raise ValueError("empty sample")
-    m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
 def classify_speedup(speedup: float) -> str:

@@ -6,13 +6,13 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
     python -m repro run --workload configure-llvm_ninja \
         --machine 5218_2s --scheduler nest --governor schedutil \
         --trace out.json                 # Perfetto trace (ui.perfetto.dev)
-    python -m repro trace fig2 --scale 0.5   # text digest of a traced run
+    python -m repro run --workload fig2 --trace t.json   # fig2's reference run
     python -m repro compare --workload dacapo-h2 --machine 6130_4s --jobs 8
     python -m repro sweep fig5           # the runs Figure 5's bench reads
     python -m repro sweep fig5 --seeds 2 --scale 0.3   # ...overridden
     python -m repro cache stats          # result-cache maintenance
     python -m repro obs dashboard        # self-contained HTML dashboard
-    python -m repro obs analyze fig2 --scale 0.3   # trace-analysis report
+    python -m repro obs analyze fig2 --scale 0.3   # text digest of a run
     python -m repro obs query fig2 --kind place --cpu 3   # event queries
     python -m repro history list         # archived sweeps (sqlite-backed)
     python -m repro history show         # the newest sweep and its runs
@@ -52,7 +52,7 @@ import dataclasses
 from ..analysis.tables import pct, render_table
 from ..faults import FAULT_PROFILES, FaultConfig, fault_profile
 from ..hw.machines import ALL_MACHINES, get_machine
-from ..obs.export import events_to_jsonl, text_summary, write_chrome_trace
+from ..obs.export import events_to_jsonl, write_chrome_trace
 from ..obs.history import HistoryStore, append_trajectory, trajectory_entries
 from ..obs.progress import make_view
 from ..sched.registry import available_policies, iter_policy_infos
@@ -125,12 +125,16 @@ def _cmd_run(args) -> int:
     trace_path = getattr(args, "trace", None)
     events_path = getattr(args, "events", None)
     faults = _faults_from_args(args)
-    res = execute_spec(
-        RunSpec(workload=args.workload, machine=args.machine,
-                scheduler=args.scheduler, governor=args.governor,
-                seed=args.seed, scale=args.scale,
-                record_trace=bool(trace_path), faults=faults),
-        collect_events=bool(trace_path or events_path))
+    try:
+        spec = _run_spec(args.workload, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    spec = dataclasses.replace(
+        spec, scheduler=args.scheduler or spec.scheduler,
+        governor=args.governor or spec.governor,
+        record_trace=bool(trace_path), faults=faults)
+    res = execute_spec(spec, collect_events=bool(trace_path or events_path))
     print(res.brief())
     print(f"  wall={res.sim_wall_s:.3f}s  events={res.events_processed:,}  "
           f"({res.events_per_sec:,.0f} events/s)")
@@ -159,7 +163,7 @@ def _cmd_run(args) -> int:
     if trace_path:
         label = f"{res.workload} {res.scheduler}-{res.governor}"
         write_chrome_trace(trace_path, res.trace_segments, res.events,
-                           n_cpus=get_machine(args.machine).n_cpus,
+                           n_cpus=get_machine(spec.machine).n_cpus,
                            label=label)
         print(f"  trace: {trace_path} "
               f"({len(res.trace_segments)} segments, "
@@ -171,32 +175,40 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
+def _run_spec(name: str, args) -> RunSpec:
+    """The run a registry id or a workload name stands for: the one place
+    ``run``, ``obs analyze`` and ``obs query`` resolve their argument.
+
+    An id gives the entry's reference run (its first workload at the
+    entry's scale and first seed, on its first machine, under a Nest
+    combo); a workload runs on 5218_2s under Nest-schedutil at seed 1
+    and scale 1.0.  ``--machine``, ``--seed`` and ``--scale`` override
+    either.  The spec records the trace.  A pure table entry raises
+    ``ValueError``, an unknown name ``KeyError``.
+    """
     try:
-        res, events, segments, n_cpus = _analysis_events(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(res.brief())
-    print(text_summary(segments, events, res.metrics))
-    if args.out:
-        write_chrome_trace(args.out, segments, events, n_cpus=n_cpus,
-                           label=f"{res.workload} "
-                                 f"{res.scheduler}-{res.governor}")
-        print(f"trace: {args.out} (open at ui.perfetto.dev)")
-    return 0
+        exp = get_experiment(name)
+    except KeyError:
+        exp = None
+    if exp is not None:
+        spec = reference_spec(exp, seed=args.seed, scale=args.scale,
+                              machine=args.machine)
+        if spec is None:
+            raise ValueError(f"{name} has no traceable workload "
+                             f"(pure table entry)")
+        return spec
+    make_workload(name)   # raises KeyError on bad names
+    return RunSpec(workload=name, machine=args.machine or "5218_2s",
+                   scheduler="nest", governor="schedutil",
+                   seed=1 if args.seed is None else args.seed,
+                   scale=1.0 if args.scale is None else args.scale,
+                   record_trace=True)
 
 
 def _analysis_events(args):
-    """The (result, events, segments, n_cpus) a trace/analyze/query works
-    on: the one place an experiment-or-workload argument is resolved.
-
-    ``--events FILE`` analyzes a JSONL dump; otherwise the experiment's
-    reference run (at the entry's scale and first seed unless ``--scale``
-    or ``--seed`` says otherwise), or a bare workload name (seed 1, scale
-    1.0 by default), is simulated with tracing and event collection on.
-    A pure table entry raises ``ValueError``, an unknown name
-    ``KeyError``.
+    """The (result, events, segments, n_cpus) an analyze or query works
+    on: the events of a JSONL dump (``--events FILE``), or those of the
+    run :func:`_run_spec` resolves, simulated with event collection on.
     """
     from ..obs.export import events_from_jsonl
 
@@ -205,25 +217,7 @@ def _analysis_events(args):
             events = events_from_jsonl(fh)
         n_cpus = 1 + max((ev.cpu for ev in events if ev.cpu >= 0), default=-1)
         return None, events, None, n_cpus
-
-    try:
-        exp = get_experiment(args.experiment)
-    except KeyError:
-        exp = None
-    if exp is not None:
-        spec = reference_spec(exp, seed=args.seed, scale=args.scale,
-                              machine=args.machine)
-        if spec is None:
-            raise ValueError(f"{args.experiment} has no traceable workload "
-                             f"(pure table entry)")
-    else:
-        make_workload(args.experiment)   # raises KeyError on bad names
-        spec = RunSpec(workload=args.experiment,
-                       machine=args.machine or "5218_2s",
-                       scheduler="nest", governor="schedutil",
-                       seed=1 if args.seed is None else args.seed,
-                       scale=1.0 if args.scale is None else args.scale,
-                       record_trace=True)
+    spec = _run_spec(args.experiment, args)
     res = execute_spec(spec, collect_events=True)
     return (res, res.events, res.trace_segments,
             get_machine(spec.machine).n_cpus)
@@ -244,8 +238,7 @@ def _cmd_obs_analyze(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = analyze_run(result, events, n_cpus=n_cpus, segments=segments,
-                         warm_window_us=args.warm_window_us)
+    report = analyze_run(result, events, n_cpus=n_cpus, segments=segments)
     doc = report_json(report)
     if args.out:
         Path(args.out).write_text(doc, encoding="utf-8")
@@ -313,10 +306,8 @@ def _cmd_obs_dashboard(args) -> int:
         default = Path("BENCH_trajectory.json")
         trajectory = default if default.exists() else None
     try:
-        html_text = build_dashboard(
-            history, sweep_ref=args.sweep,
-            trajectory_path=trajectory,
-            traces_dir=Path(args.traces_dir) if args.traces_dir else None)
+        html_text = build_dashboard(history, sweep_ref=args.sweep,
+                                    trajectory_path=trajectory)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -635,9 +626,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_traced_run_options(p: argparse.ArgumentParser) -> None:
-    """Where and how to run the traced run of a registry id or workload."""
-    p.add_argument("--machine", default=None)
+def _add_run_spec_options(p: argparse.ArgumentParser) -> None:
+    """The overrides :func:`_run_spec` reads: where and how to run a
+    registry id's reference run or a workload."""
+    p.add_argument("--machine", default=None,
+                   help="default: the entry's first machine (5218_2s for "
+                        "a workload)")
     p.add_argument("--seed", type=int, default=None,
                    help="default: the entry's first seed (1 for a workload)")
     p.add_argument("--scale", type=_positive_float, default=None,
@@ -688,15 +682,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list machines, workloads, experiments") \
        .set_defaults(fn=_cmd_list)
 
-    run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("--workload", required=True)
-    run_p.add_argument("--machine", default="5218_2s")
-    run_p.add_argument("--scheduler", default="nest",
-                       choices=available_policies())
-    run_p.add_argument("--governor", default="schedutil",
-                       choices=["schedutil", "performance"])
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--scale", type=_positive_float, default=1.0)
+    run_p = sub.add_parser(
+        "run", help="run one workload, or a registry id's reference run")
+    run_p.add_argument("--workload", required=True,
+                       help="workload name or registry id (e.g. fig2)")
+    _add_run_spec_options(run_p)
+    run_p.add_argument("--scheduler", default=None,
+                       choices=available_policies(),
+                       help="default: the entry's (nest for a workload)")
+    run_p.add_argument("--governor", default=None,
+                       choices=["schedutil", "performance"],
+                       help="default: the entry's (schedutil for a "
+                            "workload)")
     run_p.add_argument("--verbose", action="store_true")
     run_p.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Perfetto/Chrome trace JSON here")
@@ -704,15 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the structured event log as JSONL here")
     _add_faults_option(run_p)
     run_p.set_defaults(fn=_cmd_run)
-
-    trace_p = sub.add_parser(
-        "trace", help="trace one representative run of an experiment")
-    trace_p.add_argument("experiment",
-                         help="registry id (e.g. fig2) or workload name")
-    _add_traced_run_options(trace_p)
-    trace_p.add_argument("--out", default=None, metavar="PATH",
-                         help="also write the Perfetto trace JSON here")
-    trace_p.set_defaults(fn=_cmd_trace)
 
     cmp_p = sub.add_parser("compare",
                            help="compare schedulers on one workload")
@@ -774,8 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="BENCH_trajectory.json for the perf-"
                               "trajectory sparklines (default: "
                               "./BENCH_trajectory.json when present)")
-    odash_p.add_argument("--traces-dir", default=None, metavar="DIR",
-                         help="link Perfetto traces found here")
     odash_p.set_defaults(fn=_cmd_obs_dashboard)
 
     def _add_analysis_source(sp: argparse.ArgumentParser) -> None:
@@ -784,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--events", default=None, metavar="JSONL",
                         help="analyze this event dump (from `run "
                              "--events`) instead of simulating")
-        _add_traced_run_options(sp)
+        _add_run_spec_options(sp)
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
 
@@ -792,10 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="replay a run's event log through the trace analyzers")
     _add_analysis_source(oana_p)
-    oana_p.add_argument("--warm-window-us", type=int, default=1000,
-                        help="a dispatch counts as warm when its core "
-                             "was active within this window "
-                             "(default: 1000µs)")
     oana_p.add_argument("--out", default=None, metavar="PATH",
                         help="also write the canonical JSON report here")
     oana_p.add_argument("--baseline", default=None, metavar="REPORT.json",

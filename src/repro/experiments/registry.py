@@ -7,7 +7,7 @@ the artefact divides by it) and, for the ablations, the named Nest
 parameter variants.  :func:`specs_for` expands an entry into exactly the
 runs its benchmark reads: the ``benchmarks/`` modules fetch their results
 by these specs, and ``repro sweep <id>`` runs the same list.  The CLI's
-``list``, ``describe``, ``trace`` and ``obs`` commands read it too.
+``list``, ``describe``, ``run`` and ``obs`` commands read it too.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from ..workloads.configure import configure_names
 from ..workloads.dacapo import dacapo_names
 from ..workloads.nas import nas_names
 from ..workloads.phoronix import fig13_names
+from .runner import STANDARD_COMBOS
 
 #: Machines used by most figures, in the paper's panel order.
 FIGURE_MACHINES: Tuple[str, ...] = ("6130_2s", "6130_4s", "5218_2s", "e78870_4s")
@@ -58,9 +59,7 @@ class Experiment:
         return tuple(name for group in self.workloads for name in group.names)
 
 
-_STANDARD = (("cfs", "schedutil"), ("cfs", "performance"),
-             ("nest", "schedutil"), ("nest", "performance"))
-_WITH_SMOVE = _STANDARD + (("smove", "schedutil"),)
+_WITH_SMOVE = STANDARD_COMBOS + (("smove", "schedutil"),)
 _SCHEDUTIL = (("cfs", "schedutil"), ("nest", "schedutil"))
 _PHORONIX = (("cfs", "schedutil"), ("cfs", "performance"),
              ("nest", "schedutil"))
@@ -115,7 +114,7 @@ _register(Experiment(
 _register(Experiment(
     id="fig4", artefact="Figure 4",
     description="Underload per second, configure suite",
-    workloads=(_CONFIGURE,), machines=_SKYLAKE_AND_E7, combos=_STANDARD,
+    workloads=(_CONFIGURE,), machines=_SKYLAKE_AND_E7, combos=STANDARD_COMBOS,
     bench="benchmarks/test_fig4_configure_underload.py",
     expected_shape="Nest nearly eliminates underload on every machine"))
 
@@ -137,7 +136,7 @@ _register(Experiment(
 _register(Experiment(
     id="fig7", artefact="Figure 7",
     description="Configure-suite CPU energy reduction",
-    workloads=(_CONFIGURE,), machines=_SKYLAKE_AND_E7, combos=_STANDARD,
+    workloads=(_CONFIGURE,), machines=_SKYLAKE_AND_E7, combos=STANDARD_COMBOS,
     bench="benchmarks/test_fig7_configure_energy.py",
     expected_shape="Nest reduces CPU energy (up to ~20%) by finishing sooner"))
 
@@ -153,7 +152,7 @@ _register(Experiment(
     id="fig10", artefact="Figure 10",
     description="DaCapo speedups vs CFS-schedutil",
     workloads=(Workloads(tuple(f"dacapo-{n}" for n in dacapo_names())),),
-    machines=("6130_4s",), combos=_STANDARD,
+    machines=("6130_4s",), combos=STANDARD_COMBOS,
     bench="benchmarks/test_fig10_dacapo_speedup.py",
     expected_shape="big Nest wins on h2/tradebeans/graphchi-eval; few-task "
                    "apps within ±8%"))
@@ -171,7 +170,7 @@ _register(Experiment(
     description="NAS speedups vs CFS-schedutil",
     workloads=(Workloads(tuple(f"nas-{n}.C" for n in nas_names()),
                          scale=0.2),),
-    machines=_SKYLAKE_AND_E7, combos=_STANDARD,
+    machines=_SKYLAKE_AND_E7, combos=STANDARD_COMBOS,
     bench="benchmarks/test_fig12_nas_speedup.py",
     expected_shape="near parity on the 2-socket machines; Nest never badly "
                    "hurts; speedups on the E7 (except cg/ep)"))

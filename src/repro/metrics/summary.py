@@ -31,8 +31,7 @@ class RunResult:
     #: Serialized observability registry (obs/metrics.py): counters and
     #: histograms from the kernel (``kernel.*``) and the selection policy
     #: (``nest.*``, ``smove.*``, ...).  Deterministic and cached
-    #: with the result; rebuild instruments with
-    #: ``MetricsRegistry.from_dict``.
+    #: with the result.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Host-side telemetry: wall-clock seconds the simulation took and how
     #: many engine events it processed.  Nondeterministic (timing), so it is

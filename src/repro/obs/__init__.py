@@ -14,8 +14,10 @@ Designed to cost nothing when nobody is looking.  Per-run pieces:
   kernel's and every policy's counters live here) and serialized into
   :class:`~repro.metrics.summary.RunResult` and the result cache.
 * :mod:`repro.obs.export` — exporters: Perfetto/Chrome ``trace_event``
-  JSON (open it at https://ui.perfetto.dev), a JSONL event dump, and the
-  plain-text summary behind ``repro trace``.
+  JSON (open it at https://ui.perfetto.dev) and a JSONL event dump.
+* :mod:`repro.obs.analysis` — the analyzers that replay a run's event
+  log; their report is the one text digest of a run
+  (``repro obs analyze``).
 
 Sweep-level pieces (see DESIGN.md §8):
 

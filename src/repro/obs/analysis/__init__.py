@@ -21,7 +21,7 @@ nothing here runs during simulation.
 """
 
 from .base import (ANALYSIS_VERSION, AnalysisContext, Analyzer,
-                   DEFAULT_WARM_WINDOW_US, default_analyzers, run_analyzers)
+                   default_analyzers, run_analyzers)
 from .diff import (MetricMove, diff_reports, flatten_numeric, rank_moves,
                    render_attribution)
 from .query import EventFilter, filter_events, render_events_table
@@ -30,7 +30,7 @@ from .report import (analysis_digest, analyze_run, derived_metrics,
 
 __all__ = [
     "ANALYSIS_VERSION", "AnalysisContext", "Analyzer",
-    "DEFAULT_WARM_WINDOW_US", "default_analyzers", "run_analyzers",
+    "default_analyzers", "run_analyzers",
     "MetricMove", "diff_reports", "flatten_numeric", "rank_moves",
     "render_attribution",
     "EventFilter", "filter_events", "render_events_table",

@@ -8,8 +8,8 @@ guarantees the analyzers rely on):
   §3 placement tier that chose the core (``sched.dispatch`` carries the
   latency; the task's most recent ``place.*`` event names the tier).
 * ``warm_cores`` — the paper's central claim: what fraction of
-  dispatches landed on a core that was active within a configurable
-  warm window.
+  dispatches landed on a core that was active within the warm window
+  (:data:`WARM_WINDOW_US`).
 * ``nest_dynamics`` — primary-nest size timeline, churn rate and the
   §3.1 compaction/expansion cadence from the ``nest.*`` transitions.
 * ``freq_ramps`` — §2.3: up-steps per core, time until each core (and
@@ -43,6 +43,11 @@ from .base import Analyzer, AnalysisContext
 #: Percentiles every latency summary reports.
 LATENCY_PERCENTILES = (50, 90, 99)
 
+#: The warm window: a core counts as warm for a dispatch when it was
+#: last active at most this many simulated microseconds earlier (about
+#: one scheduling tick on the modeled machines).
+WARM_WINDOW_US = 1000
+
 
 def _ratio(num: float, den: float, digits: int = 6) -> float:
     """A rounded fraction (0.0 when the denominator is empty)."""
@@ -64,14 +69,15 @@ class LatencyTierAnalyzer(Analyzer):
 
     name = "latency_tiers"
     kinds = frozenset(PLACEMENT_KINDS) | {SCHED_DISPATCH}
+    #: Tasks listed by total dispatch latency.
+    TOP_TASKS = 5
 
-    def __init__(self, top_tasks: int = 5) -> None:
+    def __init__(self) -> None:
         self._tier_of_task: Dict[int, str] = {}
         self._by_tier: Dict[str, List[int]] = {}
         self._overall: List[int] = []
         # task -> [dispatches, total latency, max latency]
         self._per_task: Dict[int, List[int]] = {}
-        self._top_tasks = top_tasks
 
     def feed(self, ev: SchedEvent) -> None:
         if ev.kind in PLACEMENT_KINDS:
@@ -95,7 +101,7 @@ class LatencyTierAnalyzer(Analyzer):
                         key=lambda kv: (-kv[1][1], kv[0]))
         top = [{"task": task, "dispatches": n, "total_us": total,
                 "max_us": peak}
-               for task, (n, total, peak) in ranked[:self._top_tasks]]
+               for task, (n, total, peak) in ranked[:self.TOP_TASKS]]
         return {"overall": _latency_summary(self._overall),
                 "tiers": tiers, "top_tasks": top}
 
@@ -129,7 +135,7 @@ class WarmCoreAnalyzer(Analyzer):
             self._last_active[ev.cpu] = ev.t
 
     def finish(self, ctx: AnalysisContext) -> Dict[str, Any]:
-        window = ctx.warm_window_us
+        window = WARM_WINDOW_US
         total = warm = 0
         per_tier: Dict[str, List[int]] = {}
         for tier, age in self._pending:
@@ -151,13 +157,14 @@ class NestDynamicsAnalyzer(Analyzer):
 
     name = "nest_dynamics"
     kinds = NEST_TRANSITION_KINDS
+    #: Size samples the timeline is thinned to (the final one is kept).
+    TIMELINE_POINTS = 64
 
-    def __init__(self, timeline_points: int = 64) -> None:
+    def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
         self._sizes: List[tuple] = []      # (t, primary size after)
         self._last_by_kind: Dict[str, int] = {}
         self._gaps: Dict[str, List[int]] = {}
-        self._timeline_points = timeline_points
 
     def feed(self, ev: SchedEvent) -> None:
         self._counts[ev.kind] = self._counts.get(ev.kind, 0) + 1
@@ -192,10 +199,10 @@ class NestDynamicsAnalyzer(Analyzer):
                                              max(ctx.makespan_us, prev_t), 3),
             }
             pts = self._sizes
-            if len(pts) > self._timeline_points:
-                step = len(pts) / self._timeline_points
+            if len(pts) > self.TIMELINE_POINTS:
+                step = len(pts) / self.TIMELINE_POINTS
                 pts = [pts[int(i * step)]
-                       for i in range(self._timeline_points)]
+                       for i in range(self.TIMELINE_POINTS)]
                 pts.append(self._sizes[-1])
             out["timeline"] = [[t, size] for t, size in pts]
         cadence = {}
@@ -272,11 +279,12 @@ class OccupancyAnalyzer(Analyzer):
 
     name = "occupancy"
     kinds = frozenset({SCHED_DISPATCH})
+    #: Busiest cores listed.
+    TOP_CORES = 8
 
-    def __init__(self, top_cores: int = 8) -> None:
+    def __init__(self) -> None:
         self._dispatches: Dict[int, int] = {}
         self._tasks: Dict[int, Set[int]] = {}
-        self._top_cores = top_cores
 
     def feed(self, ev: SchedEvent) -> None:
         self._dispatches[ev.cpu] = self._dispatches.get(ev.cpu, 0) + 1
@@ -289,7 +297,7 @@ class OccupancyAnalyzer(Analyzer):
                         key=lambda kv: (-kv[1], kv[0]))
         cores = [{"cpu": cpu, "dispatches": n,
                   "distinct_tasks": len(self._tasks[cpu])}
-                 for cpu, n in ranked[:self._top_cores]]
+                 for cpu, n in ranked[:self.TOP_CORES]]
         return {"source": "events", "cores_used": len(self._dispatches),
                 "n_cpus": ctx.n_cpus, "top_cores": cores}
 
@@ -309,7 +317,7 @@ class OccupancyAnalyzer(Analyzer):
                   "spin_us": spin.get(c, 0),
                   "utilization": _ratio(busy.get(c, 0), span),
                   "dispatches": self._dispatches.get(c, 0)}
-                 for c in ranked[:self._top_cores]]
+                 for c in ranked[:self.TOP_CORES]]
         total_busy = sum(busy.values())
         total_spin = sum(spin.values())
         return {"source": "segments", "cores_used": len(used),

@@ -31,11 +31,6 @@ from ..events import SchedEvent
 #: envelope carries it so archived reports stay interpretable.
 ANALYSIS_VERSION = 1
 
-#: Default warm window: a core counts as warm for a dispatch when it was
-#: last active at most this many simulated microseconds earlier (about
-#: one scheduling tick on the modeled machines).
-DEFAULT_WARM_WINDOW_US = 1000
-
 
 @dataclass
 class AnalysisContext:
@@ -51,7 +46,6 @@ class AnalysisContext:
     #: Tracer segments when the run recorded them (``record_trace``);
     #: the occupancy analyzer degrades gracefully without them.
     segments: Optional[Sequence[Any]] = None
-    warm_window_us: int = DEFAULT_WARM_WINDOW_US
 
 
 class Analyzer:

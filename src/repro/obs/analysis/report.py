@@ -21,8 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ...metrics.quantiles import histogram_quantile
 from ..events import SchedEvent
-from .base import (ANALYSIS_VERSION, AnalysisContext, Analyzer,
-                   DEFAULT_WARM_WINDOW_US, run_analyzers)
+from .base import ANALYSIS_VERSION, AnalysisContext, Analyzer, run_analyzers
 
 #: History/diff prefix of every derived scalar.
 DERIVED_PREFIX = "derived."
@@ -30,20 +29,24 @@ DERIVED_PREFIX = "derived."
 #: Wakeup-latency percentiles exported as derived metrics.
 _WAKEUP_PERCENTILES = (50, 90, 99)
 
-#: Placement-tier counters -> derived share names.
+#: Counter families that count placements by search tier: Nest's and
+#: scx_nest's (which has no attachment tier).
+_TIER_FAMILIES = ("nest.", "scxnest.")
+
+#: The tier counters that partition a run's placements (each policy's
+#: ``check_invariants`` sums them to ``placements``) -> derived share
+#: names.  All but the CFS fallback land on a warm core.
 _TIER_COUNTERS = (
-    ("nest.attachment_hits", "share_attach"),
-    ("nest.primary_hits", "share_primary"),
-    ("nest.reserve_hits", "share_reserve"),
-    ("nest.impatient_placements", "share_impatient"),
-    ("nest.cfs_fallbacks", "share_cfs"),
+    ("attachment_hits", "share_attach"),
+    ("primary_hits", "share_primary"),
+    ("reserve_hits", "share_reserve"),
+    ("cfs_fallbacks", "share_cfs"),
 )
 
 
 def analyze_run(result: Any, events: Sequence[SchedEvent], *,
                 n_cpus: int = 0,
                 segments: Optional[Sequence[Any]] = None,
-                warm_window_us: int = DEFAULT_WARM_WINDOW_US,
                 analyzers: Optional[Sequence[Analyzer]] = None,
                 ) -> Dict[str, Any]:
     """The full analysis report of one run.
@@ -58,8 +61,7 @@ def analyze_run(result: Any, events: Sequence[SchedEvent], *,
             max((ev.t for ev in events), default=0)),
         n_cpus=n_cpus,
         metrics=dict(getattr(result, "metrics", None) or {}),
-        segments=segments,
-        warm_window_us=warm_window_us)
+        segments=segments)
     run_info: Dict[str, Any] = {"n_events": len(events)}
     if result is not None:
         run_info.update({
@@ -115,6 +117,9 @@ def report_text(report: Dict[str, Any]) -> str:
                      f"min={size.get('min')} max={size.get('max')} "
                      f"final={size.get('final')} "
                      f"mean={size.get('time_weighted_mean')}")
+        lines.append("  by kind: " + "  ".join(
+            f"{kind.split('.', 1)[1]}={n}"
+            for kind, n in nest.get("by_kind", {}).items()))
     freq = a.get("freq_ramps", {})
     if freq.get("steps"):
         ttp = freq.get("time_to_peak_us")
@@ -130,6 +135,15 @@ def report_text(report: Dict[str, Any]) -> str:
                      + (f", mean utilization "
                         f"{occ['mean_utilization']:.1%}"
                         if "mean_utilization" in occ else ""))
+        for core in occ.get("top_cores", []):
+            if "busy_us" in core:
+                lines.append(f"  cpu {core['cpu']:3d}  "
+                             f"busy {core['busy_us']:>10,}µs  "
+                             f"spin {core['spin_us']:>8,}µs")
+            else:
+                lines.append(f"  cpu {core['cpu']:3d}  "
+                             f"{core['dispatches']:,} dispatches of "
+                             f"{core['distinct_tasks']} task(s)")
     spin = a.get("spin_economics", {})
     if spin.get("spins"):
         lines.append(f"spin: {spin['spins']} spins, {spin['spin_us']:,}µs "
@@ -204,18 +218,24 @@ def derived_metrics(metrics: Dict[str, Any]) -> Dict[str, float]:
         if isinstance(entry, dict) and entry.get("type") == "counter":
             return entry["value"]
         return None
-    placements = counter("nest.placements")
-    if placements:
+    family = next((f for f in _TIER_FAMILIES if counter(f + "placements")),
+                  None)
+    if family is not None:
+        placements = counter(family + "placements")
         warm_hits = 0
         for name, derived in _TIER_COUNTERS:
-            v = counter(name)
+            v = counter(family + name)
             if v is None:
                 continue
             out[DERIVED_PREFIX + derived] = round(v / placements, 6)
-            if derived in ("share_attach", "share_primary",
-                           "share_reserve"):
+            if derived != "share_cfs":
                 warm_hits += v
         out[DERIVED_PREFIX + "warm_share"] = round(warm_hits / placements, 6)
+        # An impatient placement is also a reserve hit or a CFS pick.
+        impatient = counter(family + "impatient_placements")
+        if impatient is not None:
+            out[DERIVED_PREFIX + "share_impatient"] = round(
+                impatient / placements, 6)
     met = counter("kernel.rt_deadline_met")
     missed = counter("kernel.rt_deadline_miss")
     jobs = (met or 0) + (missed or 0)

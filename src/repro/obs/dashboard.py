@@ -18,9 +18,7 @@ Sections, each fed by one observability layer:
 * **History sparklines** — wall time and events/s across the archived
   sweeps, plus one perfbench ``sweep_wall_s`` sparkline per workload
   across ``BENCH_trajectory.json`` entries (the PR-over-PR perf
-  trajectory);
-* **Trace links** — relative links to Perfetto traces when a trace
-  directory is supplied.
+  trajectory).
 
 Everything user-controlled goes through :func:`html.escape`; the
 builder never embeds raw strings from specs, labels or errors.
@@ -249,12 +247,13 @@ def _runs_section(runs: List[Dict[str, Any]]) -> str:
             '</tr></thead><tbody>' + "".join(rows) + "</tbody></table>")
 
 
-#: Placement tier -> stacked-bar color (analysis panel).
+#: Placement tier -> stacked-bar color (analysis panel).  The four
+#: tiers partition a run's placements; an impatient placement is also a
+#: reserve hit or a CFS pick, so its share is printed beside the bar.
 TIER_COLORS = (
     ("share_attach", "#2f9e44"),
     ("share_primary", "#1971c2"),
     ("share_reserve", "#7048e8"),
-    ("share_impatient", "#e8930c"),
     ("share_cfs", "#e03131"),
 )
 
@@ -289,6 +288,7 @@ def _analysis_section(runs: List[Dict[str, Any]]) -> str:
         p50 = m.get("derived.wakeup_p50_us")
         p99 = m.get("derived.wakeup_p99_us")
         warm = m.get("derived.warm_share")
+        impatient = m.get("derived.share_impatient")
         jobs = m.get("derived.deadline_jobs")
         if jobs:
             missed = m.get("derived.deadline_misses", 0)
@@ -305,6 +305,7 @@ def _analysis_section(runs: List[Dict[str, Any]]) -> str:
             f'<td>{f"≤{p99:g}" if p99 is not None else "—"}</td>'
             f'<td>{f"{warm:.1%}" if warm is not None else "—"}</td>'
             f"<td>{_tier_bar(m)}</td>"
+            f'<td>{f"{impatient:.1%}" if impatient is not None else "—"}</td>'
             f"<td>{deadline}</td>"
             "</tr>")
     if not rows:
@@ -315,7 +316,8 @@ def _analysis_section(runs: List[Dict[str, Any]]) -> str:
         f'{_esc(name[6:])}</span>' for name, color in TIER_COLORS)
     return ('<table><thead><tr><th>run</th><th>wakeup p50 (µs)</th>'
             '<th>wakeup p99 (µs)</th><th>warm share</th>'
-            '<th>placement tiers</th><th>deadlines met</th>'
+            '<th>placement tiers</th><th>impatient</th>'
+            '<th>deadlines met</th>'
             '</tr></thead><tbody>'
             + "".join(rows) + "</tbody></table>"
             + f"<p>{legend}</p>")
@@ -363,42 +365,21 @@ def _trajectory_section(trajectory_path: Optional[Path]) -> str:
     return "".join(parts) or '<p class="muted">no trajectory entries</p>'
 
 
-def _traces_section(traces_dir: Optional[Path]) -> str:
-    if traces_dir is None:
-        return ""
-    traces_dir = Path(traces_dir)
-    if not traces_dir.is_dir():
-        return ""
-    links = []
-    for path in sorted(traces_dir.glob("*.json")) + \
-            sorted(traces_dir.glob("*.pftrace")):
-        links.append(f'<li><a href="{_esc(path.as_posix())}">'
-                     f'{_esc(path.name)}</a></li>')
-    if not links:
-        return ""
-    return ("<h2>Traces</h2><p>Open in "
-            "<a href=\"https://ui.perfetto.dev\">ui.perfetto.dev</a>:</p>"
-            f"<ul>{''.join(links)}</ul>")
-
-
 def build_dashboard(history_path: Path,
                     sweep_ref: str = "last",
-                    trajectory_path: Optional[Path] = None,
-                    traces_dir: Optional[Path] = None) -> str:
+                    trajectory_path: Optional[Path] = None) -> str:
     """The dashboard HTML for one archived sweep (raises KeyError if the
     ref matches nothing)."""
     with HistoryStore(Path(history_path)) as store:
         sweep = store.resolve(sweep_ref)
         runs = store.runs_of(sweep["id"])
         history_html = _history_section(store)
-    return render_dashboard(sweep, runs, history_html,
-                            trajectory_path, traces_dir)
+    return render_dashboard(sweep, runs, history_html, trajectory_path)
 
 
 def render_dashboard(sweep: Dict[str, Any], runs: List[Dict[str, Any]],
                      history_html: str,
-                     trajectory_path: Optional[Path] = None,
-                     traces_dir: Optional[Path] = None) -> str:
+                     trajectory_path: Optional[Path] = None) -> str:
     """Assemble the final single-file HTML from pre-fetched pieces."""
     generated = time.strftime("%Y-%m-%d %H:%M:%S")
     return f"""<!DOCTYPE html>
@@ -421,7 +402,6 @@ def render_dashboard(sweep: Dict[str, Any], runs: List[Dict[str, Any]],
 {history_html}
 <h2>Perf trajectory</h2>
 {_trajectory_section(trajectory_path)}
-{_traces_section(traces_dir)}
 <footer>generated {_esc(generated)} by <code>repro obs dashboard</code>
 — self-contained: no external scripts, styles or fonts.</footer>
 </body>

@@ -1,4 +1,4 @@
-"""Exporters: Perfetto/Chrome trace JSON, JSONL event dumps, text summary.
+"""Exporters: Perfetto/Chrome trace JSON and JSONL event dumps.
 
 The Chrome ``trace_event`` format (the JSON flavour Perfetto's
 https://ui.perfetto.dev loads directly) renders the paper's Figure-2/8/9
@@ -19,8 +19,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
 
 from ..sim.trace import Segment
 from .events import (EVENT_KINDS, FAULT_KINDS, FREQ_STEP,
-                     NEST_TRANSITION_KINDS, PLACEMENT_KINDS, SPIN_START,
-                     SchedEvent, event_from_dict, event_to_dict)
+                     NEST_TRANSITION_KINDS, SchedEvent, event_from_dict,
+                     event_to_dict)
 
 #: pid of each synthetic "process" (Perfetto process-track grouping).
 PID_CORES = 0
@@ -180,66 +180,3 @@ def events_from_jsonl(fh: TextIO) -> List[SchedEvent]:
             raise ValueError(
                 f"line {lineno}: not an event record ({exc})") from None
     return out
-
-
-# ---------------------------------------------------------------------------
-# Plain-text summary (the `repro trace` output)
-# ---------------------------------------------------------------------------
-
-def text_summary(
-    segments: Sequence[Segment],
-    events: Sequence[SchedEvent] = (),
-    metrics: Optional[Dict[str, Any]] = None,
-    top_cores: int = 12,
-) -> str:
-    """Human-readable digest of a traced run."""
-    lines: List[str] = []
-
-    per_core: Dict[int, List[int]] = {}   # cpu -> [busy_us, spin_us, mhz*us]
-    for seg in segments:
-        acc = per_core.setdefault(seg.core, [0, 0, 0])
-        if seg.spinning:
-            acc[1] += seg.duration
-        elif seg.task_id >= 0:
-            acc[0] += seg.duration
-            acc[2] += seg.freq_mhz * seg.duration
-    lines.append(f"cores used: {len(per_core)}  "
-                 f"(showing busiest {min(top_cores, len(per_core))})")
-    ranked = sorted(per_core.items(), key=lambda kv: -(kv[1][0] + kv[1][1]))
-    for cpu, (busy, spin, mhz_us) in ranked[:top_cores]:
-        mean_mhz = mhz_us / busy if busy else 0
-        lines.append(f"  cpu {cpu:3d}: busy {busy:>10,}us  "
-                     f"spin {spin:>8,}us  mean {mean_mhz:5.0f} MHz")
-
-    if events:
-        by_kind: Dict[str, int] = {}
-        for ev in events:
-            by_kind[ev.kind] = by_kind.get(ev.kind, 0) + 1
-        placements = [(k, by_kind.get(k, 0)) for k in PLACEMENT_KINDS
-                      if by_kind.get(k, 0)]
-        if placements:
-            lines.append("placements: " + "  ".join(
-                f"{k.split('.', 1)[1]}={n}" for k, n in placements))
-        transitions = [(k, by_kind.get(k, 0))
-                       for k in sorted(NEST_TRANSITION_KINDS)
-                       if by_kind.get(k, 0)]
-        if transitions:
-            lines.append("nest transitions: " + "  ".join(
-                f"{k.split('.', 1)[1]}={n}" for k, n in transitions))
-        spins = by_kind.get(SPIN_START, 0)
-        if spins:
-            lines.append(f"warm-core spins: {spins}")
-        faults = [(k, by_kind.get(k, 0)) for k in sorted(FAULT_KINDS)
-                  if by_kind.get(k, 0)]
-        if faults:
-            lines.append("faults: " + "  ".join(
-                f"{k.split('.', 1)[1]}={n}" for k, n in faults))
-        lines.append(f"events: {len(events)} total over "
-                     f"{len(by_kind)} kinds")
-
-    for name, entry in sorted((metrics or {}).items()):
-        if entry.get("type") != "histogram" or not entry.get("count"):
-            continue
-        mean = entry["sum"] / entry["count"]
-        lines.append(f"{name}: n={entry['count']} mean={mean:.1f}")
-    return "\n".join(lines)

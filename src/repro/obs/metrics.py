@@ -106,21 +106,3 @@ class MetricsRegistry:
                 "sum": h.sum,
             }
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry equal (instrument by instrument) to
-        the one ``as_dict`` serialized."""
-        reg = cls()
-        for name, entry in data.items():
-            kind = entry["type"]
-            if kind == "counter":
-                reg.counter(name).value = entry["value"]
-            elif kind == "histogram":
-                h = reg.histogram(name, entry["edges"])
-                h.counts = list(entry["counts"])
-                h.count = entry["count"]
-                h.sum = entry["sum"]
-            else:
-                raise ValueError(f"unknown instrument type {kind!r}")
-        return reg

@@ -1,4 +1,7 @@
-"""Regenerate the golden files pinned by the observability tests.
+"""Regenerate the golden files pinned by the tests.
+
+:data:`GOLDENS` maps each checked-in golden to the function that builds
+its exact text:
 
 * ``tests/data/golden_trace.json`` — the Perfetto trace of the pinned
   hand-built run (test_obs_export.py).
@@ -11,8 +14,8 @@
   (test_golden_digests.py).
 * ``tests/data/equivalence_digests.json`` — the two pinned lines of
   ``tests/equivalence_digest.py`` (fuzz corpora plus the machine ×
-  policy grid).  Too slow for tier-1 (about 10 s); CI's golden-drift
-  step compares it.
+  policy grid).  Too slow for tier-1 (about 10 s, see :data:`SLOW`);
+  CI's golden-drift step compares it.
 
 Run after an *intentional* simulator, exporter or analyzer change::
 
@@ -33,6 +36,7 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from repro.obs.analysis import report_json  # noqa: E402
 from test_obs_export import GOLDEN_PATH, golden_doc, golden_json  # noqa: E402
 from test_obs_analysis import (ANALYSIS_GOLDEN_PATH,  # noqa: E402
                                analysis_golden_report)
@@ -43,57 +47,32 @@ from test_golden_digests import (DIGEST_GOLDEN_PATH,  # noqa: E402
 from equivalence_digest import (EQUIVALENCE_GOLDEN_PATH,  # noqa: E402
                                 golden_json as equivalence_json)
 
+#: Checked-in golden -> the builder of its exact text.
+GOLDENS = {
+    GOLDEN_PATH: lambda: golden_json(golden_doc()) + "\n",
+    ANALYSIS_GOLDEN_PATH: lambda: report_json(
+        analysis_golden_report(cached=False)),
+    SCXNEST_GOLDEN_PATH: lambda: report_json(
+        scxnest_golden_report(cached=False)),
+    DIGEST_GOLDEN_PATH: lambda: digests_json(golden_digests()),
+    EQUIVALENCE_GOLDEN_PATH: equivalence_json,
+}
 
-def regenerate(out: Optional[Path] = None) -> Path:
-    """Write the golden trace to ``out`` (default: the checked-in path)."""
-    out = Path(out) if out is not None else GOLDEN_PATH
+#: Goldens too slow to regenerate in tier-1.
+SLOW = (EQUIVALENCE_GOLDEN_PATH,)
+
+
+def regenerate(path: Path, out: Optional[Path] = None) -> Path:
+    """Write the golden ``path`` to ``out`` (default: ``path`` itself)."""
+    out = Path(out) if out is not None else path
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(golden_json(golden_doc()) + "\n", encoding="utf-8")
-    return out
-
-
-def regenerate_analysis(out: Optional[Path] = None) -> Path:
-    """Write the golden analysis report (default: the checked-in path)."""
-    from repro.obs.analysis import report_json
-    out = Path(out) if out is not None else ANALYSIS_GOLDEN_PATH
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report_json(analysis_golden_report(cached=False)),
-                   encoding="utf-8")
-    return out
-
-
-def regenerate_scxnest(out: Optional[Path] = None) -> Path:
-    """Write the golden scxnest analysis report (default: checked in)."""
-    from repro.obs.analysis import report_json
-    out = Path(out) if out is not None else SCXNEST_GOLDEN_PATH
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report_json(scxnest_golden_report(cached=False)),
-                   encoding="utf-8")
-    return out
-
-
-def regenerate_digests(out: Optional[Path] = None) -> Path:
-    """Write the golden run digests (default: the checked-in path)."""
-    out = Path(out) if out is not None else DIGEST_GOLDEN_PATH
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(digests_json(golden_digests()), encoding="utf-8")
-    return out
-
-
-def regenerate_equivalence(out: Optional[Path] = None) -> Path:
-    """Write the pinned equivalence lines (default: the checked-in path)."""
-    out = Path(out) if out is not None else EQUIVALENCE_GOLDEN_PATH
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(equivalence_json(), encoding="utf-8")
+    out.write_text(GOLDENS[path](), encoding="utf-8")
     return out
 
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:
-        print(f"wrote {regenerate(Path(sys.argv[1]))}")
+        print(f"wrote {regenerate(GOLDEN_PATH, Path(sys.argv[1]))}")
     else:
-        print(f"wrote {regenerate()}")
-        print(f"wrote {regenerate_analysis()}")
-        print(f"wrote {regenerate_scxnest()}")
-        print(f"wrote {regenerate_digests()}")
-        print(f"wrote {regenerate_equivalence()}")
+        for path in GOLDENS:
+            print(f"wrote {regenerate(path)}")

@@ -5,24 +5,12 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.plots import (render_bars, render_core_trace,
                                   render_distribution)
-from repro.analysis.stats import (SPEEDUP_BANDS, band_counts,
-                                  classify_speedup, mean, stddev)
+from repro.analysis.stats import SPEEDUP_BANDS, band_counts, classify_speedup
 from repro.analysis.tables import pct, render_band_table, render_table
 from repro.sim.trace import Segment
 
 
 class TestStats:
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2
-
-    def test_stddev(self):
-        assert stddev([2, 2, 2]) == 0
-        assert stddev([0, 2]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
-
     @pytest.mark.parametrize("value,band", [
         (-0.5, "slower by > 20%"),
         (-0.1, "slower by (5,20]%"),

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,13 +8,34 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
+from repro.experiments.parallel import RunSpec
+from repro.experiments.registry import EXPERIMENTS, reference_spec
 from repro.workloads.catalog import make_workload, workload_names
 from repro.workloads.configure import ConfigureWorkload
 from repro.workloads.dacapo import DacapoWorkload
 from repro.workloads.messaging import HackbenchWorkload
 from repro.workloads.nas import NasWorkload
 from repro.workloads.phoronix import PhoronixWorkload
+
+
+class _Resolved(Exception):
+    """Stops a command once it has resolved its spec."""
+
+
+def _spec_of(monkeypatch, argv):
+    """The spec ``main(argv)`` would simulate, without simulating it."""
+    seen = []
+
+    def capture(spec, collect_events=False):
+        seen.append(spec)
+        raise _Resolved
+
+    monkeypatch.setattr(cli, "execute_spec", capture)
+    with pytest.raises(_Resolved):
+        main(argv)
+    return seen[0]
 
 
 class TestMakeWorkload:
@@ -104,7 +126,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--workload", "configure-gcc"],
-        ["trace", "fig2"],
+        ["run", "--workload", "fig2"],
         ["compare", "--workload", "configure-gcc"],
         ["sweep", "fig2"],
         ["obs", "analyze", "fig2"],
@@ -133,6 +155,41 @@ class TestCli:
 
     def test_run_unknown_workload_is_error(self):
         assert main(["run", "--workload", "nope"]) == 2
+
+    def test_run_pure_table_is_error(self, capsys):
+        assert main(["run", "--workload", "table1"]) == 2
+        assert "pure table entry" in capsys.readouterr().err
+
+    def test_run_of_a_workload_builds_the_spec_it_always_did(
+            self, monkeypatch):
+        """A workload runs on 5218_2s under Nest-schedutil at seed 1 and
+        scale 1.0, with no trace unless ``--trace``; each flag overrides
+        its default."""
+        for name in workload_names():
+            assert _spec_of(monkeypatch, ["run", "--workload", name]) \
+                == RunSpec(workload=name, machine="5218_2s",
+                           scheduler="nest", governor="schedutil", seed=1,
+                           scale=1.0)
+        assert _spec_of(monkeypatch, [
+            "run", "--workload", "configure-gcc", "--machine", "ryzen_4650g",
+            "--scheduler", "cfs", "--governor", "performance", "--seed", "2",
+            "--scale", "0.5", "--trace", "t.json"]) == RunSpec(
+                workload="configure-gcc", machine="ryzen_4650g",
+                scheduler="cfs", governor="performance", seed=2, scale=0.5,
+                record_trace=True)
+
+    def test_run_of_a_registry_id_builds_its_reference_run(
+            self, monkeypatch):
+        """``run``, ``obs analyze`` and ``obs query`` resolve an id to the
+        same run; only ``run`` leaves the trace off without ``--trace``."""
+        for exp in EXPERIMENTS.values():
+            ref = reference_spec(exp)
+            if ref is None:
+                continue
+            assert _spec_of(monkeypatch, ["run", "--workload", exp.id]) \
+                == dataclasses.replace(ref, record_trace=False)
+            for action in ("analyze", "query"):
+                assert _spec_of(monkeypatch, ["obs", action, exp.id]) == ref
 
     def test_parser_rejects_bad_scheduler(self):
         with pytest.raises(SystemExit):
@@ -166,25 +223,25 @@ class TestObservabilityCli:
         first = json.loads(lines[0])
         assert set(first) == {"t", "kind", "cpu", "task", "value"}
 
-    def test_trace_subcommand_registry_id(self, capsys):
-        rc = main(["trace", "fig2", "--scale", "0.05"])
+    def test_run_registry_id_writes_a_valid_trace(self, tmp_path, capsys):
+        """``run --workload fig2 --trace`` traces fig2's reference run:
+        configure-llvm_ninja on 5218_2s under Nest-schedutil."""
+        import json
+
+        from repro.obs.export import validate_chrome_trace
+        out = tmp_path / "t.json"
+        rc = main(["run", "--workload", "fig2", "--scale", "0.05",
+                   "--trace", str(out)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "cores used:" in out and "placements:" in out
+        assert capsys.readouterr().out.startswith(
+            "configure-llvm_ninja on 64-core Intel 5218 [Nest-schedutil]")
+        assert validate_chrome_trace(json.loads(out.read_text())) == []
 
-    def test_trace_subcommand_workload_name(self, tmp_path, capsys):
-        out_path = tmp_path / "t.json"
-        rc = main(["trace", "configure-gcc", "--machine", "ryzen_4650g",
-                   "--scale", "0.3", "--out", str(out_path)])
-        assert rc == 0
-        assert out_path.is_file()
-        assert "cores used:" in capsys.readouterr().out
-
-    def test_trace_pure_table_is_error(self, capsys):
-        assert main(["trace", "table1"]) == 2
-
-    def test_trace_unknown_name_is_error(self):
-        assert main(["trace", "quake3"]) == 2
+    def test_trace_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "fig2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
 
     def test_history_show_without_sweep_is_error(self, tmp_path):
         assert main(["history", "show", "--cache-dir",

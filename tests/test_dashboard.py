@@ -16,8 +16,9 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
-from repro.experiments.parallel import RunSpec, SweepExecutor
-from repro.obs.dashboard import build_dashboard
+from repro.experiments.parallel import RunSpec, SweepExecutor, execute_spec
+from repro.obs.analysis import derived_metrics
+from repro.obs.dashboard import _tier_bar, build_dashboard
 from repro.obs.history import HistoryStore, _migrate_to_v1
 
 SPECS = [
@@ -57,10 +58,9 @@ def assert_self_contained(html_text: str) -> None:
     assert "<script" not in html_text
     assert '<link' not in html_text
     assert "@import" not in html_text
-    # The only allowed absolute URL is the documentation link telling
-    # the reader where Perfetto traces open.
+    # No absolute URL at all.
     urls = re.findall(r'(?:src|href)="(https?://[^"]+)"', html_text)
-    assert all(u.startswith("https://ui.perfetto.dev") for u in urls), urls
+    assert urls == []
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +199,11 @@ class TestBuildDashboard:
         assert "<h2>Analysis</h2>" in html_text
         assert "warm share" in html_text
         assert "wakeup p99" in html_text
-        # The nest run's placement-tier stacked bar with its legend.
+        # The nest run's placement-tier stacked bar with its legend, and
+        # the impatient share beside it.
         assert "placement tiers" in html_text
         assert "attach" in html_text and "cfs" in html_text
+        assert "<th>impatient</th>" in html_text
 
     def test_analysis_panel_degrades_without_derived_metrics(self, tmp_path):
         # A pre-analysis-layer sweep: rows with no derived.* keys.
@@ -225,17 +227,27 @@ class TestBuildDashboard:
         assert "<script>" not in html_text
         assert "&lt;img" in html_text
 
-    def test_trace_links_section(self, swept, tmp_path):
-        traces = tmp_path / "traces"
-        traces.mkdir()
-        (traces / "run1.json").write_text("{}")
-        html_text = build_dashboard(swept / "cache" / "history.sqlite",
-                                    traces_dir=traces)
-        assert "run1.json" in html_text and "Traces" in html_text
-
     def test_unknown_ref_raises(self, swept):
         with pytest.raises(KeyError):
             build_dashboard(swept / "cache" / "history.sqlite", "nope")
+
+
+@pytest.mark.parametrize("spec", [
+    RunSpec(workload="dacapo-h2", machine="ryzen_4650g", scheduler=sched,
+            governor="schedutil", seed=3, scale=0.1)
+    for sched in ("nest", "scxnest")] + [
+    RunSpec(workload="hackbench", machine="5218_2s", scheduler="nest",
+            governor="schedutil", seed=1, scale=0.1)], ids=lambda s: s.label)
+def test_tier_bar_stacks_the_tiers_that_partition_placements(spec):
+    """Nest and scx_nest both get tier and warm shares, and the bar sums
+    to 100%: an impatient placement is also a reserve hit or a CFS pick,
+    so it is not stacked."""
+    derived = derived_metrics(execute_spec(spec).metrics)
+    assert {"derived.share_primary", "derived.share_reserve",
+            "derived.share_cfs", "derived.share_impatient",
+            "derived.warm_share"} <= set(derived)
+    widths = re.findall(r"width:([0-9.]+)%", _tier_bar(derived))
+    assert sum(map(float, widths)) == pytest.approx(100.0, abs=0.05)
 
 
 class TestCliDashboard:

@@ -132,7 +132,7 @@ class TestWarmCores:
     def test_first_dispatch_on_a_core_is_cold(self):
         rep = finish(WarmCoreAnalyzer(), [
             ev(100, SCHED_DISPATCH, cpu=0, task=1),
-        ], warm_window_us=1000)
+        ])
         assert rep == {"window_us": 1000, "dispatches": 1, "warm": 0,
                        "warm_fraction": 0.0,
                        "tiers": {"unattributed": {
@@ -143,7 +143,7 @@ class TestWarmCores:
         events = [ev(0, SCHED_DISPATCH, cpu=3, task=1),
                   ev(1000, SCHED_DISPATCH, cpu=3, task=1),   # age == window
                   ev(2500, SCHED_DISPATCH, cpu=3, task=1)]   # age 1500: cold
-        rep = finish(WarmCoreAnalyzer(), events, warm_window_us=1000)
+        rep = finish(WarmCoreAnalyzer(), events)
         assert (rep["dispatches"], rep["warm"]) == (3, 1)
 
     def test_spinning_keeps_a_core_warm(self):
@@ -151,7 +151,7 @@ class TestWarmCores:
             ev(0, SPIN_START, cpu=1),
             ev(100, SPIN_STOP, cpu=1),
             ev(600, SCHED_DISPATCH, cpu=1, task=1),
-        ], warm_window_us=1000)
+        ])
         assert rep["warm"] == 1
 
 
@@ -594,6 +594,10 @@ class TestAnalyzeCli:
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "warm cores:" in out and "spin:" in out
+        # The busiest cores' busy and spin time, and the nest
+        # transitions by kind.
+        assert "  cpu  32  busy     19,114µs  spin    1,974µs\n" in out
+        assert "  by kind: exit_demote=76  promote=77\n" in out
 
     def test_baseline_attribution(self, capsys, tmp_path):
         base = tmp_path / "base.json"

@@ -21,7 +21,7 @@ from repro.kernel.scheduler_core import Kernel
 from repro.kernel.syscalls import Compute, Fork, Sleep, WaitChildren
 from repro.obs.events import (NEST_TRANSITION_KINDS, SPIN_START, SchedEvent)
 from repro.obs.export import (PID_CORES, PID_FREQ, PID_NEST, chrome_trace,
-                              text_summary, validate_chrome_trace)
+                              validate_chrome_trace)
 from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
 from repro.workloads.base import us_of_work
@@ -150,19 +150,3 @@ class TestValidateChromeTrace:
         doc = {"traceEvents": [{"ph": "X", "pid": 0, "tid": 0, "name": "x",
                                 "dur": 1}]}
         assert any("ts" in p for p in validate_chrome_trace(doc))
-
-
-class TestTextSummary:
-    def test_summarises_golden_run(self):
-        segments, events = golden_run()
-        text = text_summary(segments, events)
-        assert "cores used:" in text
-        assert "placements:" in text
-        assert "events:" in text
-
-    def test_includes_histogram_means(self):
-        metrics = {"kernel.wakeup_latency_us": {
-            "type": "histogram", "edges": [1], "counts": [2, 0],
-            "count": 2, "sum": 6}}
-        text = text_summary([], [], metrics)
-        assert "kernel.wakeup_latency_us: n=2 mean=3.0" in text

@@ -10,9 +10,13 @@ The suite also proves it has teeth: the deliberately broken fixture
 policy must be *convicted* by the oracle, not waved through.
 """
 
+import itertools
+
 import pytest
 
-from repro.sched.registry import available_policies, unregister_policy
+from repro.sched.cfs import CfsPolicy
+from repro.sched.registry import (available_policies, register_policy,
+                                  unregister_policy)
 from repro.verify.conformance import (BASELINE_LABEL, BATTERY,
                                       ConformanceReport, battery_scenarios,
                                       register_broken_fixture, render_report,
@@ -75,6 +79,41 @@ def test_broken_fixture_is_convicted():
     for name in ("completes", "determinism"):
         mech = [c for c in report.checks if c.name == name]
         assert mech and all(c.ok for c in mech)
+
+
+class _ShiftedCfsPolicy(CfsPolicy):
+    """CFS that moves each wakeup pick ``shift`` cpus up (when online)."""
+
+    def __init__(self, shift: int) -> None:
+        super().__init__()
+        self._shift = shift
+
+    def select_cpu_wakeup(self, task, waker_cpu: int) -> int:
+        cpu = super().select_cpu_wakeup(task, waker_cpu)
+        shifted = (cpu + self._shift) % self.kernel.topology.n_cpus
+        return shifted if self.kernel.cpu_online[shifted] else cpu
+
+
+def test_nondeterministic_policy_fails_determinism():
+    """A policy whose every other instance shifts its wakeup picks: each
+    run is valid, but a re-run differs."""
+    made = itertools.count()
+    register_policy("flaky",
+                    lambda params: _ShiftedCfsPolicy(next(made) % 2))
+    try:
+        report = run_conformance("flaky", **_FAST)
+    finally:
+        unregister_policy("flaky")
+    assert "flaky" not in available_policies()
+    # Every run is valid on its own: only the re-run checks convict.
+    assert all(c.ok for c in report.checks
+               if c.name in ("completes", "oracle"))
+    determinism = [c for c in report.checks if c.name == "determinism"]
+    assert [c.scenario for c in determinism if not c.ok] == [
+        label for label, _ in BATTERY]
+    cache = [c for c in report.checks if c.name == "cache_roundtrip"]
+    assert len(cache) == 1 and not cache[0].ok
+    assert "re-running the same spec changed" in cache[0].detail
 
 
 def test_broken_fixture_registration_is_temporary():

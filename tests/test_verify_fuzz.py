@@ -117,6 +117,58 @@ def test_nest_vs_cfs_clean_and_gated():
     assert list(check_nest_vs_cfs(cfs)) == []         # nest-only
 
 
+def test_cached_roundtrip_convicts_a_lossy_reader(monkeypatch):
+    import repro.experiments.cache as cache_mod
+    import repro.verify.differential as diff_mod
+
+    real = cache_mod.result_from_jsonable
+
+    def lossy(data):
+        res = real(data)
+        res.n_migrations += 1
+        return res
+
+    monkeypatch.setattr(cache_mod, "result_from_jsonable", lossy)
+    monkeypatch.setattr(diff_mod, "result_from_jsonable", lossy)
+    details = [str(v) for v in check_cached_roundtrip(MINIMAL)]
+    assert details == [
+        "diff.cached_roundtrip: cache round-trip changed ['n_migrations']",
+        "diff.cached_roundtrip: jsonable cycle changed ['n_migrations']"]
+
+
+def test_empty_fault_plan_convicts_an_injector_that_acts(monkeypatch):
+    from repro.faults.injector import FaultInjector
+    from repro.sim.events import EventKind
+
+    real = FaultInjector.install
+
+    def install_and_poke(self):
+        n = real(self)
+        self.kernel.engine.at(1, EventKind.CONTROL, lambda: None)
+        return n
+
+    monkeypatch.setattr(FaultInjector, "install", install_and_poke)
+    violations = list(check_empty_fault_plan(MINIMAL))
+    assert [str(v) for v in violations] == [
+        "diff.empty_fault_plan: a zero-fault plan perturbed "
+        "['events_processed']"]
+
+
+def test_nest_vs_cfs_convicts_a_policy_that_makes_work(monkeypatch):
+    import repro.verify.differential as diff_mod
+
+    def cfs_runs_one_more(spec):
+        res = execute_spec(spec)
+        if spec.scheduler == "cfs":
+            res.n_tasks += 1
+        return res
+
+    monkeypatch.setattr(diff_mod, "execute_spec", cfs_runs_one_more)
+    violations = list(check_nest_vs_cfs(MINIMAL))
+    assert [v.invariant for v in violations] == ["diff.nest_vs_cfs"]
+    assert violations[0].message.startswith("Nest ran 5 tasks, CFS ran 6")
+
+
 def test_canonical_drops_wall_clock():
     a = canonical(execute_spec(MINIMAL), MINIMAL.machine)
     b = canonical(execute_spec(MINIMAL), MINIMAL.machine)

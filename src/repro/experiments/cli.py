@@ -169,9 +169,12 @@ def _cmd_run(args) -> int:
               f"({len(res.trace_segments)} segments, "
               f"{len(res.events)} events; open at ui.perfetto.dev)")
     if events_path:
+        header = {"machine": spec.machine,
+                  "n_cpus": get_machine(spec.machine).n_cpus}
         with open(events_path, "w", encoding="utf-8") as fh:
-            n = events_to_jsonl(res.events, fh)
-        print(f"  events: {events_path} ({n} JSONL records)")
+            n = events_to_jsonl(res.events, fh, header=header)
+        print(f"  events: {events_path} ({n} events on {spec.machine}, "
+              f"{header['n_cpus']} cpus)")
     return 0
 
 
@@ -209,13 +212,20 @@ def _analysis_events(args):
     """The (result, events, segments, n_cpus) an analyze or query works
     on: the events of a JSONL dump (``--events FILE``), or those of the
     run :func:`_run_spec` resolves, simulated with event collection on.
+
+    A dump's cpu count comes from its header; a dump written without one
+    counts up to the highest cpu any event names.
     """
-    from ..obs.export import events_from_jsonl
+    from ..obs.export import read_event_dump
 
     if getattr(args, "events", None):
         with open(args.events, encoding="utf-8") as fh:
-            events = events_from_jsonl(fh)
-        n_cpus = 1 + max((ev.cpu for ev in events if ev.cpu >= 0), default=-1)
+            header, events = read_event_dump(fh)
+        top = max((ev.cpu for ev in events), default=-1)
+        n_cpus = (header or {}).get("n_cpus", top + 1)
+        if not isinstance(n_cpus, int) or n_cpus <= top:
+            raise ValueError(f"{args.events}: header n_cpus {n_cpus!r} "
+                             f"does not cover cpu {top}")
         return None, events, None, n_cpus
     spec = _run_spec(args.experiment, args)
     res = execute_spec(spec, collect_events=True)

@@ -177,6 +177,9 @@ class FreqModel:
         #: Per socket, a bitmask of its active cores, kept in step with
         #: ``_socket_active``; ``_bit_of_pc`` is each core's bit in it.
         self._active_mask = [0] * topology.n_sockets
+        #: Per socket, a bitmask of its cores with a ramp step pending:
+        #: a core's bit is set exactly when its ``step_event`` is not None.
+        self._armed_mask = [0] * topology.n_sockets
         self._bit_of_pc = tuple(1 << (pc % topology.cores_per_socket)
                                 for pc in range(topology.n_physical_cores))
         self._thread_state: List[tuple[bool, bool]] = \
@@ -388,18 +391,19 @@ class FreqModel:
         whose turbo ceiling just moved.
 
         Only active mates can be left: an idle core above the minimum
-        always has a step pending (DESIGN.md §4), so the walk visits the
-        socket's active-core mask, lowest bit first, not every core.
+        always has a step pending (DESIGN.md §4).  So the walk visits
+        ``active & ~armed & ~changed``, lowest bit first, where ``armed``
+        is the socket's mask of cores with a step pending.  Re-pricing a
+        mate arms or drops only that mate's step, so the mask taken at
+        the start names the mates a per-core check would have re-priced.
         """
         base = socket * self._cores_per_socket
-        cores = self._cores
-        mask = self._active_mask[socket] & ~self._bit_of_pc[changed]
+        mask = (self._active_mask[socket] & ~self._armed_mask[socket]
+                & ~self._bit_of_pc[changed])
         while mask:
             low = mask & -mask
             mask ^= low
-            pc = base + low.bit_length() - 1
-            if cores[pc].step_event is None:
-                self._reevaluate(pc)
+            self._reevaluate(base + low.bit_length() - 1)
         self._reevaluate(changed, target)
 
     def _reevaluate(self, pc: int, target: Optional[int] = None) -> None:
@@ -445,9 +449,14 @@ class FreqModel:
             if ev is not None:
                 self.engine.cancel(ev)
                 st.step_event = None
+                self._armed_mask[self._socket_of_pc[pc]] &= \
+                    ~self._bit_of_pc[pc]
         elif ev is None or ev.time > now + delay:
             if ev is not None:
                 self.engine.cancel(ev)
+            else:
+                self._armed_mask[self._socket_of_pc[pc]] |= \
+                    self._bit_of_pc[pc]
             st.step_event = self.engine.after(
                 delay, EventKind.FREQ, self._step, (pc,))
 
@@ -455,6 +464,7 @@ class FreqModel:
         """One ramp step: move the frequency toward the current target."""
         st = self._cores[pc]
         st.step_event = None
+        self._armed_mask[self._socket_of_pc[pc]] &= ~self._bit_of_pc[pc]
         now = self.engine.now
         target = self._target_mhz(pc, now)
         if target > st.mhz:

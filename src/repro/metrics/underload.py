@@ -14,7 +14,8 @@ tasks trying to run on a single core") is tracked symmetrically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from array import array
+from typing import List, Tuple
 
 from ..sim.clock import TICK_US, US_PER_SEC
 
@@ -29,58 +30,80 @@ class UnderloadTracker:
         kernel.runnable_observers.append(tracker.runnable_sink)
 
     and call :meth:`finalize` after the run.
+
+    Nothing is kept per record.  A busy segment sets its core's bit in
+    the mask of every interval it overlaps, so each interval holds the
+    set of cores that ran a task in it, whatever order the segments
+    arrive in.  A runnable-count change appends to two flat ``array('q')``
+    columns, time and count.
     """
 
     def __init__(self, interval_us: int = TICK_US) -> None:
         if interval_us <= 0:
             raise ValueError("interval must be positive")
         self.interval_us = interval_us
-        self._busy: List[Tuple[int, int, int]] = []    # (core, start, end)
-        self._runnable: List[Tuple[int, int]] = [(0, 0)]  # (time, count)
+        #: Per interval, a bitmask of the cores that ran a task in it.
+        self._used: List[int] = []
+        self._runnable_t = array("q")    # time of each change
+        self._runnable_n = array("q")    # runnable count from then on
 
     # ---- sinks -----------------------------------------------------------
 
     def segment_sink(self, core: int, start: int, end: int, freq_mhz: int,
                      task_id: int, spinning: bool) -> None:
         if task_id >= 0 and not spinning:
-            self._busy.append((core, start, end))
+            itv = self.interval_us
+            lo = start // itv
+            hi = (end - 1) // itv
+            used = self._used
+            if hi >= len(used):
+                used.extend([0] * (hi + 1 - len(used)))
+            if lo == hi:    # most segments lie within one interval
+                used[lo] |= 1 << core
+            else:
+                bit = 1 << core
+                for k in range(lo, hi + 1):
+                    used[k] |= bit
 
     def runnable_sink(self, now: int, count: int) -> None:
-        self._runnable.append((now, count))
+        self._runnable_t.append(now)
+        self._runnable_n.append(count)
 
     # ---- computation -------------------------------------------------------
 
     def finalize(self, end_us: int) -> "UnderloadResult":
         itv = self.interval_us
         n_intervals = max(1, (end_us + itv - 1) // itv)
+        last = n_intervals - 1
 
-        used: Dict[int, Set[int]] = {}
-        for core, start, end in self._busy:
-            for k in range(start // itv, min(n_intervals - 1, (end - 1) // itv) + 1):
-                used.setdefault(k, set()).add(core)
-
-        # Max simultaneous runnable per interval: sweep the change log.
+        # Max simultaneous runnable per interval: sweep the change log.  A
+        # change after ``end_us`` counts in the last interval.  ``lo`` is
+        # the interval of the previous change, clamped to the last one:
+        # its count already holds there, so the clamp changes no maximum.
         max_runnable = [0] * n_intervals
         prev_count = 0
-        prev_time = 0
-        for now, count in self._runnable:
-            lo = prev_time // itv
-            hi = min(n_intervals - 1, now // itv)
+        lo = 0
+        for now, count in zip(self._runnable_t, self._runnable_n):
+            hi = now // itv
+            if hi > last:
+                hi = last
             for k in range(lo, hi + 1):
                 if prev_count > max_runnable[k]:
                     max_runnable[k] = prev_count
             # The new count also holds at its own instant.
-            k = min(n_intervals - 1, now // itv)
-            if count > max_runnable[k]:
-                max_runnable[k] = count
-            prev_count, prev_time = count, now
-        for k in range(prev_time // itv, n_intervals):
+            if count > max_runnable[hi]:
+                max_runnable[hi] = count
+            prev_count, lo = count, hi
+        for k in range(lo, n_intervals):
             if prev_count > max_runnable[k]:
                 max_runnable[k] = prev_count
 
-        series = []
-        for k in range(n_intervals):
-            series.append(len(used.get(k, ())) - max_runnable[k])
+        # Intervals past ``end_us`` are dropped; those no segment reached
+        # used no core.
+        used = self._used[:n_intervals]
+        used += [0] * (n_intervals - len(used))
+        series = [mask.bit_count() - peak
+                  for mask, peak in zip(used, max_runnable)]
         return UnderloadResult(self.interval_us, series, end_us)
 
 

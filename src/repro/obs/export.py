@@ -15,7 +15,8 @@ artifact; it is hand-rolled (no jsonschema dependency in the container).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, TextIO,
+                    Tuple)
 
 from ..sim.trace import Segment
 from .events import (EVENT_KINDS, FAULT_KINDS, FREQ_STEP,
@@ -149,8 +150,23 @@ def validate_chrome_trace(doc: Any) -> List[str]:
 # JSONL event dump
 # ---------------------------------------------------------------------------
 
-def events_to_jsonl(events: Iterable[SchedEvent], fh: TextIO) -> int:
-    """Write one JSON object per event; returns the number written."""
+#: The key of the record a dump may start with: ``{"header": {"machine":
+#: key, "n_cpus": N}}`` names the machine the events ran on.  It is not an
+#: event, and the readers do not return it as one.
+HEADER_KEY = "header"
+
+
+def events_to_jsonl(events: Iterable[SchedEvent], fh: TextIO,
+                    header: Optional[Dict[str, Any]] = None) -> int:
+    """Write one JSON object per event; returns the number written.
+
+    A ``header`` (for example the machine key and its cpu count) is
+    written first, as the :data:`HEADER_KEY` record, and not counted.
+    """
+    if header is not None:
+        fh.write(json.dumps({HEADER_KEY: header},
+                            sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
     n = 0
     for ev in events:
         fh.write(json.dumps(event_to_dict(ev),
@@ -160,23 +176,38 @@ def events_to_jsonl(events: Iterable[SchedEvent], fh: TextIO) -> int:
     return n
 
 
-def events_from_jsonl(fh: TextIO) -> List[SchedEvent]:
-    """Read a JSONL event dump back into :class:`SchedEvent` records.
+def read_event_dump(
+        fh: TextIO) -> Tuple[Optional[Dict[str, Any]], List[SchedEvent]]:
+    """Read a JSONL event dump: its header (``None`` when the dump has
+    none) and its :class:`SchedEvent` records.
 
     Unlike the crash-tolerant telemetry reader, an event dump is written
     atomically by :func:`events_to_jsonl`, so a malformed line means the
     file is not an event dump — raise with the line number rather than
-    silently analyzing half a log.
+    silently analyzing half a log.  Only the first record may be the
+    header.
     """
+    header: Optional[Dict[str, Any]] = None
     out: List[SchedEvent] = []
+    first = True
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-            out.append(event_from_dict(rec))
+            if first and HEADER_KEY in rec:
+                header = dict(rec[HEADER_KEY])
+            else:
+                out.append(event_from_dict(rec))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"line {lineno}: not an event record ({exc})") from None
-    return out
+        first = False
+    return header, out
+
+
+def events_from_jsonl(fh: TextIO) -> List[SchedEvent]:
+    """The events of a JSONL event dump, without its header (see
+    :func:`read_event_dump`)."""
+    return read_event_dump(fh)[1]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -212,16 +213,49 @@ class TestObservabilityCli:
         assert "perfetto" in capsys.readouterr().out
 
     def test_run_events_writes_jsonl(self, tmp_path):
-        import json
         out = tmp_path / "events.jsonl"
         rc = main(["run", "--workload", "configure-gcc",
                    "--machine", "ryzen_4650g", "--scheduler", "nest",
                    "--scale", "0.3", "--events", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines
-        first = json.loads(lines[0])
+        assert len(lines) > 1
+        # The header names the machine; the events follow it.
+        assert json.loads(lines[0]) == {
+            "header": {"machine": "ryzen_4650g", "n_cpus": 12}}
+        first = json.loads(lines[1])
         assert set(first) == {"t", "kind", "cpu", "task", "value"}
+
+    @pytest.mark.parametrize("machine,n_cpus", [("5218_2s", 64),
+                                                ("ryzen_4650g", 12)])
+    def test_analyze_reads_the_cpu_count_from_the_dump(
+            self, tmp_path, capsys, machine, n_cpus):
+        """The dump's header gives the machine's cpu count, also when
+        its highest cpus stay idle; ``obs query`` counts no header."""
+        out = tmp_path / "events.jsonl"
+        assert main(["run", "--workload", "configure-gcc",
+                     "--machine", machine, "--scale", "0.3",
+                     "--events", str(out)]) == 0
+        n_events = len(out.read_text().splitlines()) - 1
+        top = max(json.loads(line).get("cpu", -1)
+                  for line in out.read_text().splitlines()[1:])
+        assert top + 1 < n_cpus     # inference would undercount
+        capsys.readouterr()
+        assert main(["obs", "analyze", "--events", str(out)]) == 0
+        assert f" of {n_cpus} cores used" in capsys.readouterr().out
+        assert main(["obs", "query", "--events", str(out),
+                     "--limit", "1"]) == 0
+        assert capsys.readouterr().out.endswith(
+            f" of {n_events} event(s) matched\n")
+
+    def test_analyze_rejects_a_header_that_misses_a_cpu(self, tmp_path,
+                                                         capsys):
+        dump = tmp_path / "events.jsonl"
+        dump.write_text('{"header":{"machine":"x","n_cpus":4}}\n'
+                        '{"t":1,"kind":"sched.dispatch","cpu":7}\n')
+        assert main(["obs", "analyze", "--events", str(dump)]) == 2
+        assert "header n_cpus 4 does not cover cpu 7" in \
+            capsys.readouterr().err
 
     def test_run_registry_id_writes_a_valid_trace(self, tmp_path, capsys):
         """``run --workload fig2 --trace`` traces fig2's reference run:

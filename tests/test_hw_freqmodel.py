@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw.freqmodel import (FreqModel, PMParams, SPEED_SHIFT, SPEED_STEP)
+from repro.hw.freqmodel import (AMD_BOOST, FreqModel, PMParams, SPEED_SHIFT,
+                                SPEED_STEP)
 from repro.hw.topology import Topology
 from repro.hw.turbo import XEON_5218
 from repro.sim.engine import Engine
@@ -318,7 +319,7 @@ class TestStepTiming:
                 if before is not None and core.step_event is not None:
                     assert core.step_event.time <= before
 
-    @given(pm=st.sampled_from([SPEED_SHIFT, SPEED_STEP]),
+    @given(pm=st.sampled_from([SPEED_SHIFT, SPEED_STEP, AMD_BOOST]),
            ops=st.lists(st.tuples(
                st.integers(0, 15),
                st.sampled_from(["busy", "spin", "idle", "idle", "cap",
@@ -327,13 +328,28 @@ class TestStepTiming:
     def test_active_masks_and_idle_steps_after_random_toggles(self, pm,
                                                                ops):
         """Property, over random activity toggles, thermal caps and forced
-        frequencies on two sockets: each socket's active-core mask is its
-        set of active cores, and every idle core above the minimum has a
-        step pending (the invariant that lets the socket walk visit only
-        the active cores)."""
+        frequencies on two sockets, for each PM personality: each socket's
+        active-core mask is its set of active cores, and every idle core
+        above the minimum has a step pending (the invariant that lets the
+        socket walk visit only the active cores).  After every toggle and
+        every step that fires, a core's bit in its socket's armed mask is
+        set exactly when its step is pending."""
         topo = Topology(2, 4, 2)
         eng, fm, _ = make(pm=pm, request=3900, topo=topo)
         cps = topo.cores_per_socket
+
+        def assert_armed_mask_matches():
+            for pc, core in enumerate(fm._cores):
+                armed = fm._armed_mask[pc // cps] >> (pc % cps) & 1
+                assert armed == (core.step_event is not None)
+
+        step = fm._step
+
+        def checked_step(pc):
+            step(pc)
+            assert_armed_mask_matches()
+
+        fm._step = checked_step     # what _reevaluate arms from now on
         for cpu, what, gap in ops:
             eng.run(until=eng.now + gap)
             pc = topo.physical_core_of(cpu)
@@ -357,6 +373,7 @@ class TestStepTiming:
                 if not (core.active_threads or core.spinning_threads) \
                         and core.mhz > XEON_5218.min_mhz:
                     assert core.step_event is not None
+            assert_armed_mask_matches()
 
 
 #: Ramp and decay share one interval, so the steps a wake arms on the
@@ -406,3 +423,22 @@ class TestPricingOrder:
         # fires, so they are not re-priced and their steps stay put.
         assert gov.asked == {0: 1, 32: 1}
         assert [fm._cores[pc].step_event for pc in (1, 2, 3)] == pending
+
+    def test_a_walk_over_armed_mates_reprices_only_the_changed_core(self):
+        eng, fm, _ = make(request=2500)
+        for cpu in (1, 2, 3):
+            fm.set_thread_state(cpu, busy=True, spinning=False)
+        # Each mate waits out the turbo latency with a step pending.
+        assert fm._armed_mask[0] & 0b1110 == 0b1110
+        reevaluated = []
+        reevaluate = fm._reevaluate
+
+        def spy(pc, target=None):
+            reevaluated.append(pc)
+            reevaluate(pc, target)
+
+        fm._reevaluate = spy
+        fm.set_thread_state(0, busy=True, spinning=False)
+        assert reevaluated == [0]
+        fm.set_thread_state(0, busy=False, spinning=False)
+        assert reevaluated == [0, 0]

@@ -1,16 +1,20 @@
 """Tests for the metrics: underload, frequency distributions, latency,
 summaries."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw.machines import XEON_5218_2S, XEON_6130_2S
+from repro.experiments import runner
+from repro.hw.machines import ALL_MACHINES, XEON_5218_2S, XEON_6130_2S
 from repro.metrics.freqdist import FreqDistribution, bins_for
 from repro.metrics.latency import LatencyRecorder, percentile
 from repro.metrics.summary import (energy_savings, improvement_stddev,
                                    speedup)
 from repro.metrics.underload import UnderloadTracker
 from repro.sim.clock import TICK_US
+from repro.workloads.catalog import make_workload
 
 
 class TestUnderload:
@@ -99,6 +103,118 @@ class TestUnderload:
             t.segment_sink(core, start, start + dur, 2000, 1, False)
         res = t.finalize(60_000)
         assert 0 <= res.total_underload <= 8 * len(res.series)
+
+
+def reference_series(segments, runnable, end_us, itv):
+    """The underload series as the tracker computed it with a set of
+    cores per interval and a list of ``(time, count)`` tuples."""
+    n_intervals = max(1, (end_us + itv - 1) // itv)
+    used = {}
+    for core, start, end, task_id, spinning in segments:
+        if task_id < 0 or spinning:
+            continue
+        for k in range(start // itv,
+                       min(n_intervals - 1, (end - 1) // itv) + 1):
+            used.setdefault(k, set()).add(core)
+    max_runnable = [0] * n_intervals
+    prev_count = 0
+    prev_time = 0
+    for now, count in [(0, 0)] + runnable:
+        lo = prev_time // itv
+        hi = min(n_intervals - 1, now // itv)
+        for k in range(lo, hi + 1):
+            if prev_count > max_runnable[k]:
+                max_runnable[k] = prev_count
+        k = min(n_intervals - 1, now // itv)
+        if count > max_runnable[k]:
+            max_runnable[k] = count
+        prev_count, prev_time = count, now
+    for k in range(prev_time // itv, n_intervals):
+        if prev_count > max_runnable[k]:
+            max_runnable[k] = prev_count
+    return [len(used.get(k, ())) - max_runnable[k]
+            for k in range(n_intervals)]
+
+
+def reference_bin(edges_ghz, freq_mhz):
+    """A frequency's bin by the loop over the bin edges."""
+    ghz = freq_mhz / 1000.0
+    for i, edge in enumerate(edges_ghz):
+        if ghz <= edge + 1e-9:
+            return i
+    return len(edges_ghz) - 1
+
+
+ITV = 1_000
+SEGMENTS = st.lists(st.tuples(st.integers(0, 15),        # core
+                              st.integers(0, 12_000),    # start
+                              st.integers(0, 5_000),     # duration
+                              st.integers(-1, 3),        # task (-1: idle)
+                              st.booleans(),             # spinning
+                              st.integers(0, 5_000)),    # MHz
+                    max_size=30)
+
+
+class TestAccountingMatchesReference:
+    """The bitmask and column bookkeeping give the series and bins the
+    per-record computation gave."""
+
+    @given(segs=SEGMENTS,
+           changes=st.lists(st.tuples(st.integers(0, 3_000),   # gap
+                                      st.integers(0, 20)),     # count
+                            max_size=20),
+           end_us=st.one_of(st.just(0),
+                            st.integers(0, 12).map(lambda k: k * ITV),
+                            st.integers(0, 14_000)))
+    def test_underload_series(self, segs, changes, end_us):
+        runnable, now = [], 0
+        for gap, count in changes:
+            now += gap
+            runnable.append((now, count))
+        t = UnderloadTracker(interval_us=ITV)
+        for core, start, dur, task, spinning, mhz in segs:
+            t.segment_sink(core, start, start + dur, mhz, task, spinning)
+        for now, count in runnable:
+            t.runnable_sink(now, count)
+        segments = [(core, start, start + dur, task, spinning)
+                    for core, start, dur, task, spinning, _ in segs]
+        assert t.finalize(end_us).series == \
+            reference_series(segments, runnable, end_us, ITV)
+
+    @given(segs=SEGMENTS, key=st.sampled_from(sorted(ALL_MACHINES)))
+    def test_frequency_bins(self, segs, key):
+        fd = FreqDistribution(ALL_MACHINES[key])
+        bins = [0] * len(fd.edges_ghz)
+        total = 0
+        for core, start, dur, task, spinning, mhz in segs:
+            fd.segment_sink(core, start, start + dur, mhz, task, spinning)
+            if task >= 0 and not spinning:
+                bins[reference_bin(fd.edges_ghz, mhz)] += dur
+                total += dur
+        assert fd.bin_time_us == bins and fd.total_us == total
+        for mhz in range(0, 5_000, 50):
+            assert fd.bin_index(mhz) == reference_bin(fd.edges_ghz, mhz)
+        clone = pickle.loads(pickle.dumps(fd))
+        assert clone.bin_time_us == bins and clone.total_us == total
+        assert clone._bin_of is fd._bin_of      # one memo per edges
+
+    def test_a_finished_run_holds_no_tuple_per_record(self, monkeypatch):
+        made = []
+
+        class Kept(UnderloadTracker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(runner, "UnderloadTracker", Kept)
+        res = runner.run_experiment(
+            make_workload("phoronix-libavif-avifenc-1", scale=0.3),
+            XEON_5218_2S, "nest", seed=1)
+        (tracker,) = made
+        assert res.underload.total_underload > 0
+        held = [x for v in vars(tracker).values()
+                if isinstance(v, (list, tuple, dict)) for x in v]
+        assert held and not any(isinstance(x, tuple) for x in held)
 
 
 class TestFreqDist:

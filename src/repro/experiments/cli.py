@@ -172,7 +172,7 @@ def _cmd_run(args) -> int:
         header = {"machine": spec.machine,
                   "n_cpus": get_machine(spec.machine).n_cpus}
         with open(events_path, "w", encoding="utf-8") as fh:
-            n = events_to_jsonl(res.events, fh, header=header)
+            n = events_to_jsonl(res.events, fh, header)
         print(f"  events: {events_path} ({n} events on {spec.machine}, "
               f"{header['n_cpus']} cpus)")
     return 0
@@ -216,11 +216,11 @@ def _analysis_events(args):
     A dump's cpu count comes from its header; a dump written without one
     counts up to the highest cpu any event names.
     """
-    from ..obs.export import read_event_dump
+    from ..obs.export import events_from_jsonl
 
     if getattr(args, "events", None):
         with open(args.events, encoding="utf-8") as fh:
-            header, events = read_event_dump(fh)
+            header, events = events_from_jsonl(fh)
         top = max((ev.cpu for ev in events), default=-1)
         n_cpus = (header or {}).get("n_cpus", top + 1)
         if not isinstance(n_cpus, int) or n_cpus <= top:

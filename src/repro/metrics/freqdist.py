@@ -9,7 +9,7 @@ for the 6130: (0,1.0], (1.0,1.6], (1.6,2.1], (2.1,2.8], (2.8,3.1],
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..hw.machines import Machine
 
@@ -35,46 +35,21 @@ def bins_for(machine: Machine) -> Tuple[float, ...]:
     return (lo, (lo + nom) / 2, nom, mid, hi)
 
 
-#: Per tuple of bin edges, the memo MHz -> bin that every distribution over
-#: those edges shares: at most one entry per MHz value a core can run at.
-_BIN_MEMOS: Dict[Tuple[float, ...], Dict[int, int]] = {}
-
-
 class FreqDistribution:
-    """Accumulates busy time per frequency bin.
-
-    :meth:`bin_index` is the one definition of a frequency's bin.  The
-    segment sink memoises it per MHz value, since a run visits a few dozen
-    frequencies over thousands of segments.  The memo is shared by every
-    distribution over the same edges and left out of pickles, so results
-    kept or sent between processes carry no copy of it.
-    """
+    """Accumulates busy time per frequency bin."""
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.edges_ghz = bins_for(machine)
         self.bin_time_us: List[int] = [0] * len(self.edges_ghz)
         self.total_us = 0
-        self._bin_of = _BIN_MEMOS.setdefault(self.edges_ghz, {})
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_bin_of"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._bin_of = _BIN_MEMOS.setdefault(self.edges_ghz, {})
 
     def segment_sink(self, core: int, start: int, end: int, freq_mhz: int,
                      task_id: int, spinning: bool) -> None:
         if task_id < 0 or spinning:
             return
         dur = end - start
-        i = self._bin_of.get(freq_mhz)
-        if i is None:
-            i = self._bin_of[freq_mhz] = self.bin_index(freq_mhz)
-        self.bin_time_us[i] += dur
+        self.bin_time_us[self.bin_index(freq_mhz)] += dur
         self.total_us += dur
 
     def bin_index(self, freq_mhz: int) -> int:

@@ -58,12 +58,9 @@ class UnderloadTracker:
             used = self._used
             if hi >= len(used):
                 used.extend([0] * (hi + 1 - len(used)))
-            if lo == hi:    # most segments lie within one interval
-                used[lo] |= 1 << core
-            else:
-                bit = 1 << core
-                for k in range(lo, hi + 1):
-                    used[k] |= bit
+            bit = 1 << core
+            for k in range(lo, hi + 1):
+                used[k] |= bit
 
     def runnable_sink(self, now: int, count: int) -> None:
         self._runnable_t.append(now)

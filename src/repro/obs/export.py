@@ -150,23 +150,20 @@ def validate_chrome_trace(doc: Any) -> List[str]:
 # JSONL event dump
 # ---------------------------------------------------------------------------
 
-#: The key of the record a dump may start with: ``{"header": {"machine":
+#: The key of the record a dump starts with: ``{"header": {"machine":
 #: key, "n_cpus": N}}`` names the machine the events ran on.  It is not an
-#: event, and the readers do not return it as one.
+#: event, and the reader does not return it as one.
 HEADER_KEY = "header"
 
 
 def events_to_jsonl(events: Iterable[SchedEvent], fh: TextIO,
-                    header: Optional[Dict[str, Any]] = None) -> int:
-    """Write one JSON object per event; returns the number written.
-
-    A ``header`` (for example the machine key and its cpu count) is
-    written first, as the :data:`HEADER_KEY` record, and not counted.
-    """
-    if header is not None:
-        fh.write(json.dumps({HEADER_KEY: header},
-                            sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+                    header: Dict[str, Any]) -> int:
+    """Write the ``header`` record (for example the machine key and its
+    cpu count), then one JSON object per event; returns the number of
+    events written."""
+    fh.write(json.dumps({HEADER_KEY: header},
+                        sort_keys=True, separators=(",", ":")))
+    fh.write("\n")
     n = 0
     for ev in events:
         fh.write(json.dumps(event_to_dict(ev),
@@ -176,16 +173,15 @@ def events_to_jsonl(events: Iterable[SchedEvent], fh: TextIO,
     return n
 
 
-def read_event_dump(
+def events_from_jsonl(
         fh: TextIO) -> Tuple[Optional[Dict[str, Any]], List[SchedEvent]]:
-    """Read a JSONL event dump: its header (``None`` when the dump has
-    none) and its :class:`SchedEvent` records.
+    """Read a JSONL event dump: its header (``None`` for a dump written
+    without one) and its :class:`SchedEvent` records.
 
-    Unlike the crash-tolerant telemetry reader, an event dump is written
-    atomically by :func:`events_to_jsonl`, so a malformed line means the
-    file is not an event dump — raise with the line number rather than
-    silently analyzing half a log.  Only the first record may be the
-    header.
+    An event dump is written whole by :func:`events_to_jsonl`, so a
+    malformed line means the file is not an event dump — raise with the
+    line number rather than silently analyzing half a log.  Only the
+    first record may be the header.
     """
     header: Optional[Dict[str, Any]] = None
     out: List[SchedEvent] = []
@@ -205,9 +201,3 @@ def read_event_dump(
                 f"line {lineno}: not an event record ({exc})") from None
         first = False
     return header, out
-
-
-def events_from_jsonl(fh: TextIO) -> List[SchedEvent]:
-    """The events of a JSONL event dump, without its header (see
-    :func:`read_event_dump`)."""
-    return read_event_dump(fh)[1]

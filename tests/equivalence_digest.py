@@ -22,9 +22,11 @@ Those two lines are also pinned in ``tests/data/equivalence_digests.json``
 (``tests/golden_regen.py`` writes it, CI's golden-drift step compares it),
 so a bit-identical change proves itself without a parent tree::
 
-    PYTHONPATH=src python tests/equivalence_digest.py --check
+    PYTHONPATH=src:tests python tests/golden_regen.py --check \\
+        tests/data/equivalence_digests.json
 
-recomputes both and exits 1, naming each line that differs from the file.
+recomputes both and exits 1, printing each line that differs from the
+file.
 """
 
 from __future__ import annotations
@@ -106,35 +108,13 @@ def golden_json() -> str:
     return json.dumps([line(seed, n) for seed, n in PINNED], indent=2) + "\n"
 
 
-def check() -> int:
-    """Recompute the :data:`PINNED` lines and compare each with the
-    golden file: print a verdict per line, return 1 if any differs."""
-    pinned = json.loads(EQUIVALENCE_GOLDEN_PATH.read_text(encoding="utf-8"))
-    differs = 0
-    for i, (seed, n) in enumerate(PINNED):
-        got = line(seed, n)
-        want = pinned[i] if i < len(pinned) else None
-        if got == want:
-            print(f"same     {got}")
-        else:
-            differs += 1
-            print(f"DIFFERS  seed={seed} scenarios={n}\n"
-                  f"  now    {got}\n  pinned {want}")
-    return 1 if differs else 0
-
-
 def main(argv: Optional[list] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seed", type=int, default=1,
                     help="ScenarioGenerator base seed (default 1)")
     ap.add_argument("--scenarios", type=int, default=300,
                     help="fuzz scenarios 0..N-1 to hash (default 300)")
-    ap.add_argument("--check", action="store_true",
-                    help="recompute the pinned lines and exit 1 if any "
-                         "differs from tests/data/equivalence_digests.json")
     args = ap.parse_args(argv)
-    if args.check:
-        return check()
     print(line(args.seed, args.scenarios))
     return 0
 

@@ -27,11 +27,21 @@ output path regenerates only the trace golden elsewhere
 checked-in file byte for byte)::
 
     PYTHONPATH=src:tests python tests/golden_regen.py /tmp/regen.json
+
+``--check`` regenerates the named goldens (default: all of them) in
+memory and prints, for each, ``no drift`` or the lines that differ from
+the checked-in file; it exits 1 if any drifted.  CI's golden-drift step
+runs it over every golden, and a change that claims bit-identity runs
+it over the slow one::
+
+    PYTHONPATH=src:tests python tests/golden_regen.py --check \\
+        tests/data/equivalence_digests.json
 """
 
+import difflib
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -70,9 +80,41 @@ def regenerate(path: Path, out: Optional[Path] = None) -> Path:
     return out
 
 
-if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        print(f"wrote {regenerate(GOLDEN_PATH, Path(sys.argv[1]))}")
+def check(path: Path) -> List[str]:
+    """Regenerate the golden ``path`` in memory and compare it with the
+    checked-in file: the unified diff of the lines that drifted, empty
+    when none did."""
+    pinned = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fresh = GOLDENS[path]().splitlines(keepends=True)
+    return list(difflib.unified_diff(pinned, fresh, f"{path.name} (pinned)",
+                                     f"{path.name} (regenerated)", n=0))
+
+
+def main(argv: List[str]) -> int:
+    if argv[:1] == ["--check"]:
+        paths = [Path(a).resolve() for a in argv[1:]] or list(GOLDENS)
+        unknown = [p for p in paths if p not in GOLDENS]
+        if unknown:
+            print(f"error: not a golden: {unknown[0]}", file=sys.stderr)
+            return 2
+        drifted = 0
+        for path in paths:
+            diff = check(path)
+            if diff:
+                drifted += 1
+                print(f"{path.name}: DRIFTED (if intentional, run "
+                      f"tests/golden_regen.py and review the diff)")
+                sys.stdout.writelines(diff)
+            else:
+                print(f"{path.name}: no drift")
+        return 1 if drifted else 0
+    if argv:
+        print(f"wrote {regenerate(GOLDEN_PATH, Path(argv[0]))}")
     else:
         for path in GOLDENS:
             print(f"wrote {regenerate(path)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -231,14 +231,15 @@ class TestObservabilityCli:
     def test_analyze_reads_the_cpu_count_from_the_dump(
             self, tmp_path, capsys, machine, n_cpus):
         """The dump's header gives the machine's cpu count, also when
-        its highest cpus stay idle; ``obs query`` counts no header."""
+        its highest cpus stay idle; ``obs query`` counts no header.  A
+        dump without a header counts up to its highest cpu."""
         out = tmp_path / "events.jsonl"
         assert main(["run", "--workload", "configure-gcc",
                      "--machine", machine, "--scale", "0.3",
                      "--events", str(out)]) == 0
-        n_events = len(out.read_text().splitlines()) - 1
-        top = max(json.loads(line).get("cpu", -1)
-                  for line in out.read_text().splitlines()[1:])
+        lines = out.read_text().splitlines()
+        n_events = len(lines) - 1
+        top = max(json.loads(line).get("cpu", -1) for line in lines[1:])
         assert top + 1 < n_cpus     # inference would undercount
         capsys.readouterr()
         assert main(["obs", "analyze", "--events", str(out)]) == 0
@@ -247,6 +248,9 @@ class TestObservabilityCli:
                      "--limit", "1"]) == 0
         assert capsys.readouterr().out.endswith(
             f" of {n_events} event(s) matched\n")
+        out.write_text("".join(line + "\n" for line in lines[1:]))
+        assert main(["obs", "analyze", "--events", str(out)]) == 0
+        assert f" of {top + 1} cores used" in capsys.readouterr().out
 
     def test_analyze_rejects_a_header_that_misses_a_cpu(self, tmp_path,
                                                          capsys):

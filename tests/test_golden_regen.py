@@ -40,6 +40,29 @@ def test_equivalence_golden_pins_the_two_corpora():
         for seed, n in equivalence_digest.PINNED]
 
 
+def test_check_prints_each_line_that_drifted(monkeypatch, capsys):
+    # The slow golden's lines stand in for a recomputation, so the
+    # comparison runs without the runs behind them.
+    path = equivalence_digest.EQUIVALENCE_GOLDEN_PATH
+    pinned = json.loads(path.read_text(encoding="utf-8"))
+    lines = dict(zip(equivalence_digest.PINNED, pinned))
+    monkeypatch.setattr(equivalence_digest, "line",
+                        lambda seed, n: lines[(seed, n)])
+    assert golden_regen.check(path) == []
+    assert golden_regen.main(["--check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path.name}: no drift\n"
+    drifted = "0" * 64 + "  seed=2 scenarios=150 grid=30"
+    lines[(2, 150)] = drifted
+    diff = golden_regen.check(path)
+    assert [ln for ln in diff if ln[0] in "+-" and ln[:3] not in
+            ("+++", "---")] == [f'-  "{pinned[1]}"\n', f'+  "{drifted}"\n']
+    assert golden_regen.main(["--check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"{path.name}: DRIFTED")
+    assert f'+  "{drifted}"\n' in out and pinned[0] not in out
+    assert golden_regen.main(["--check", "no-such-golden.json"]) == 2
+
+
 def test_regen_script_cli_matches_golden(tmp_path):
     out = tmp_path / "cli-regen.json"
     proc = subprocess.run(

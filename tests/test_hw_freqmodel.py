@@ -416,19 +416,6 @@ class TestPricingOrder:
             fm.set_thread_state(cpu, busy=True, spinning=False)
         pending = [fm._cores[pc].step_event for pc in (1, 2, 3)]
         assert None not in pending     # each waits out turbo latency
-        gov.asked.clear()
-        fm.set_thread_state(0, busy=True, spinning=False)
-        # Core 0's wake jump is its target, asked once per hw thread.  The
-        # mates have a step pending, which re-reads the target when it
-        # fires, so they are not re-priced and their steps stay put.
-        assert gov.asked == {0: 1, 32: 1}
-        assert [fm._cores[pc].step_event for pc in (1, 2, 3)] == pending
-
-    def test_a_walk_over_armed_mates_reprices_only_the_changed_core(self):
-        eng, fm, _ = make(request=2500)
-        for cpu in (1, 2, 3):
-            fm.set_thread_state(cpu, busy=True, spinning=False)
-        # Each mate waits out the turbo latency with a step pending.
         assert fm._armed_mask[0] & 0b1110 == 0b1110
         reevaluated = []
         reevaluate = fm._reevaluate
@@ -438,7 +425,12 @@ class TestPricingOrder:
             reevaluate(pc, target)
 
         fm._reevaluate = spy
+        gov.asked.clear()
         fm.set_thread_state(0, busy=True, spinning=False)
+        # Core 0's wake jump is its target, asked once per hw thread.  The
+        # mates have a step pending, which re-reads the target when it
+        # fires, so the walk steps over them: they are not re-priced and
+        # their steps stay put.
+        assert gov.asked == {0: 1, 32: 1}
         assert reevaluated == [0]
-        fm.set_thread_state(0, busy=False, spinning=False)
-        assert reevaluated == [0, 0]
+        assert [fm._cores[pc].step_event for pc in (1, 2, 3)] == pending

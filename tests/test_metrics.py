@@ -1,13 +1,11 @@
 """Tests for the metrics: underload, frequency distributions, latency,
 summaries."""
 
-import pickle
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.experiments import runner
-from repro.hw.machines import ALL_MACHINES, XEON_5218_2S, XEON_6130_2S
+from repro.hw.machines import XEON_5218_2S, XEON_6130_2S
 from repro.metrics.freqdist import FreqDistribution, bins_for
 from repro.metrics.latency import LatencyRecorder, percentile
 from repro.metrics.summary import (energy_savings, improvement_stddev,
@@ -136,28 +134,18 @@ def reference_series(segments, runnable, end_us, itv):
             for k in range(n_intervals)]
 
 
-def reference_bin(edges_ghz, freq_mhz):
-    """A frequency's bin by the loop over the bin edges."""
-    ghz = freq_mhz / 1000.0
-    for i, edge in enumerate(edges_ghz):
-        if ghz <= edge + 1e-9:
-            return i
-    return len(edges_ghz) - 1
-
-
 ITV = 1_000
 SEGMENTS = st.lists(st.tuples(st.integers(0, 15),        # core
                               st.integers(0, 12_000),    # start
                               st.integers(0, 5_000),     # duration
                               st.integers(-1, 3),        # task (-1: idle)
-                              st.booleans(),             # spinning
-                              st.integers(0, 5_000)),    # MHz
+                              st.booleans()),            # spinning
                     max_size=30)
 
 
 class TestAccountingMatchesReference:
-    """The bitmask and column bookkeeping give the series and bins the
-    per-record computation gave."""
+    """The bitmask and column bookkeeping give the series the per-record
+    computation gave."""
 
     @given(segs=SEGMENTS,
            changes=st.lists(st.tuples(st.integers(0, 3_000),   # gap
@@ -172,31 +160,14 @@ class TestAccountingMatchesReference:
             now += gap
             runnable.append((now, count))
         t = UnderloadTracker(interval_us=ITV)
-        for core, start, dur, task, spinning, mhz in segs:
-            t.segment_sink(core, start, start + dur, mhz, task, spinning)
+        for core, start, dur, task, spinning in segs:
+            t.segment_sink(core, start, start + dur, 2000, task, spinning)
         for now, count in runnable:
             t.runnable_sink(now, count)
         segments = [(core, start, start + dur, task, spinning)
-                    for core, start, dur, task, spinning, _ in segs]
+                    for core, start, dur, task, spinning in segs]
         assert t.finalize(end_us).series == \
             reference_series(segments, runnable, end_us, ITV)
-
-    @given(segs=SEGMENTS, key=st.sampled_from(sorted(ALL_MACHINES)))
-    def test_frequency_bins(self, segs, key):
-        fd = FreqDistribution(ALL_MACHINES[key])
-        bins = [0] * len(fd.edges_ghz)
-        total = 0
-        for core, start, dur, task, spinning, mhz in segs:
-            fd.segment_sink(core, start, start + dur, mhz, task, spinning)
-            if task >= 0 and not spinning:
-                bins[reference_bin(fd.edges_ghz, mhz)] += dur
-                total += dur
-        assert fd.bin_time_us == bins and fd.total_us == total
-        for mhz in range(0, 5_000, 50):
-            assert fd.bin_index(mhz) == reference_bin(fd.edges_ghz, mhz)
-        clone = pickle.loads(pickle.dumps(fd))
-        assert clone.bin_time_us == bins and clone.total_us == total
-        assert clone._bin_of is fd._bin_of      # one memo per edges
 
     def test_a_finished_run_holds_no_tuple_per_record(self, monkeypatch):
         made = []

@@ -557,10 +557,11 @@ class TestEventsJsonl:
     def test_roundtrip(self):
         events = [ev(1, PLACE_PRIMARY, cpu=2, task=3, value=0),
                   ev(9, FREQ_STEP, cpu=0, task=-1, value=2300)]
+        header = {"machine": "ryzen_4650g", "n_cpus": 12}
         buf = io.StringIO()
-        assert events_to_jsonl(events, buf) == 2
+        assert events_to_jsonl(events, buf, header) == 2
         buf.seek(0)
-        assert events_from_jsonl(buf) == events
+        assert events_from_jsonl(buf) == (header, events)
 
     def test_dict_roundtrip_defaults(self):
         assert event_from_dict(event_to_dict(ev(5, SPIN_START, cpu=7))) == \
@@ -610,7 +611,8 @@ class TestAnalyzeCli:
         res, _ = analysis_golden_run()
         dump = tmp_path / "events.jsonl"
         with dump.open("w", encoding="utf-8") as fh:
-            events_to_jsonl(res.events, fh)
+            events_to_jsonl(res.events, fh,
+                            {"machine": "5218_2s", "n_cpus": 64})
         assert main(["obs", "analyze", "--events", str(dump),
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

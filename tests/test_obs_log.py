@@ -46,14 +46,15 @@ class TestEventsToJsonl:
         events = [SchedEvent(1, SCHED_WAKEUP, 0, 5, 0),
                   SchedEvent(2, PLACE_ATTACH, 0, 5, 3)]
         buf = io.StringIO()
-        assert events_to_jsonl(events, buf) == 2
+        assert events_to_jsonl(events, buf, {"n_cpus": 4}) == 2
         lines = buf.getvalue().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
+        assert len(lines) == 3
+        assert json.loads(lines[0]) == {"header": {"n_cpus": 4}}
+        first = json.loads(lines[1])
         assert first == {"t": 1, "kind": SCHED_WAKEUP, "cpu": 0,
                          "task": 5, "value": 0}
 
     def test_empty(self):
         buf = io.StringIO()
-        assert events_to_jsonl([], buf) == 0
-        assert buf.getvalue() == ""
+        assert events_to_jsonl([], buf, {"n_cpus": 4}) == 0
+        assert buf.getvalue() == '{"header":{"n_cpus":4}}\n'
